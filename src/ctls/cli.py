@@ -155,10 +155,16 @@ def _cmd_estimate(args) -> int:
 def _cmd_simulate(args) -> int:
     try:
         partition = PartitionSpec(j=args.j, k=args.k, n=args.n, ell=args.ell, m=args.m)
-        model = generate_model(
-            partition, args.sigma, args.seed, DesignKind(args.design)
+        # Independent child seeds: one seed for both would make the noise a
+        # shifted copy of the design's normal draws.
+        model_seed, noise_seed = (
+            int(child.generate_state(1, np.uint64)[0])
+            for child in np.random.SeedSequence(args.seed).spawn(2)
         )
-        data = observe(model, args.seed, NoiseKind(args.noise))
+        model = generate_model(
+            partition, args.sigma, model_seed, DesignKind(args.design)
+        )
+        data = observe(model, noise_seed, NoiseKind(args.noise))
         os.makedirs(args.out_dir, exist_ok=True)
         write_matrix(os.path.join(args.out_dir, "A.csv"), data.a, "csv")
         write_matrix(os.path.join(args.out_dir, "B.csv"), data.b, "csv")

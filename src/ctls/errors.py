@@ -42,6 +42,10 @@ class NotPositiveDefiniteError(CtlsError):
     """Cholesky factorization failed: the matrix is not positive definite."""
 
 
+class LapackError(CtlsError):
+    """A LAPACK routine failed, for example an SVD or eigensolver did not converge."""
+
+
 # --- model generation errors ------------------------------------------------
 
 

@@ -1,21 +1,33 @@
 """Estimators for regression with noise in both sides of the system.
 
-Five estimators share one convention: stack the data as ``C = [A | B]``,
-look for the ``ell``-dimensional near-null subspace of an appropriate Gram
-matrix, and normalize its basis ``Z = [Z_upper; Z_lower]`` into a coefficient
-matrix ``X = -Z_upper @ inv(Z_lower)``.
+Five estimators share one pipeline on ``C = [A | B]``:
 
-* :func:`tls_solve` - no constraints; the subspace comes from ``C.T @ C``.
-* :func:`ctls_columns` - the first ``k`` columns of ``A`` are exact; QR of
-  the fixed columns reduces the problem to a smaller unconstrained one.
-* :func:`ctls_rows` / :func:`ctls_rowcol` - the first ``j`` rows (and
-  optionally ``k`` columns) are exact; a two-sided orthogonal transform plus
-  block elimination zeroes the fixed-by-fixed corner, and the row
-  constraints are enforced by restricting the eigenproblem to the null space
-  of the exact rows.
-* :func:`projection_estimator` - shifts the noisy Gram block by an estimate
-  ``mu`` of the accumulated noise variance before projecting onto the null
-  space of the exact rows; ``mu / m`` doubles as the noise-variance estimate.
+1. Factor the noisy rows once.  ``ObservedData.r_noisy`` caches the square
+   ``R`` with ``R.T @ R = C_noisy.T @ C_noisy`` (one O(m) pass); everything
+   after it costs O((n + ell)^3), independent of ``m``.
+2. Eliminate an exact ``j x k`` corner, if any (:func:`precondition_rowcol`).
+   The elimination is a column transform built from the exact rows only, so
+   it is applied to ``R`` and the result is re-triangularised.
+3. Split the factor after the exact columns,
+   ``R = [[R11, R12], [0, R22]]``: ``R22.T @ R22`` is the Schur complement
+   that eliminates the exact columns.
+4. Restrict to the null space ``P`` of the exact rows and take the ``ell``
+   smallest right singular vectors of ``R22 @ P``.  Their basis
+   ``Z = [Z_upper; Z_lower]`` normalizes into ``X = -Z_upper @ inv(Z_lower)``,
+   and the exact-column coefficients are ``R11^-1 R12 [-X; I]``.
+
+The SVD of the factor, not an eigensolver on its Gram matrix, keeps the
+relative accuracy of the small singular values the solution is made of.
+
+* :func:`tls_solve` - no constraints; the factor covers all rows.
+* :func:`ctls_rowcol` - the first ``j`` rows and ``k`` columns are exact.
+* :func:`ctls_columns` (``j = 0``) and :func:`ctls_rows` (``k = 0``) - thin
+  wrappers over :func:`ctls_rowcol` that check the partition.
+* :func:`projection_estimator` - shifts the noisy columns of ``R.T @ R`` by
+  an estimate ``mu`` of the accumulated noise variance before projecting
+  onto the null space of the exact rows; ``mu / m`` doubles as the
+  noise-variance estimate.  The shifted matrix is indefinite, so this is the
+  one step that takes a (small) symmetric eigendecomposition.
 
 Every matrix inverse is realized as a linear solve, and the conditioning of
 each solve is surfaced in the returned diagnostics.
@@ -40,16 +52,19 @@ from .linalg import (
     EMPTY_BLOCK,
     Block,
     RANK_TOL,
+    SymEigenResult,
     as_matrix,
+    gram_condition,
+    gram_eigen,
     is_empty,
     matrix_rank,
     null_space_basis,
-    qr_thin,
     singular_values,
     solve_linear,
     solve_upper_triangular,
     svd,
     sym_eigen,
+    tall_r,
 )
 from .model import ObservedData, PartitionSpec
 
@@ -106,7 +121,9 @@ class CBlocks:
 
     ``c11 = A11`` (exact), ``c12 = [A12 B1]`` (exact rows), ``c21 = A21``
     (exact columns), ``c22 = [A22 B2]`` (the noisy block).  Blocks with zero
-    rows or columns are the ``EMPTY_BLOCK`` sentinel.
+    rows or columns are the ``EMPTY_BLOCK`` sentinel.  In the blocks of
+    :func:`factor_blocks`, ``c21`` and ``c22`` are the columns of the R
+    factor of the noisy rows instead of the rows themselves.
     """
 
     c11: Block
@@ -126,36 +143,59 @@ class CBlocks:
         return np.vstack([top, bottom])
 
 
+def _split(data: ObservedData, noisy: np.ndarray) -> CBlocks:
+    """Exact-row blocks of ``data`` plus the noisy columns ``noisy = [c21 | c22]``."""
+    p = data.partition
+    j, k = p.j, p.k
+    return CBlocks(
+        c11=data.a[:j, :k].copy() if j > 0 and k > 0 else EMPTY_BLOCK,
+        c12=np.hstack([data.a[:j, k:], data.b[:j, :]]) if j > 0 else EMPTY_BLOCK,
+        c21=noisy[:, :k] if k > 0 else EMPTY_BLOCK,
+        c22=noisy[:, k:],
+        partition=p,
+    )
+
+
 def build_blocks(data: ObservedData) -> CBlocks:
     """Slice the observed data into the four partition blocks."""
-    p = data.partition
-    a, b = data.a, data.b
-    j, k = p.j, p.k
-    c11: Block = a[:j, :k].copy() if j > 0 and k > 0 else EMPTY_BLOCK
-    c12: Block = np.hstack([a[:j, k:], b[:j, :]]) if j > 0 else EMPTY_BLOCK
-    c21: Block = a[j:, :k].copy() if k > 0 else EMPTY_BLOCK
-    c22 = np.hstack([a[j:, k:], b[j:, :]])
-    return CBlocks(c11=c11, c12=c12, c21=c21, c22=c22, partition=p)
+    j = data.partition.j
+    return _split(data, np.hstack([data.a[j:, :], data.b[j:, :]]))
+
+
+def factor_blocks(data: ObservedData) -> CBlocks:
+    """:func:`build_blocks` with the noisy rows replaced by ``data.r_noisy``.
+
+    Every Gram product of ``c21`` and ``c22`` is unchanged, but they have
+    ``n + ell`` rows instead of ``m - j``.
+    """
+    return _split(data, data.r_noisy)
+
+
+def noisy_factor(blocks: CBlocks) -> np.ndarray:
+    """Square R factor of the noisy columns ``[c21 | c22]`` of ``blocks``."""
+    if is_empty(blocks.c21):
+        return tall_r(blocks.c22)
+    return tall_r(np.hstack([blocks.c21, blocks.c22]))
 
 
 def _normalize_subspace(
-    fmat: np.ndarray,
+    eig: SymEigenResult,
     basis: np.ndarray | None,
     n_upper: int,
     ell: int,
 ) -> tuple[np.ndarray, np.ndarray, float | None, float, list[str]]:
-    """Eigen-solve ``fmat``, lift the ``ell`` smallest vectors through
-    ``basis`` and normalize the trailing block to ``-I``.
+    """Lift the ``ell`` smallest eigenvectors of ``eig`` through ``basis``
+    and normalize the trailing block to ``-I``.
 
     Returns ``(x, smallest_values, gap, z_lower_min_sv, flags)``.
     """
-    eig = sym_eigen(fmat)
     values = eig.values
     flags: list[str] = []
     gap: float | None = None
     if values.size > ell:
         gap = float(values[ell] - values[ell - 1])
-        scale = float(np.linalg.norm(fmat, "fro"))
+        # The Frobenius norm of the decomposed symmetric matrix.
+        scale = float(np.linalg.norm(values))
         if gap < EIG_GAP_TOL * scale:
             flags.append("eig_gap_degenerate")
             warnings.warn(
@@ -181,17 +221,28 @@ def _normalize_subspace(
     return x, values[:ell].copy(), gap, float(sv_low[-1]), flags
 
 
-def _gram_condition(gram: np.ndarray) -> float:
-    sv = singular_values(gram)
-    return float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1])
+def tls_from_data(data: ObservedData) -> EstimateResult:
+    """Classical TLS on all of ``[A | B]``, ignoring the partition.
+
+    Works from the cached factor ``data.r_all``, so a sweep shares it with
+    :func:`ctls.harness.naive_ls`; see :func:`tls_solve`.
+    """
+    p = data.partition
+    x, eigs, gap, z_min, flags = _normalize_subspace(
+        gram_eigen(data.r_all), None, p.n, p.ell
+    )
+    diag = Diagnostics(z_lower_smallest_sv=z_min, eig_gap=gap, flags=flags)
+    sigma2 = max(0.0, float(np.mean(eigs))) / p.m
+    return EstimateResult(x_hat=x, sigma2_hat=sigma2, smallest_eigs=eigs, diagnostics=diag)
 
 
 def tls_solve(a, b) -> EstimateResult:
     """Classical total least squares.
 
-    Stacks ``C = [A | B]``, takes the ``ell`` smallest eigenpairs of
-    ``C.T @ C`` and normalizes them into the coefficient matrix.  The noise
-    variance estimate is the mean of those eigenvalues over ``m``.
+    Factors ``C = [A | B]`` as ``R`` and takes the ``ell`` smallest right
+    singular vectors of ``R`` (the smallest eigenpairs of ``C.T @ C``),
+    normalized into the coefficient matrix.  The noise variance estimate is
+    the mean of those eigenvalues over ``m``.
 
     Raises
     ------
@@ -203,21 +254,17 @@ def tls_solve(a, b) -> EstimateResult:
     if a.shape[0] != b.shape[0]:
         raise ValueError("A and B must have the same number of rows")
     m, n = a.shape
-    c = np.hstack([a, b])
-    f = c.T @ c
-    x, eigs, gap, z_min, flags = _normalize_subspace(f, None, n, b.shape[1])
-    diag = Diagnostics(z_lower_smallest_sv=z_min, eig_gap=gap, flags=flags)
-    sigma2 = max(0.0, float(np.mean(eigs))) / m
-    return EstimateResult(x_hat=x, sigma2_hat=sigma2, smallest_eigs=eigs, diagnostics=diag)
+    partition = PartitionSpec(j=0, k=0, n=n, ell=b.shape[1], m=m)
+    return tls_from_data(ObservedData(a=a, b=b, partition=partition))
 
 
 def ctls_columns(data: ObservedData) -> EstimateResult:
     """Constrained TLS with exactly-known leading columns (j = 0, 0 < k < n).
 
-    QR of the fixed columns reduces the problem to an unconstrained one on
-    the orthogonal complement of their range; the fixed-column coefficients
-    are then recovered from the corrected (perturbed) data, so the original
-    constraint holds exactly.
+    Eliminating the fixed columns inside the factor reduces the problem to
+    an unconstrained one on the orthogonal complement of their range; the
+    fixed-column coefficients then solve the least-squares problem that the
+    reduced solution leaves.  This is :func:`ctls_rowcol` with ``j = 0``.
 
     Raises
     ------
@@ -233,43 +280,12 @@ def ctls_columns(data: ObservedData) -> EstimateResult:
             f"ctls_columns needs j=0 and 0<k<n, got j={p.j}, k={p.k}, n={p.n}"
         )
     p.require_overdetermined()
-    m, n, k, ell = p.m, p.n, p.k, p.ell
-
-    a1 = data.a[:, :k]
-    q1, r1 = qr_thin(a1)
-    sv1 = singular_values(r1)
-    if sv1[0] == 0.0 or sv1[-1] <= RANK_TOL * sv1[0]:
+    sv = singular_values(data.r_noisy[: p.k, : p.k])
+    if sv[0] == 0.0 or sv[-1] <= RANK_TOL * sv[0]:
         raise RankDeficientFixedColumnsError(
-            f"fixed columns have singular values {sv1}; full column rank required"
+            f"fixed columns have singular values {sv}; full column rank required"
         )
-
-    c22 = np.hstack([data.a[:, k:], data.b])
-    t = q1.T @ c22
-    g = c22.T @ c22 - t.T @ t
-    x2, eigs, gap, z_min, flags = _normalize_subspace(g, None, n - k, ell)
-
-    # Rebuild the corrected data implied by the reduced solution, then read
-    # the fixed-column coefficients off the triangular factor.  This makes
-    # the full constraint (A1, A2+dA2) x = B+dB hold exactly.
-    y = np.vstack([x2, -np.eye(ell)])
-    resid = data.a[:, k:] @ x2 - data.b
-    resid_perp = resid - q1 @ (q1.T @ resid)
-    nmat = x2.T @ x2 + np.eye(ell)
-    delta = -resid_perp @ solve_linear(nmat, y.T)
-    a2_corr = data.a[:, k:] + delta[:, : n - k]
-    b_corr = data.b + delta[:, n - k :]
-    x1 = solve_upper_triangular(r1, q1.T @ b_corr - (q1.T @ a2_corr) @ x2)
-
-    diag = Diagnostics(
-        z_lower_smallest_sv=z_min,
-        c21_gram_condition=float(sv1[0] / sv1[-1]) ** 2,
-        eig_gap=gap,
-        flags=flags,
-    )
-    sigma2 = max(0.0, float(np.mean(eigs))) / m
-    return EstimateResult(
-        x_hat=np.vstack([x1, x2]), sigma2_hat=sigma2, smallest_eigs=eigs, diagnostics=diag
-    )
+    return ctls_rowcol(data)
 
 
 @dataclass(frozen=True)
@@ -297,7 +313,9 @@ class PreconditionRecord:
 
         The transform is built from the exact blocks only, so it applies
         verbatim to ground-truth blocks that share them (the noisy block is
-        shifted by fixed quantities, never rescaled).
+        shifted by fixed quantities, never rescaled).  On the noisy columns
+        it is a column transform, so it applies to the blocks of
+        :func:`factor_blocks` as well.
         """
         p = self.partition
         j, k, r = p.j, p.k, self.rank
@@ -370,30 +388,33 @@ def precondition_rowcol(
     return record.transform_blocks(blocks), record
 
 
-def _schur_gram(
-    c21: np.ndarray, c22: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gram matrix of the noisy block after eliminating the fixed columns.
+def reduced_factor(
+    data: ObservedData, rank_tol: float = RANK_TOL
+) -> tuple[CBlocks, PreconditionRecord | None, np.ndarray]:
+    """The factor blocks of ``data`` after the exact corner is eliminated.
 
-    Returns ``(g, gram21, cross)`` where ``gram21 = c21.T @ c21`` and
-    ``cross = c21.T @ c22``; the inverse in the elimination is a linear
-    solve, so near-singular fixed-column Grams are rejected loudly.
+    Returns the blocks, the record that undoes the elimination (None when
+    there is no corner) and the re-triangularised R factor of the blocks'
+    noisy columns.
     """
-    gram21 = c21.T @ c21
-    cross = c21.T @ c22
-    g = c22.T @ c22 - cross.T @ solve_linear(gram21, cross)
-    return g, gram21, cross
+    blocks = factor_blocks(data)
+    p = data.partition
+    if p.j == 0 or p.k == 0:
+        return blocks, None, data.r_noisy
+    blocks, record = precondition_rowcol(blocks, rank_tol)
+    return blocks, record, noisy_factor(blocks)
 
 
 def ctls_rowcol(data: ObservedData, rank_tol: float = RANK_TOL) -> EstimateResult:
     """Constrained TLS with exact leading rows and columns.
 
-    Pipeline: eliminate the exact corner (:func:`precondition_rowcol`),
-    restrict the eliminated Gram matrix ``G`` to the null space of the
-    remaining exact rows, extract the ``ell`` smallest Ritz pairs, normalize
-    them into the free-column coefficients, then solve the fixed-column
-    normal equations and undo the preconditioning.  Degenerate partitions
-    collapse to the simpler estimators (j = k = 0 is plain TLS).
+    Pipeline: eliminate the exact corner inside the factor
+    (:func:`reduced_factor`), restrict the Schur-complement factor ``R22``
+    to the null space ``P`` of the remaining exact rows, take the ``ell``
+    smallest Ritz pairs from the SVD of ``R22 @ P``, normalize them into
+    the free-column coefficients, then solve the fixed-column least-squares
+    problem with ``R11`` and undo the preconditioning.  Degenerate
+    partitions collapse to the simpler estimators (j = k = 0 is plain TLS).
 
     Raises
     ------
@@ -406,7 +427,7 @@ def ctls_rowcol(data: ObservedData, rank_tol: float = RANK_TOL) -> EstimateResul
     """
     p = data.partition
     if p.j == 0 and p.k == 0:
-        return tls_solve(data.a, data.b)
+        return tls_from_data(data)
     p.require_overdetermined()
     m, ell = p.m, p.ell
     n_free = p.n_free
@@ -416,10 +437,7 @@ def ctls_rowcol(data: ObservedData, rank_tol: float = RANK_TOL) -> EstimateResul
             f"the {p.j} exact rows of A are rank deficient"
         )
 
-    blocks = build_blocks(data)
-    record: PreconditionRecord | None = None
-    if p.j > 0 and p.k > 0:
-        blocks, record = precondition_rowcol(blocks, rank_tol)
+    blocks, record, r = reduced_factor(data, rank_tol)
     rp = blocks.partition
 
     notes = []
@@ -440,20 +458,17 @@ def ctls_rowcol(data: ObservedData, rank_tol: float = RANK_TOL) -> EstimateResul
     else:
         basis = None
 
-    cond21 = None
-    if rp.k > 0:
-        g, gram21, _ = _schur_gram(blocks.c21, blocks.c22)
-        cond21 = _gram_condition(gram21)
-    else:
-        g = blocks.c22.T @ blocks.c22
+    k = rp.k
+    cond21 = gram_condition(r[:k, :k]) if k > 0 else None
+    r22 = r[k:, k:]
+    ritz_factor = r22 @ basis if basis is not None else r22
+    x_lower, ritz, gap, z_min, flags = _normalize_subspace(
+        gram_eigen(ritz_factor), basis, n_free, ell
+    )
 
-    fmat = basis.T @ g @ basis if basis is not None else g
-    x_lower, ritz, gap, z_min, flags = _normalize_subspace(fmat, basis, n_free, ell)
-
-    if rp.k > 0:
-        a22 = blocks.c22[:, :n_free]
-        b2 = blocks.c22[:, n_free:]
-        x_top = solve_linear(gram21, blocks.c21.T @ (b2 - a22 @ x_lower))
+    if k > 0:
+        y = np.vstack([-x_lower, np.eye(ell)])
+        x_top = solve_upper_triangular(r[:k, :k], r[:k, k:] @ y)
         x_reduced = np.vstack([x_top, x_lower])
     else:
         x_reduced = x_lower
@@ -493,16 +508,39 @@ def ctls_rows(data: ObservedData) -> EstimateResult:
     return ctls_rowcol(data)
 
 
+def shifted_gram(
+    r: np.ndarray, k: int, ell: int, mu_rule: str = "mean"
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """The shifted Gram matrix of the projection estimator.
+
+    ``r`` is the factor of the noisy rows with ``k`` exact leading columns.
+    Returns ``(g_eigs, mu, f)``: the ``ell`` smallest eigenvalues of the
+    Schur complement ``R22.T @ R22``, the shift ``mu`` that ``mu_rule``
+    picks among them, and ``r.T @ r`` minus ``mu`` on the diagonal of its
+    noisy columns.
+    """
+    g_eigs = gram_eigen(r[k:, k:]).values[:ell]
+    if mu_rule == "min":
+        mu = float(g_eigs[0])
+    elif mu_rule == "max":
+        mu = float(g_eigs[-1])
+    else:
+        mu = float(np.mean(g_eigs))
+    f = r.T @ r
+    f[k:, k:] -= mu * np.eye(f.shape[0] - k)
+    return g_eigs, mu, f
+
+
 def projection_estimator(
     data: ObservedData, mu_rule: str = "mean", rank_tol: float = RANK_TOL
 ) -> EstimateResult:
     """Orthogonal-projection estimator with a noise-variance shift.
 
-    The noisy Gram block is shifted by ``mu``, a point in the range of the
-    ``ell`` smallest eigenvalues of the column-eliminated Gram matrix ``G``;
-    the shifted matrix is then projected onto the null space of the exact
-    rows and the ``ell`` smallest Ritz pairs give the estimate.  ``mu / m``
-    estimates the noise variance.
+    The noisy columns of ``R.T @ R`` are shifted by ``mu``, a point in the
+    range of the ``ell`` smallest eigenvalues of the column-eliminated Gram
+    matrix ``G = R22.T @ R22``; the shifted matrix is then projected onto
+    the null space of the exact rows and the ``ell`` smallest Ritz pairs
+    give the estimate.  ``mu / m`` estimates the noise variance.
 
     ``mu_rule`` picks the representative in {"min", "mean", "max"} of those
     eigenvalues (any choice is admissible; the mean is the symmetric
@@ -512,52 +550,27 @@ def projection_estimator(
         raise ValueError(f"mu_rule must be one of {MU_RULES}, got {mu_rule!r}")
     p = data.partition
     p.require_overdetermined()
-    m, n, ell = p.m, p.n, p.ell
-    blocks = build_blocks(data)
+    m, n, ell, j, k = p.m, p.n, p.ell, p.j, p.k
 
     basis = None
-    if p.j > 0:
-        upper_parts = [] if is_empty(blocks.c11) else [blocks.c11]
-        c_upper = np.hstack(upper_parts + [blocks.c12])
-        if matrix_rank(c_upper, rank_tol) != p.j:
+    if j > 0:
+        c_upper = np.hstack([data.a[:j], data.b[:j]])
+        if matrix_rank(c_upper, rank_tol) != j:
             raise RankDeficientUpperRowsError(
-                f"the {p.j} exact rows of [A | B] are rank deficient"
+                f"the {j} exact rows of [A | B] are rank deficient"
             )
         basis = null_space_basis(c_upper, rank_tol)
 
-    c22 = blocks.c22
-    c22_gram = c22.T @ c22
-    cond21 = None
-    if p.k > 0:
-        c21 = blocks.c21
-        gram21 = c21.T @ c21
-        cross = c21.T @ c22
-        g = c22_gram - cross.T @ solve_linear(gram21, cross)
-        cond21 = _gram_condition(gram21)
-    else:
-        g = c22_gram
-
-    g_eigs = sym_eigen(g).values[:ell]
-    if mu_rule == "min":
-        mu = float(g_eigs[0])
-    elif mu_rule == "max":
-        mu = float(g_eigs[-1])
-    else:
-        mu = float(np.mean(g_eigs))
-
-    shifted = c22_gram - mu * np.eye(c22_gram.shape[0])
-    if p.k > 0:
-        f = np.block([[gram21, cross], [cross.T, shifted]])
-    else:
-        f = shifted
-
+    r = data.r_noisy
+    cond21 = gram_condition(r[:k, :k]) if k > 0 else None
+    g_eigs, mu, f = shifted_gram(r, k, ell, mu_rule)
     fmat = basis.T @ f @ basis if basis is not None else f
-    x_hat, ritz, gap, z_min, flags = _normalize_subspace(fmat, basis, n, ell)
+    x_hat, ritz, gap, z_min, flags = _normalize_subspace(sym_eigen(fmat), basis, n, ell)
 
     constraint_residual = None
-    if p.j > 0:
+    if j > 0:
         constraint_residual = float(
-            np.linalg.norm(data.a[: p.j] @ x_hat - data.b[: p.j], "fro")
+            np.linalg.norm(data.a[:j] @ x_hat - data.b[:j], "fro")
         )
     diag = Diagnostics(
         z_lower_smallest_sv=z_min,

@@ -36,15 +36,22 @@ from .errors import CtlsError, IncompatibleConfigError, InvalidPartitionError
 from .estimators import (
     Diagnostics,
     EstimateResult,
-    build_blocks,
     ctls_columns,
     ctls_rowcol,
     ctls_rows,
-    precondition_rowcol,
+    factor_blocks,
+    noisy_factor,
     projection_estimator,
-    tls_solve,
+    reduced_factor,
+    shifted_gram,
+    tls_from_data,
 )
-from .linalg import is_empty, null_space_basis, solve_linear, sym_eigen
+from .linalg import (
+    gram_condition,
+    null_space_basis,
+    singular_values,
+    solve_upper_triangular,
+)
 from .model import (
     DesignKind,
     NoiseKind,
@@ -79,17 +86,22 @@ ESTIMATOR_NAMES = (
 
 
 def naive_ls(data: ObservedData) -> EstimateResult:
-    """Ordinary least squares via the normal equations.
+    """Ordinary least squares from the cached factor of ``[A | B]``.
+
+    With ``R = [[R11, R12], [0, R22]]`` split after the ``n`` columns of
+    ``A``, the solution is ``R11^-1 R12`` and the residual norm is
+    ``|R22|``.  ``R11`` is refused where the normal equations would be.
 
     The baseline the noisy-design estimators are measured against: its error
     does not shrink with the sample size because noise in the design matrix
     biases the normal equations (classical attenuation).
     """
-    a, b = data.a, data.b
-    x = solve_linear(a.T @ a, a.T @ b)
-    m, ell = b.shape
-    resid = a @ x - b
-    sigma2 = float(np.sum(resid * resid)) / (m * ell)
+    m, ell = data.b.shape
+    n = data.a.shape[1]
+    r = data.r_all
+    gram_condition(r[:n, :n])
+    x = solve_upper_triangular(r[:n, :n], r[:n, n:])
+    sigma2 = float(np.sum(r[n:, n:] ** 2)) / (m * ell)
     return EstimateResult(
         x_hat=x,
         sigma2_hat=sigma2,
@@ -192,7 +204,7 @@ def _run_estimator(name: str, data: ObservedData) -> EstimateResult:
     if name == "naive_ls":
         return naive_ls(data)
     if name == "tls":
-        return tls_solve(data.a, data.b)
+        return tls_from_data(data)
     if name == "ctls_columns":
         return ctls_columns(data)
     if name == "ctls_rows":
@@ -325,52 +337,32 @@ def gram_residuals(model: RegressionModel, data: ObservedData) -> dict:
     the row-projected column-eliminated Gram matrix, and for the raw noise
     second moment, plus the smallest eigenvalue of ``C21.T @ C21 / m`` as a
     positive-definiteness diagnostic (reported, never enforced).
+
+    The data side reuses the estimators' cached factor ``data.r_noisy``; the
+    ground truth takes one factor of its own.
     """
     p = data.partition
-    m, ell = p.m, p.ell
+    m, ell, k = p.m, p.ell, p.k
     sigma2 = model.sigma**2
-    blocks = build_blocks(data)
-    bar_blocks = build_blocks(ObservedData(a=model.a_bar, b=model.b_bar, partition=p))
-
-    def gram_f(bl, mu: float | None):
-        c22g = bl.c22.T @ bl.c22
-        if mu is not None:
-            c22g = c22g - mu * np.eye(c22g.shape[0])
-        if is_empty(bl.c21):
-            return c22g
-        g21 = bl.c21.T @ bl.c21
-        cross = bl.c21.T @ bl.c22
-        return np.block([[g21, cross], [cross.T, c22g]])
-
-    def schur(bl):
-        c22g = bl.c22.T @ bl.c22
-        if is_empty(bl.c21):
-            return c22g
-        g21 = bl.c21.T @ bl.c21
-        cross = bl.c21.T @ bl.c22
-        return c22g - cross.T @ solve_linear(g21, cross)
+    bar = ObservedData(a=model.a_bar, b=model.b_bar, partition=p)
+    r, r_bar = data.r_noisy, bar.r_noisy
 
     # Shifted-Gram residual (projection pipeline, mean shift).
-    g_data = schur(blocks)
-    mu = float(np.mean(sym_eigen(g_data).values[:ell]))
-    f_data = gram_f(blocks, mu)
-    f_bar = gram_f(bar_blocks, None)
-    shifted_resid = float(np.max(np.abs(f_data - f_bar))) / m
+    _, _, f_data = shifted_gram(r, k, ell)
+    shifted_resid = float(np.max(np.abs(f_data - r_bar.T @ r_bar))) / m
 
     # Row-projected residual in the zero-corner frame.
-    if p.j > 0 and p.k > 0:
-        work, record = precondition_rowcol(blocks)
-        work_bar = record.transform_blocks(bar_blocks)
+    work, record, r_work = reduced_factor(data)
+    if record is None:
+        r_work_bar = r_bar
     else:
-        work, work_bar = blocks, bar_blocks
-    g_work = schur(work)
-    g_work_bar = schur(work_bar)
+        r_work_bar = noisy_factor(record.transform_blocks(factor_blocks(bar)))
+    kw = work.partition.k
+    lhs, rhs = r_work[kw:, kw:], r_work_bar[kw:, kw:]
     if work.partition.j > 0:
         basis = null_space_basis(work.c12)
-        lhs = basis.T @ g_work @ basis
-        rhs = basis.T @ g_work_bar @ basis
-    else:
-        lhs, rhs = g_work, g_work_bar
+        lhs, rhs = lhs @ basis, rhs @ basis
+    lhs, rhs = lhs.T @ lhs, rhs.T @ rhs
     target = rhs / m + sigma2 * np.eye(lhs.shape[0])
     projected_resid = float(np.max(np.abs(lhs / m - target)))
 
@@ -384,9 +376,8 @@ def gram_residuals(model: RegressionModel, data: ObservedData) -> dict:
     noise_resid = float(np.max(np.abs(e.T @ e / m - sigma2 * np.eye(e.shape[1]))))
 
     c21_eig = None
-    if not is_empty(blocks.c21):
-        g21 = blocks.c21.T @ blocks.c21
-        c21_eig = float(sym_eigen(g21).values[0]) / m
+    if k > 0:
+        c21_eig = float(singular_values(r[:k, :k])[-1]) ** 2 / m
 
     return {
         "shifted_gram_residual": shifted_resid,
@@ -410,8 +401,6 @@ def run_sweep(config: SweepConfig) -> ConvergenceTrace:
     Failed trials are recorded with the error name as their status and kept
     out of the aggregates, never dropped silently.
     """
-    want_shifted = "projection" in config.estimators
-    want_projected = "ctls_rowcol" in config.estimators
 
     def run_instance(m: int, trial: int) -> list[TrialRecord]:
         model_seed = trial_seed(config.base_seed, "model", m, trial)
@@ -420,9 +409,9 @@ def run_sweep(config: SweepConfig) -> ConvergenceTrace:
             config.partition_for(m), config.sigma, model_seed, config.design
         )
         data = observe(model, noise_seed, config.noise)
-        residuals_snapshot = (
-            gram_residuals(model, data) if (want_shifted or want_projected) else None
-        )
+        # Computed once, by the first estimator record that reports it; a
+        # failure counts against that record like an estimator failure.
+        residuals: dict = {}
         records = []
         for name in config.estimators:
             err = s2 = mu_m = res_shifted = res_projected = constraint = None
@@ -430,15 +419,17 @@ def run_sweep(config: SweepConfig) -> ConvergenceTrace:
             status = "ok"
             try:
                 result = _run_estimator(name, data)
+                if name in ("projection", "ctls_rowcol") and not residuals:
+                    residuals.update(gram_residuals(model, data))
                 err = float(np.linalg.norm(result.x_hat - model.x_true, "fro"))
                 s2 = result.sigma2_hat
                 flags = list(result.diagnostics.flags)
                 constraint = result.diagnostics.constraint_residual
                 if name == "projection":
                     mu_m = result.mu / m
-                    res_shifted = residuals_snapshot["shifted_gram_residual"] if residuals_snapshot else None
-                if name == "ctls_rowcol" and residuals_snapshot:
-                    res_projected = residuals_snapshot["projected_gram_residual"]
+                    res_shifted = residuals["shifted_gram_residual"]
+                if name == "ctls_rowcol":
+                    res_projected = residuals["projected_gram_residual"]
             except CtlsError as exc:
                 status = type(exc).__name__
             records.append(

@@ -1,28 +1,33 @@
-"""Dense linear-algebra kernels: symmetric eigensolver, QR, SVD, null spaces, solves.
+"""Dense linear-algebra kernels on LAPACK (``numpy.linalg``), with explicit contracts.
 
-All decompositions are written against explicit numerical contracts rather
-than library defaults:
+* ``tall_r`` factors a tall matrix once: blocks of ``BLOCK_ROWS`` rows go
+  through one batched QR and the stacked triangles through one more (one
+  level of TSQR), giving a square ``R`` with ``R.T @ R = C.T @ C``.  The
+  estimators see their O(m) data only through such factors.
+* ``gram_eigen`` takes the eigenpairs of ``R.T @ R`` from the SVD of ``R``.
+  Forming the Gram matrix first would square the condition number and lose
+  the relative accuracy of the small eigenvalues that the TLS solutions are
+  made of.
+* ``sym_eigen``, ``svd``, ``singular_values``, ``null_space_basis``, the QR
+  functions, ``cholesky_lower`` and the solves are thin wrappers over the
+  matching ``numpy.linalg`` routine.
+* ``solve_linear`` and ``gram_condition`` refuse matrices whose condition
+  exceeds the working threshold instead of returning garbage.
 
-* ``sym_eigen`` is a cyclic Jacobi sweep (robust and simple; the matrices in
-  this package are small, a few hundred rows at most).
-* ``svd`` is computed from the eigendecomposition of the Gram matrix of the
-  shorter dimension, with deterministic sign fixing and orthonormal
-  completion of the rank-deficient part.
-* ``qr_decompose`` uses Householder reflections and normalizes the signs so
-  the triangular factor has a nonnegative diagonal.
-* ``solve_linear`` refuses matrices whose condition exceeds the working
-  threshold instead of returning garbage.
+The contracts hold on top of LAPACK: eigenvalues ascend, singular values do
+not increase, every eigenvector and right-singular-vector sign is pinned so
+that its first entry larger than ``SIGN_TOL`` in magnitude is positive, QR
+factors have a nonnegative diagonal, inputs must be finite, and a LAPACK
+failure (``numpy.linalg.LinAlgError``) surfaces as :class:`LapackError`, so
+callers that count ``CtlsError`` count it too.
 
-Every function is a pure function of its inputs and never mutates them, so
-results are safe to share between threads.  Identical inputs produce
-bit-identical outputs: eigenvalues are ordered ascending with a stable sort,
-and every eigenvector/singular-vector sign is pinned by the convention that
-its first entry larger than ``SIGN_TOL`` in magnitude is positive.
+Every function is a pure function of its inputs and never mutates them.
+Identical inputs give bit-identical outputs for one numpy/BLAS build and one
+BLAS thread count.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -30,6 +35,7 @@ import numpy as np
 
 from .errors import (
     FullRankError,
+    LapackError,
     NearSingularError,
     NonFiniteError,
     NonSquareError,
@@ -46,6 +52,9 @@ RANK_TOL = 1e-10
 
 #: Relative conditioning threshold used by ``solve_linear``.
 SOLVE_COND_TOL = 1e-12
+
+#: Rows per block in the first level of :func:`tall_r`.
+BLOCK_ROWS = 256
 
 
 class EmptyBlock:
@@ -140,19 +149,65 @@ class SvdResult:
     v: np.ndarray
 
 
-def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip columns so the first entry above ``SIGN_TOL`` is positive."""
-    out = vectors.copy()
-    for i in range(out.shape[1]):
-        col = out[:, i]
-        above = np.nonzero(np.abs(col) > SIGN_TOL)[0]
-        if above.size and col[above[0]] < 0.0:
-            out[:, i] = -col
-    return out
+def _lapack(fn, *args, **kwargs):
+    """Call a ``numpy.linalg`` routine, turning its failures into LapackError."""
+    try:
+        return fn(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise LapackError(f"numpy.linalg.{fn.__name__}: {exc}") from exc
+
+
+def _sign_flips(vectors: np.ndarray) -> np.ndarray:
+    """Per column, -1 where the first entry above ``SIGN_TOL`` is negative, else 1."""
+    above = np.abs(vectors) > SIGN_TOL
+    lead = vectors[np.argmax(above, axis=0), np.arange(vectors.shape[1])]
+    return np.where(above.any(axis=0) & (lead < 0.0), -1.0, 1.0)
+
+
+def _square(a: np.ndarray, what: str) -> None:
+    if a.shape[0] != a.shape[1]:
+        raise NonSquareError(f"{what} needs a square matrix, got {a.shape}")
+
+
+def tall_r(c) -> np.ndarray:
+    """Square upper-triangular ``R`` with ``R.T @ R = C.T @ C`` up to roundoff.
+
+    Blocks of ``BLOCK_ROWS`` rows are factored in one batched
+    ``numpy.linalg.qr(..., mode="r")`` call, and the stacked triangles plus
+    the leftover rows once more; one flat QR of a 1e5 x 12 matrix took
+    about twice as long (OpenBLAS 0.3.31, one thread, 2-CPU x86-64 VM).
+    Row signs are LAPACK's.  With fewer rows than columns the trapezoidal
+    factor is padded with zero rows.
+    """
+    a = as_matrix(c, "C")
+    rows, cols = a.shape
+    full = rows // BLOCK_ROWS
+    if full > 1 and cols < BLOCK_ROWS:
+        head = a[: full * BLOCK_ROWS].reshape(full, BLOCK_ROWS, cols)
+        triangles = _lapack(np.linalg.qr, head, mode="r").reshape(-1, cols)
+        a = np.vstack([triangles, a[full * BLOCK_ROWS :]])
+    r = _lapack(np.linalg.qr, a, mode="r")
+    if r.shape[0] < cols:
+        r = np.vstack([r, np.zeros((cols - r.shape[0], cols))])
+    return r
+
+
+def gram_eigen(r) -> SymEigenResult:
+    """Eigenpairs of ``r.T @ r`` from the SVD of ``r``, eigenvalues ascending.
+
+    The eigenvalues are the squared singular values (plus zeros when ``r``
+    has fewer rows than columns), so they keep the relative accuracy of the
+    SVD; vectors carry the sign convention.
+    """
+    a = as_matrix(r, "R")
+    _, sv, vt = _lapack(np.linalg.svd, a)
+    values = np.concatenate([np.zeros(a.shape[1] - sv.size), (sv * sv)[::-1]])
+    vectors = vt[::-1].T
+    return SymEigenResult(values=values, vectors=vectors * _sign_flips(vectors))
 
 
 def sym_eigen(s) -> SymEigenResult:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix (LAPACK ``syevd``).
 
     The input is symmetrized as ``(S + S.T) / 2`` before solving, since Gram
     products routinely carry 1e-15-scale asymmetry.  Eigenvalues come back
@@ -163,241 +218,66 @@ def sym_eigen(s) -> SymEigenResult:
     NonSquareError
         If the matrix is not square.
     """
-    a0 = as_matrix(s, "S")
-    d = a0.shape[0]
-    if a0.shape[1] != d:
-        raise NonSquareError(f"sym_eigen needs a square matrix, got {a0.shape}")
-
-    a = 0.5 * (a0 + a0.T)
-    v = np.eye(d)
-    scale = float(np.linalg.norm(a, "fro"))
-    if d > 1 and scale > 0.0:
-        stop = 1e-15 * scale
-        skip = 1e-18 * scale
-        for _ in range(60):
-            off = 0.0
-            for p in range(d - 1):
-                row_off = np.max(np.abs(a[p, p + 1 :]))
-                if row_off > off:
-                    off = row_off
-            if off <= stop:
-                break
-            for p in range(d - 1):
-                for q in range(p + 1, d):
-                    apq = a[p, q]
-                    if abs(apq) <= skip:
-                        continue
-                    tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                    if tau >= 0.0:
-                        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                    else:
-                        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                    c = 1.0 / math.sqrt(1.0 + t * t)
-                    sn = t * c
-                    col_p = a[:, p].copy()
-                    col_q = a[:, q].copy()
-                    a[:, p] = c * col_p - sn * col_q
-                    a[:, q] = sn * col_p + c * col_q
-                    row_p = a[p, :].copy()
-                    row_q = a[q, :].copy()
-                    a[p, :] = c * row_p - sn * row_q
-                    a[q, :] = sn * row_p + c * row_q
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    v_p = v[:, p].copy()
-                    v_q = v[:, q].copy()
-                    v[:, p] = c * v_p - sn * v_q
-                    v[:, q] = sn * v_p + c * v_q
-
-    values = np.diag(a).copy()
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = _fix_column_signs(v[:, order])
-    return SymEigenResult(values=values, vectors=vectors)
+    a = as_matrix(s, "S")
+    _square(a, "sym_eigen")
+    values, vectors = _lapack(np.linalg.eigh, 0.5 * (a + a.T))
+    return SymEigenResult(values=values, vectors=vectors * _sign_flips(vectors))
 
 
-def _householder_reduce(a: np.ndarray) -> tuple[list, np.ndarray]:
-    """Reduce ``a`` to upper-triangular form, returning the reflectors."""
-    m, k = a.shape
-    r = a.copy()
-    reflectors: list = []
-    for i in range(k):
-        x = r[i:, i]
-        norm_x = float(np.linalg.norm(x))
-        if norm_x == 0.0:
-            reflectors.append(None)
-            continue
-        v = x.copy()
-        v[0] += norm_x if x[0] >= 0.0 else -norm_x
-        v /= np.linalg.norm(v)
-        reflectors.append(v)
-        r[i:, i:] -= 2.0 * np.outer(v, v @ r[i:, i:])
-        r[i + 1 :, i] = 0.0
-    return reflectors, r
-
-
-def _apply_reflectors(reflectors: list, b: np.ndarray) -> np.ndarray:
-    """Compute ``Q @ b`` by applying the stored reflectors in reverse."""
-    out = b.copy()
-    for i in range(len(reflectors) - 1, -1, -1):
-        v = reflectors[i]
-        if v is None:
-            continue
-        out[i:, :] -= 2.0 * np.outer(v, v @ out[i:, :])
-    return out
-
-
-def qr_thin(m) -> tuple[np.ndarray, np.ndarray]:
-    """Thin Householder QR: ``m = q1 @ r1`` with ``q1`` of shape rows x cols.
-
-    Cheaper than :func:`qr_decompose` when only the range basis is needed
-    (the tall data blocks never need the full square factor).  Same sign
-    convention: nonnegative diagonal of ``r1``.
-    """
+def _signed_qr(m, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """``numpy.linalg.qr`` with the leading columns of Q flipped so R's diagonal is >= 0."""
     a = as_matrix(m, "M")
     rows, cols = a.shape
     if rows < cols:
         raise WideMatrixError(f"QR needs rows >= cols, got {a.shape}")
-    reflectors, r = _householder_reduce(a)
-    eye_thin = np.eye(rows, cols)
-    q1 = _apply_reflectors(reflectors, eye_thin)
-    r1 = r[:cols, :].copy()
-    for i in range(cols):
-        if r1[i, i] < 0.0:
-            r1[i, :] = -r1[i, :]
-            q1[:, i] = -q1[:, i]
-    return q1, r1
+    q, r = _lapack(np.linalg.qr, a, mode=mode)
+    flips = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    q[:, :cols] *= flips
+    r[:cols] *= flips[:, None]
+    return q, r
+
+
+def qr_thin(m) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR: ``m = q1 @ r1`` with ``q1`` of shape rows x cols.
+
+    Same sign convention as :func:`qr_decompose`: nonnegative diagonal of
+    ``r1``.
+    """
+    return _signed_qr(m, "reduced")
 
 
 def qr_decompose(m) -> QrResult:
-    """Full Householder QR of a tall matrix.
+    """Full QR of a tall matrix.
 
     Raises
     ------
     WideMatrixError
         If the matrix has fewer rows than columns.
     """
-    a = as_matrix(m, "M")
-    rows, cols = a.shape
-    if rows < cols:
-        raise WideMatrixError(f"QR needs rows >= cols, got {a.shape}")
-    reflectors, r = _householder_reduce(a)
-    q = _apply_reflectors(reflectors, np.eye(rows))
-    r_top = r[:cols, :].copy()
-    for i in range(cols):
-        if r_top[i, i] < 0.0:
-            r_top[i, :] = -r_top[i, :]
-            q[:, i] = -q[:, i]
+    q, r = _signed_qr(m, "complete")
+    rows, cols = r.shape
     q2: Block = EMPTY_BLOCK if rows == cols else q[:, cols:]
-    return QrResult(q_full=q, r_top=r_top, q1=q[:, :cols], q2=q2)
-
-
-def _complete_basis(u_cols: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal completion of ``u_cols`` (dim x r) to a full basis of R^dim."""
-    r = u_cols.shape[1] if u_cols.size else 0
-    if r == 0:
-        return np.eye(dim)
-    if r >= dim:
-        return np.empty((dim, 0))
-    q_full = qr_decompose(u_cols).q_full
-    return q_full[:, r:]
-
-
-def _onesided_jacobi(a: np.ndarray, want_v: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Rotate the columns of ``a`` until they are mutually orthogonal.
-
-    Returns ``(w, v)`` with ``w = a @ v``; the singular values are the
-    column norms of ``w``.  Unlike the Gram-matrix route, the one-sided
-    sweep keeps high relative accuracy for small singular values, which the
-    rank decisions depend on.
-    """
-    w = a.copy()
-    v = np.eye(a.shape[1]) if want_v else None
-    for _ in range(60):
-        rotated = False
-        q = w.shape[1]
-        for i in range(q - 1):
-            for jj in range(i + 1, q):
-                wi = w[:, i]
-                wj = w[:, jj]
-                gamma = float(wi @ wj)
-                if gamma == 0.0:
-                    continue
-                alpha = float(wi @ wi)
-                beta = float(wj @ wj)
-                if abs(gamma) <= 1e-15 * math.sqrt(alpha * beta):
-                    continue
-                zeta = (beta - alpha) / (2.0 * gamma)
-                if zeta >= 0.0:
-                    t = 1.0 / (zeta + math.sqrt(1.0 + zeta * zeta))
-                else:
-                    t = -1.0 / (-zeta + math.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                sn = t * c
-                w_i = wi.copy()
-                w_j = wj.copy()
-                w[:, i] = c * w_i - sn * w_j
-                w[:, jj] = sn * w_i + c * w_j
-                if v is not None:
-                    v_i = v[:, i].copy()
-                    v_j = v[:, jj].copy()
-                    v[:, i] = c * v_i - sn * v_j
-                    v[:, jj] = sn * v_i + c * v_j
-                rotated = True
-        if not rotated:
-            break
-    return w, v
+    return QrResult(q_full=q, r_top=r[:cols], q1=q[:, :cols], q2=q2)
 
 
 def svd(m) -> SvdResult:
-    """Full SVD by one-sided Jacobi column orthogonalization.
+    """Full SVD (LAPACK ``gesdd``).
 
-    The right factor accumulates the rotations (so it is orthogonal to
-    machine precision for any rank); left-factor columns belonging to
-    (near-)zero singular values come from a deterministic Householder
-    completion.  Singular values keep high relative accuracy, making the
-    ``1e-10`` rank threshold meaningful.
+    Each right-singular vector carries the sign convention and its paired
+    left vector flips with it.  Singular values keep high relative accuracy,
+    making the ``1e-10`` rank threshold meaningful.
     """
     a = as_matrix(m, "M")
-    rows, cols = a.shape
-    w, v = _onesided_jacobi(a)
-    norms = np.array([float(np.linalg.norm(w[:, i])) for i in range(cols)])
-    order = np.argsort(-norms, kind="stable")
-    norms = norms[order]
-    w = w[:, order]
-    v = v[:, order]
-
-    # Pin the sign of each right-singular vector, flipping its partner too.
-    for i in range(cols):
-        col = v[:, i]
-        above = np.nonzero(np.abs(col) > SIGN_TOL)[0]
-        if above.size and col[above[0]] < 0.0:
-            v[:, i] = -col
-            w[:, i] = -w[:, i]
-
-    # Left factor: normalized nonzero columns, completed to an orthogonal
-    # square.  The cutoff only guards the division; it is far below any
-    # rank decision a caller can make.
-    cutoff = norms[0] * 1e-300 if norms[0] > 0.0 else 0.0
-    keep = min(rows, cols)
-    u_cols = []
-    for i in range(keep):
-        if norms[i] > cutoff and norms[i] > 0.0:
-            u_cols.append(w[:, i] / norms[i])
-        else:
-            break
-    u_head = np.column_stack(u_cols) if u_cols else np.empty((rows, 0))
-    u = np.hstack([u_head, _complete_basis(u_head, rows)]) if u_head.shape[1] < rows else u_head
-    return SvdResult(u=u, singular_values=norms[:keep].copy(), v=v)
+    u, sv, vt = _lapack(np.linalg.svd, a)
+    v = vt.T
+    flips = _sign_flips(v)
+    u[:, : sv.size] *= flips[: sv.size]
+    return SvdResult(u=u, singular_values=sv, v=v * flips)
 
 
 def singular_values(m) -> np.ndarray:
-    """Nonincreasing singular values of ``m`` (one-sided Jacobi)."""
-    a = as_matrix(m, "M")
-    w, _ = _onesided_jacobi(a, want_v=False)
-    norms = np.sqrt(np.sum(w * w, axis=0))
-    norms[::-1].sort()
-    return norms[: min(a.shape)]
+    """Nonincreasing singular values of ``m``."""
+    return _lapack(np.linalg.svd, as_matrix(m, "M"), compute_uv=False)
 
 
 def matrix_rank(m, rank_tol: float = RANK_TOL) -> int:
@@ -423,42 +303,19 @@ def null_space_basis(m, rank_tol: float = RANK_TOL) -> np.ndarray:
     if rank_tol <= 0.0:
         raise ValueError("rank_tol must be positive")
     a = as_matrix(m, "M")
-    cols = a.shape[1]
-    w, v = _onesided_jacobi(a)
-    norms = np.sqrt(np.sum(w * w, axis=0))
-    order = np.argsort(norms, kind="stable")  # ascending
-    norms = norms[order]
-    v = v[:, order]
-    sigma_max = norms[-1]
-    rank = int(np.count_nonzero(norms > rank_tol * sigma_max)) if sigma_max > 0.0 else 0
-    nullity = cols - rank
-    if nullity == 0:
+    _, sv, vt = _lapack(np.linalg.svd, a)
+    rank = int(np.count_nonzero(sv > rank_tol * sv[0])) if sv[0] > 0.0 else 0
+    if rank == a.shape[1]:
         raise FullRankError(f"matrix of shape {a.shape} has an empty null space")
-    return _fix_column_signs(v[:, :nullity])
+    basis = vt[rank:].T
+    return basis * _sign_flips(basis)
 
 
-def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """LU with partial pivoting; ``a`` is assumed square and well conditioned."""
-    n = a.shape[0]
-    lu = a.copy()
-    x = b.copy()
-    for i in range(n - 1):
-        pivot = i + int(np.argmax(np.abs(lu[i:, i])))
-        if pivot != i:
-            lu[[i, pivot], :] = lu[[pivot, i], :]
-            x[[i, pivot], :] = x[[pivot, i], :]
-        if lu[i, i] == 0.0:
-            raise NearSingularError("zero pivot in LU factorization")
-        factors = lu[i + 1 :, i] / lu[i, i]
-        lu[i + 1 :, i:] -= np.outer(factors, lu[i, i:])
-        x[i + 1 :, :] -= np.outer(factors, x[i, :])
-    if lu[n - 1, n - 1] == 0.0:
-        raise NearSingularError("zero pivot in LU factorization")
-    for i in range(n - 1, -1, -1):
-        if i + 1 < n:
-            x[i, :] -= lu[i, i + 1 :] @ x[i + 1 :, :]
-        x[i, :] /= lu[i, i]
-    return x
+def _near_singular(cond: float, what: str) -> NearSingularError:
+    return NearSingularError(
+        f"{what} is singular to working precision (condition ~ {cond:.3e})",
+        condition=cond,
+    )
 
 
 def solve_linear(a, b) -> np.ndarray:
@@ -478,23 +335,36 @@ def solve_linear(a, b) -> np.ndarray:
     """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise NonSquareError(f"solve_linear needs a square matrix, got {a.shape}")
-    if b.shape[0] != n:
-        raise ValueError(f"right-hand side has {b.shape[0]} rows, expected {n}")
+    _square(a, "solve_linear")
+    if b.shape[0] != a.shape[0]:
+        raise ValueError(f"right-hand side has {b.shape[0]} rows, expected {a.shape[0]}")
     sv = singular_values(a)
     if sv[0] == 0.0 or sv[-1] <= SOLVE_COND_TOL * sv[0]:
-        cond = float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1])
-        raise NearSingularError(
-            f"matrix is singular to working precision (condition ~ {cond:.3e})",
-            condition=cond,
+        raise _near_singular(
+            float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1]), "matrix"
         )
-    return _lu_solve(a, b)
+    return _lapack(np.linalg.solve, a, b)
+
+
+def gram_condition(r) -> float:
+    """Condition number of ``r.T @ r`` for square ``r``, from the singular values of ``r``.
+
+    Raises NearSingularError where :func:`solve_linear` would reject the
+    Gram matrix itself (condition at or above ``1 / SOLVE_COND_TOL``), so a
+    triangular solve with ``r`` can stand in for a solve with its Gram
+    matrix without forming it.
+    """
+    sv = singular_values(r)
+    cond = float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1]) ** 2
+    if cond * SOLVE_COND_TOL >= 1.0:
+        raise _near_singular(cond, "Gram matrix")
+    return cond
 
 
 def cholesky_lower(a) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
+
+    Only the lower triangle of ``a`` is read.
 
     Raises
     ------
@@ -503,44 +373,28 @@ def cholesky_lower(a) -> np.ndarray:
         entry (positive semidefinite inputs are rejected too).
     """
     s = as_matrix(a, "sigma_cov")
-    n = s.shape[0]
-    if s.shape[1] != n:
-        raise NonSquareError(f"cholesky needs a square matrix, got {s.shape}")
-    lower = np.zeros((n, n))
-    scale = float(np.max(np.diag(s))) if n else 0.0
+    _square(s, "cholesky")
+    scale = float(np.max(np.diag(s)))
     if scale <= 0.0:
         raise NotPositiveDefiniteError("diagonal is not positive")
-    for i in range(n):
-        for j in range(i + 1):
-            acc = s[i, j] - lower[i, :j] @ lower[j, :j]
-            if i == j:
-                if acc <= 1e-12 * scale:
-                    raise NotPositiveDefiniteError(
-                        f"pivot {acc:.3e} at position {i} is not positive"
-                    )
-                lower[i, i] = math.sqrt(acc)
-            else:
-                lower[i, j] = acc / lower[j, j]
+    try:
+        lower = _lapack(np.linalg.cholesky, s)
+    except LapackError as exc:
+        raise NotPositiveDefiniteError(str(exc)) from exc
+    pivots = np.diag(lower) ** 2
+    bad = np.flatnonzero(pivots <= 1e-12 * scale)
+    if bad.size:
+        raise NotPositiveDefiniteError(
+            f"pivot {pivots[bad[0]]:.3e} at position {bad[0]} is not positive"
+        )
     return lower
 
 
 def solve_lower_triangular(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Forward substitution for ``lower @ x = b`` (b may have many columns)."""
-    n = lower.shape[0]
-    x = np.array(b, dtype=float, copy=True)
-    for i in range(n):
-        if i:
-            x[i, :] -= lower[i, :i] @ x[:i, :]
-        x[i, :] /= lower[i, i]
-    return x
+    """Solve ``lower @ x = b`` (b may have many columns)."""
+    return _lapack(np.linalg.solve, lower, b)
 
 
 def solve_upper_triangular(upper: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Back substitution for ``upper @ x = b``."""
-    n = upper.shape[0]
-    x = np.array(b, dtype=float, copy=True)
-    for i in range(n - 1, -1, -1):
-        if i + 1 < n:
-            x[i, :] -= upper[i, i + 1 :] @ x[i + 1 :, :]
-        x[i, :] /= upper[i, i]
-    return x
+    """Solve ``upper @ x = b``; partial pivoting leaves a triangular matrix as it is."""
+    return _lapack(np.linalg.solve, upper, b)

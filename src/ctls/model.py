@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .linalg import (
     matrix_rank,
     solve_linear,
     solve_upper_triangular,
+    tall_r,
 )
 
 
@@ -108,11 +110,34 @@ class RegressionModel:
 
 @dataclass(frozen=True)
 class ObservedData:
-    """What an estimator sees: noisy ``(a, b)`` plus the block structure."""
+    """What an estimator sees: noisy ``(a, b)`` plus the block structure.
+
+    ``r_all`` and ``r_noisy`` are the R factors (:func:`~ctls.linalg.tall_r`)
+    of ``[a | b]`` over all rows and over the noisy rows ``j:``.  Each is
+    computed on first use and cached read-only, so the estimators run on one
+    instance share one O(m) pass per row set.  Do not modify ``a`` or ``b``
+    after reading either factor.
+    """
 
     a: np.ndarray
     b: np.ndarray
     partition: PartitionSpec
+
+    @cached_property
+    def r_all(self) -> np.ndarray:
+        return _read_only(tall_r(np.hstack([self.a, self.b])))
+
+    @cached_property
+    def r_noisy(self) -> np.ndarray:
+        j = self.partition.j
+        if j == 0:
+            return self.r_all
+        return _read_only(tall_r(np.hstack([self.a[j:], self.b[j:]])))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def generate_model(

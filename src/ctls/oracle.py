@@ -12,9 +12,10 @@ coefficients multiplying perturbable columns.  Estimates are then probed by
 sampling competitors on the feasible manifold (candidates that keep the
 exact rows exactly satisfied) and checking the estimator's cost wins.
 
-This module intentionally uses ``numpy.linalg`` primitives instead of the
-package's own kernels, so the two sides of every comparison stay
-independent.
+This module shares no solver code with the estimators.  Both sides now sit
+on ``numpy.linalg``, but the oracle only evaluates closed-form objectives
+and scans; it never factors the data or solves the eigenproblems the
+estimators solve, so the two sides of every comparison stay independent.
 """
 
 from __future__ import annotations

@@ -92,6 +92,27 @@ def test_simulate_rejects_bad_partition(tmp_path, capsys):
     assert "error" in err
 
 
+def test_simulate_noise_is_uncorrelated_with_design(tmp_path, capsys):
+    """With every column of A exact, A is the design and B - A @ X_true the
+    noise.  Drawing both from one seed made the noise the design's normal
+    stream shifted by n * ell entries (correlation 1.0 at that offset)."""
+    out = tmp_path / "inst"
+    code, _, _ = run_cli(
+        capsys, "simulate", "--n", "3", "--ell", "1", "--j", "0", "--k", "3",
+        "--m", "500", "--sigma", "1.0", "--seed", "11", "--out-dir", str(out),
+    )
+    assert code == 0
+    a_bar = read_matrix(str(out / "A.csv"))
+    noise = (read_matrix(str(out / "B.csv")) - a_bar @ read_matrix(str(out / "X_true.csv")))
+    design, noise = a_bar.ravel(), noise.ravel()
+    length = noise.size - 8
+    for offset in range(9):
+        for x, y in ((noise[offset:], design), (noise, design[offset:])):
+            corr = np.corrcoef(x[:length], y[:length])[0, 1]
+            # Independent draws: |corr| ~ N(0, 1/sqrt(492)), about 0.045.
+            assert abs(corr) < 0.25, (offset, corr)
+
+
 # --- estimate -----------------------------------------------------------------------
 
 

@@ -117,6 +117,26 @@ def test_tls_warns_on_degenerate_gap():
     assert np.allclose(result.x_hat, [[0.5], [0.5]], atol=1e-6)
 
 
+def test_tls_degenerate_gap_through_blocked_factor():
+    """The degenerate-gap case above, embedded in 2000 rows so that the
+    factor goes through the batched QR path; x must still resolve the 1e-6
+    singular direction (an eigensolver on C.T @ C misses it by ~1e-4)."""
+    g = np.random.default_rng(0)
+    u3 = np.linalg.qr(g.standard_normal((2000, 3)))[0]
+    v = np.column_stack(
+        [
+            np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0),
+            np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0),
+            np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0),
+        ]
+    )
+    c = u3 @ np.diag([2.0, 1.0e-6, 1.5e-6]) @ v.T
+    with pytest.warns(EstimatorWarning):
+        result = tls_solve(c[:, :2], c[:, 2:])
+    assert "eig_gap_degenerate" in result.diagnostics.flags
+    assert np.allclose(result.x_hat, [[0.5], [0.5]], atol=1e-6)
+
+
 def test_tls_lower_block_singular():
     # the near-null direction has a zero response coordinate
     g = np.random.default_rng(1)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import ctls.harness as harness
-from ctls.errors import CtlsError, IncompatibleConfigError, NearSingularError
+from ctls.errors import CtlsError, IncompatibleConfigError, LapackError, NearSingularError
+from ctls import estimators, linalg, model as model_mod
 from ctls.harness import (
     CSV_COLUMNS,
     SweepConfig,
@@ -268,3 +269,86 @@ def test_naive_ls_error_does_not_vanish():
     assert trace.median_err("naive_ls", 10_000) > 0.5 * trace.median_err(
         "naive_ls", 100
     )
+
+
+# --- shared data factor ---------------------------------------------------------------
+
+
+def _public_estimators():
+    return {
+        "naive_ls": naive_ls,
+        "tls": lambda d: estimators.tls_solve(d.a, d.b),
+        "ctls_columns": estimators.ctls_columns,
+        "ctls_rows": estimators.ctls_rows,
+        "ctls_rowcol": estimators.ctls_rowcol,
+        "projection": estimators.projection_estimator,
+    }
+
+
+@pytest.mark.parametrize(
+    "j,k,names",
+    [
+        (1, 1, ("naive_ls", "tls", "ctls_rowcol", "projection")),
+        (0, 1, ("naive_ls", "tls", "ctls_columns", "ctls_rowcol", "projection")),
+        (2, 0, ("tls", "ctls_rows", "ctls_rowcol", "projection")),
+    ],
+)
+def test_sweep_errors_match_public_estimators_bit_for_bit(j, k, names):
+    """Each record's err equals the public estimator re-run on the
+    regenerated instance, although the sweep shares one factor per row set."""
+    cfg = small_config(j=j, k=k, n=4, ell=2, m_values=(40, 700), trials=2,
+                       estimators=names)
+    public = _public_estimators()
+    trace = run_sweep(cfg)
+    for rec in trace.records:
+        assert rec.status == "ok"
+        inst = generate_model(cfg.partition_for(rec.m), cfg.sigma, rec.model_seed)
+        data = observe(inst, rec.noise_seed)
+        x_hat = public[rec.estimator](data).x_hat
+        assert float(np.linalg.norm(x_hat - inst.x_true, "fro")) == rec.err
+
+
+def test_sweep_factors_each_row_set_once(monkeypatch):
+    """One sweep instance factors the data rows once per row set (all rows
+    for tls and naive_ls, the noisy rows for the rest) plus the ground
+    truth once; the other factors are re-triangularisations of n + ell rows."""
+    m = 300
+    tall_calls = []
+    real = linalg.tall_r
+
+    def counting(c):
+        if np.shape(c)[0] > 10:
+            tall_calls.append(np.shape(c))
+        return real(c)
+
+    for module in (linalg, model_mod, estimators, harness):
+        if hasattr(module, "tall_r"):
+            monkeypatch.setattr(module, "tall_r", counting)
+    cfg = small_config(m_values=(m,), trials=1,
+                       estimators=("naive_ls", "tls", "ctls_rowcol", "projection"))
+    run_sweep(cfg)
+    # [A | B] over all rows, over the noisy rows, and the ground truth's noisy rows
+    assert sorted(tall_calls) == [(m - 1, 4), (m - 1, 4), (m, 4)]
+
+
+def test_lapack_failure_is_a_counted_trial(monkeypatch):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", broken)
+    trace = run_sweep(small_config(j=0, k=0, trials=2, estimators=("tls", "naive_ls")))
+    assert [r.status for r in trace.records] == ["LapackError"] * 8
+    assert trace.max_failure_rate() == 1.0
+
+
+def test_gram_residual_failure_is_a_counted_trial(monkeypatch):
+    def broken(model, data):
+        raise LapackError("eigensolver did not converge")
+
+    monkeypatch.setattr(harness, "gram_residuals", broken)
+    trace = run_sweep(small_config(trials=2, estimators=("tls", "projection")))
+    for rec in trace.records:
+        if rec.estimator == "tls":
+            assert rec.status == "ok"
+        else:
+            assert rec.status == "LapackError" and rec.err is None

@@ -2,7 +2,7 @@
 
 The eigenvalue oracle is an independent route: characteristic-polynomial
 coefficients from the Faddeev-LeVerrier recurrence, rooted through the
-companion matrix (``np.roots``).  It never touches the Jacobi sweep it
+companion matrix (``np.roots``).  It never touches the LAPACK eigensolver it
 checks.
 """
 
@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctls.errors import (
+    CtlsError,
     FullRankError,
+    LapackError,
     NearSingularError,
     NonFiniteError,
     NonSquareError,
@@ -24,6 +26,8 @@ from ctls.linalg import (
     EmptyBlock,
     as_matrix,
     cholesky_lower,
+    gram_condition,
+    gram_eigen,
     is_empty,
     matrix_rank,
     null_space_basis,
@@ -35,6 +39,7 @@ from ctls.linalg import (
     solve_upper_triangular,
     svd,
     sym_eigen,
+    tall_r,
 )
 
 from conftest import seeded_symmetric
@@ -365,3 +370,67 @@ def test_kernels_are_pure():
     svd(m)
     singular_values(m)
     assert np.array_equal(m, before)
+
+
+# --- tall_r (blocked TSQR) -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("rows", [3, 5, 255, 256, 257, 513, 2000])
+def test_tall_r_matches_flat_qr(rows):
+    g = np.random.default_rng(rows)
+    c = g.standard_normal((rows, 5)) * [1.0, 10.0, 0.1, 3.0, 1e-3]
+    r = tall_r(c)
+    assert r.shape == (5, 5)
+    assert np.array_equal(r, np.triu(r))
+    gram = c.T @ c
+    assert np.max(np.abs(r.T @ r - gram)) <= 1e-12 * np.max(np.abs(gram))
+    flat = np.linalg.qr(c, mode="r")
+    top = min(rows, 5)
+    assert np.allclose(np.abs(r[:top]), np.abs(flat), rtol=1e-10, atol=1e-12)
+    # m < d: the trapezoidal factor is padded with zero rows
+    assert np.array_equal(r[top:], np.zeros((5 - top, 5)))
+
+
+def test_tall_r_non_contiguous_input():
+    g = np.random.default_rng(40)
+    wide = g.standard_normal((600, 8))
+    c = wide[:, ::2]
+    assert not c.flags.c_contiguous
+    r = tall_r(c)
+    assert np.array_equal(r, tall_r(np.ascontiguousarray(c)))
+    assert np.allclose(r.T @ r, c.T @ c, rtol=1e-12, atol=1e-10)
+
+
+def test_tall_r_rejects_non_finite():
+    c = np.ones((600, 3))
+    c[550, 1] = np.inf
+    with pytest.raises(NonFiniteError):
+        tall_r(c)
+
+
+def test_gram_eigen_keeps_small_eigenvalues():
+    # eigh of the Gram matrix would resolve these only to ~1e-16 absolute
+    r = np.diag([1.0, 1e-7, 1e-9])
+    res = gram_eigen(r)
+    assert np.allclose(res.values, [1e-18, 1e-14, 1.0], rtol=1e-12)
+    assert np.allclose(np.abs(res.vectors), np.eye(3)[:, ::-1])
+
+
+def test_gram_condition_matches_solve_linear_rule():
+    assert gram_condition(np.diag([2.0, 1.0])) == pytest.approx(4.0)
+    with pytest.raises(NearSingularError) as exc:
+        gram_condition(np.diag([1.0, 1e-7]))
+    assert exc.value.condition == pytest.approx(1e14)
+
+
+def test_lapack_failure_becomes_ctls_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", broken)
+    m = np.random.default_rng(41).standard_normal((4, 3))
+    for kernel in (singular_values, svd, null_space_basis, gram_eigen, matrix_rank):
+        with pytest.raises(LapackError) as exc:
+            kernel(m)
+        assert isinstance(exc.value, CtlsError)
+        assert "did not converge" in str(exc.value)
