@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .errors import CtlsError, MatrixFileError
+from .errors import CtlsError
 from .estimators import (
     ctls_columns,
     ctls_rowcol,
@@ -89,18 +89,18 @@ def _cmd_estimate(args) -> int:
     try:
         a = read_matrix(args.a)
         b = read_matrix(args.b)
+        cov = read_matrix(args.sigma_cov) if args.sigma_cov else None
         partition = PartitionSpec(
             j=args.j, k=args.k, n=a.shape[1], ell=b.shape[1], m=a.shape[0]
         )
+        data = ObservedData(a=a, b=b, partition=partition)
     except (CtlsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    data = ObservedData(a=a, b=b, partition=partition)
     try:
         transform = None
-        if args.sigma_cov:
-            cov = read_matrix(args.sigma_cov)
+        if cov is not None:
             data, transform = whiten(data, cov)
         if args.method == "tls":
             result = tls_solve(data.a, data.b)
@@ -115,7 +115,7 @@ def _cmd_estimate(args) -> int:
         x_hat = result.x_hat
         if transform is not None:
             x_hat = unwhiten_estimate(x_hat, partition, transform)
-    except MatrixFileError as exc:
+    except ValueError as exc:  # a --sigma-cov of the wrong shape
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CtlsError as exc:

@@ -188,6 +188,32 @@ def test_estimate_malformed_csv_exits_1(tmp_path, capsys):
     assert ":1:2" in err
 
 
+@pytest.mark.parametrize(
+    "flag, make, expect",
+    [
+        ("--sigma-cov", None, "nope.csv"),
+        ("--sigma-cov", lambda p: p.mkdir(), "nope.csv"),
+        ("--sigma-cov", lambda p: write_matrix(str(p), np.eye(2), "csv"), "sigma_cov must be 4x4"),
+        ("--b", lambda p: write_matrix(str(p), np.ones((19, 1)), "csv"), "same number of rows"),
+    ],
+    ids=["cov-missing", "cov-directory", "cov-wrong-shape", "b-rows-mismatch"],
+)
+def test_estimate_bad_input_file_exits_1(tmp_path, capsys, flag, make, expect):
+    g = np.random.default_rng(10)
+    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_matrix(str(a_path), g.standard_normal((20, 3)), "csv")
+    write_matrix(str(b_path), g.standard_normal((20, 1)), "csv")
+    bad = tmp_path / "nope.csv"
+    if make is not None:
+        make(bad)
+    argv = {"--a": str(a_path), "--b": str(b_path), flag: str(bad)}
+    code, _, err = run_cli(
+        capsys, "estimate", *[x for kv in argv.items() for x in kv], "--method", "tls"
+    )
+    assert code == 1
+    assert err.startswith("error: ") and expect in err
+
+
 def test_estimate_estimator_error_exits_2(tmp_path, capsys):
     # duplicated fixed columns: rank-deficient, named error on stderr
     g = np.random.default_rng(9)
