@@ -10,6 +10,11 @@ class CtlsError(Exception):
 # --- matrix kernel errors ---------------------------------------------------
 
 
+class ShapeError(CtlsError, ValueError):
+    """A matrix has the wrong number of dimensions, a zero dimension, or a
+    shape that does not fit its partner; also a ``ValueError``."""
+
+
 class NonFiniteError(CtlsError):
     """A matrix contains NaN or infinite entries."""
 

@@ -18,6 +18,9 @@ Five estimators share one pipeline on ``C = [A | B]``:
 
 The SVD of the factor, not an eigensolver on its Gram matrix, keeps the
 relative accuracy of the small singular values the solution is made of.
+With ``j = 0`` or ``k = 0`` the partition blocks that have no rows or no
+columns are ordinary zero-size arrays, so the block algebra needs no special
+cases for them.
 
 * :func:`tls_solve` - no constraints; the factor covers all rows.
 * :func:`ctls_rowcol` - the first ``j`` rows and ``k`` columns are exact.
@@ -49,14 +52,11 @@ from .errors import (
     RankDeficientUpperRowsError,
 )
 from .linalg import (
-    EMPTY_BLOCK,
-    Block,
     RANK_TOL,
     SymEigenResult,
     as_matrix,
     gram_condition,
     gram_eigen,
-    is_empty,
     matrix_rank,
     null_space_basis,
     singular_values,
@@ -120,27 +120,22 @@ class CBlocks:
     """The observed data ``[A | B]`` split along the partition.
 
     ``c11 = A11`` (exact), ``c12 = [A12 B1]`` (exact rows), ``c21 = A21``
-    (exact columns), ``c22 = [A22 B2]`` (the noisy block).  Blocks with zero
-    rows or columns are the ``EMPTY_BLOCK`` sentinel.  In the blocks of
-    :func:`factor_blocks`, ``c21`` and ``c22`` are the columns of the R
-    factor of the noisy rows instead of the rows themselves.
+    (exact columns), ``c22 = [A22 B2]`` (the noisy block).  With ``j = 0``
+    the exact-row blocks have zero rows, with ``k = 0`` the exact-column
+    blocks have zero columns.  In the blocks of :func:`factor_blocks`,
+    ``c21`` and ``c22`` are the columns of the R factor of the noisy rows
+    instead of the rows themselves.
     """
 
-    c11: Block
-    c12: Block
-    c21: Block
+    c11: np.ndarray
+    c12: np.ndarray
+    c21: np.ndarray
     c22: np.ndarray
     partition: PartitionSpec
 
     def assemble(self) -> np.ndarray:
         """Reassemble the blocks into the full ``m x (n + ell)`` matrix."""
-        bottom_parts = [] if is_empty(self.c21) else [self.c21]
-        bottom = np.hstack(bottom_parts + [self.c22])
-        if is_empty(self.c12):
-            return bottom
-        top_parts = [] if is_empty(self.c11) else [self.c11]
-        top = np.hstack(top_parts + [self.c12])
-        return np.vstack([top, bottom])
+        return np.block([[self.c11, self.c12], [self.c21, self.c22]])
 
 
 def _split(data: ObservedData, noisy: np.ndarray) -> CBlocks:
@@ -148,9 +143,9 @@ def _split(data: ObservedData, noisy: np.ndarray) -> CBlocks:
     p = data.partition
     j, k = p.j, p.k
     return CBlocks(
-        c11=data.a[:j, :k].copy() if j > 0 and k > 0 else EMPTY_BLOCK,
-        c12=np.hstack([data.a[:j, k:], data.b[:j, :]]) if j > 0 else EMPTY_BLOCK,
-        c21=noisy[:, :k] if k > 0 else EMPTY_BLOCK,
+        c11=data.a[:j, :k].copy(),
+        c12=np.hstack([data.a[:j, k:], data.b[:j, :]]),
+        c21=noisy[:, :k],
         c22=noisy[:, k:],
         partition=p,
     )
@@ -173,8 +168,6 @@ def factor_blocks(data: ObservedData) -> CBlocks:
 
 def noisy_factor(blocks: CBlocks) -> np.ndarray:
     """Square R factor of the noisy columns ``[c21 | c22]`` of ``blocks``."""
-    if is_empty(blocks.c21):
-        return tall_r(blocks.c22)
     return tall_r(np.hstack([blocks.c21, blocks.c22]))
 
 
@@ -251,8 +244,6 @@ def tls_solve(a, b) -> EstimateResult:
     """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
-    if a.shape[0] != b.shape[0]:
-        raise ValueError("A and B must have the same number of rows")
     m, n = a.shape
     partition = PartitionSpec(j=0, k=0, n=n, ell=b.shape[1], m=m)
     return tls_from_data(ObservedData(a=a, b=b, partition=partition))
@@ -296,15 +287,15 @@ class PreconditionRecord:
     ``A11 = u @ diag(sigma_r, 0) @ v.T``, then eliminates the leading
     ``rank`` pivots by row operations using exact rows only, and finally
     drops those pivot rows and columns from the problem.  ``pivot_c12``
-    stores the dropped rows so their coefficients can be reconstructed, and
-    ``v`` un-mixes the fixed-column coefficients.
+    stores the ``rank`` dropped rows so their coefficients can be
+    reconstructed, and ``v`` un-mixes the fixed-column coefficients.
     """
 
     u: np.ndarray
     v: np.ndarray
     rank: int
     sigma_r: np.ndarray
-    pivot_c12: np.ndarray | None
+    pivot_c12: np.ndarray
     partition: PartitionSpec
     reduced_partition: PartitionSpec
 
@@ -317,41 +308,27 @@ class PreconditionRecord:
         it is a column transform, so it applies to the blocks of
         :func:`factor_blocks` as well.
         """
-        p = self.partition
-        j, k, r = p.j, p.k, self.rank
+        r = self.rank
         c12t = self.u.T @ blocks.c12
         c21t = blocks.c21 @ self.v
-        if r > 0:
-            mult = c21t[:, :r] / self.sigma_r
-            c22t = blocks.c22 - mult @ c12t[:r, :]
-        else:
-            c22t = blocks.c22.copy()
-        c11_new: Block = (
-            np.zeros((j - r, k - r)) if (j - r > 0 and k - r > 0) else EMPTY_BLOCK
-        )
-        c12_new: Block = c12t[r:, :].copy() if j - r > 0 else EMPTY_BLOCK
-        c21_new: Block = c21t[:, r:].copy() if k - r > 0 else EMPTY_BLOCK
+        mult = c21t[:, :r] / self.sigma_r
+        rp = self.reduced_partition
         return CBlocks(
-            c11=c11_new,
-            c12=c12_new,
-            c21=c21_new,
-            c22=c22t,
-            partition=self.reduced_partition,
+            c11=np.zeros((rp.j, rp.k)),
+            c12=c12t[r:, :].copy(),
+            c21=c21t[:, r:].copy(),
+            c22=blocks.c22 - mult @ c12t[:r, :],
+            partition=rp,
         )
 
     def recover(self, x_reduced: np.ndarray) -> np.ndarray:
         """Map a solution of the reduced problem back to original coordinates."""
-        p = self.partition
-        k, r = p.k, self.rank
-        n_free = p.n_free
-        if r > 0:
-            x_free = x_reduced[k - r :, :]
-            pivot_a = self.pivot_c12[:, :n_free]
-            pivot_b = self.pivot_c12[:, n_free:]
-            x_pivot = (pivot_b - pivot_a @ x_free) / self.sigma_r[:, None]
-            x_prime = np.vstack([x_pivot, x_reduced])
-        else:
-            x_prime = x_reduced
+        k, n_free = self.partition.k, self.partition.n_free
+        x_free = x_reduced[k - self.rank :, :]
+        pivot_a = self.pivot_c12[:, :n_free]
+        pivot_b = self.pivot_c12[:, n_free:]
+        x_pivot = (pivot_b - pivot_a @ x_free) / self.sigma_r[:, None]
+        x_prime = np.vstack([x_pivot, x_reduced])
         return np.vstack([self.v @ x_prime[:k, :], x_prime[k:, :]])
 
 
@@ -372,7 +349,7 @@ def precondition_rowcol(
         raise InvalidPartitionError("precondition_rowcol needs j > 0 and k > 0")
     dec = svd(blocks.c11)
     sv = dec.singular_values
-    r = int(np.count_nonzero(sv > rank_tol * sv[0])) if sv[0] > 0.0 else 0
+    r = int(np.count_nonzero(sv > rank_tol * sv[0]))
     reduced = PartitionSpec(
         j=p.j - r, k=p.k - r, n=p.n - r, ell=p.ell, m=p.m - r
     )
@@ -381,7 +358,7 @@ def precondition_rowcol(
         v=dec.v,
         rank=r,
         sigma_r=sv[:r].copy(),
-        pivot_c12=(dec.u.T @ blocks.c12)[:r, :].copy() if r > 0 else None,
+        pivot_c12=(dec.u.T @ blocks.c12)[:r, :].copy(),
         partition=p,
         reduced_partition=reduced,
     )
@@ -588,14 +565,3 @@ def projection_estimator(
         mu=mu,
     )
 
-
-def estimate_sigma(result: EstimateResult, m: int) -> float:
-    """Noise-variance estimate from a TLS or projection result.
-
-    Returns ``mu / m`` when the result carries the projection shift and the
-    mean of the smallest eigenvalues over ``m`` otherwise; clamped at zero.
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    value = result.mu if result.mu is not None else float(np.mean(result.smallest_eigs))
-    return max(0.0, value / m)

@@ -152,8 +152,10 @@ def read_matrix(path: str, fmt: str | None = None) -> np.ndarray:
 
 
 def format_csv(matrix: np.ndarray) -> str:
+    """One line per row, 17 significant digits, so reading it back is exact."""
     mat = as_matrix(matrix, "matrix")
-    return "\n".join(",".join(f"{v:.17g}" for v in row) for row in mat) + "\n"
+    row = ",".join(["%.17g"] * mat.shape[1]) + "\n"
+    return (row * mat.shape[0]) % tuple(mat.ravel().tolist())
 
 
 def write_matrix(path: str, matrix, fmt: str = "csv") -> None:
@@ -165,7 +167,7 @@ def write_matrix(path: str, matrix, fmt: str = "csv") -> None:
         payload = {
             "rows": mat.shape[0],
             "cols": mat.shape[1],
-            "data": [float(f"{v:.17g}") for v in mat.ravel()],
+            "data": mat.ravel().tolist(),
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)

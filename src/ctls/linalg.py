@@ -17,7 +17,8 @@
 The contracts hold on top of LAPACK: eigenvalues ascend, singular values do
 not increase, every eigenvector and right-singular-vector sign is pinned so
 that its first entry larger than ``SIGN_TOL`` in magnitude is positive, QR
-factors have a nonnegative diagonal, inputs must be finite, and a LAPACK
+factors have a nonnegative diagonal, inputs must be finite and nonempty
+(:func:`as_matrix` raises :class:`ShapeError` otherwise), and a LAPACK
 failure (``numpy.linalg.LinAlgError``) surfaces as :class:`LapackError`, so
 callers that count ``CtlsError`` count it too.
 
@@ -29,7 +30,6 @@ BLAS thread count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .errors import (
     NonFiniteError,
     NonSquareError,
     NotPositiveDefiniteError,
+    ShapeError,
     WideMatrixError,
 )
 
@@ -57,53 +58,21 @@ SOLVE_COND_TOL = 1e-12
 BLOCK_ROWS = 256
 
 
-class EmptyBlock:
-    """Sentinel for a block with zero rows or zero columns.
-
-    Partitioned data with ``j = 0`` or ``k = 0`` uses this sentinel instead
-    of a degenerate array, so degenerate partitions are handled explicitly
-    rather than through zero-size array edge cases.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "EMPTY_BLOCK"
-
-
-EMPTY_BLOCK = EmptyBlock()
-
-Block = Union[np.ndarray, EmptyBlock]
-
-
-def is_empty(block: Block) -> bool:
-    return isinstance(block, EmptyBlock)
-
-
 def as_matrix(obj, name: str = "matrix") -> np.ndarray:
     """Validate and return ``obj`` as a 2-D float array with finite entries.
 
     Raises
     ------
-    ValueError
-        If the input is not 2-D or has a zero dimension (use ``EMPTY_BLOCK``
-        for empty blocks).
+    ShapeError
+        If the input is not 2-D or has a zero dimension.
     NonFiniteError
         If any entry is NaN or infinite.
     """
     arr = np.asarray(obj, dtype=float)
     if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
+        raise ShapeError(f"{name} must be 2-D, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(
-            f"{name} has a zero dimension {arr.shape}; represent empty blocks "
-            "with EMPTY_BLOCK"
-        )
+        raise ShapeError(f"{name} has a zero dimension {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{name} contains non-finite entries")
     return arr
@@ -126,14 +95,14 @@ class QrResult:
     """Full QR factorization ``M = q1 @ r_top`` with ``q_full`` square.
 
     ``q1`` holds the first ``k`` columns of ``q_full`` and ``q2`` the
-    remaining ``m - k`` (``EMPTY_BLOCK`` when ``m == k``).  The diagonal of
+    remaining ``m - k`` (zero columns when ``m == k``).  The diagonal of
     ``r_top`` is nonnegative.
     """
 
     q_full: np.ndarray
     r_top: np.ndarray
     q1: np.ndarray
-    q2: Block
+    q2: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -255,9 +224,8 @@ def qr_decompose(m) -> QrResult:
         If the matrix has fewer rows than columns.
     """
     q, r = _signed_qr(m, "complete")
-    rows, cols = r.shape
-    q2: Block = EMPTY_BLOCK if rows == cols else q[:, cols:]
-    return QrResult(q_full=q, r_top=r[:cols], q1=q[:, :cols], q2=q2)
+    cols = r.shape[1]
+    return QrResult(q_full=q, r_top=r[:cols], q1=q[:, :cols], q2=q[:, cols:])
 
 
 def svd(m) -> SvdResult:
@@ -283,8 +251,6 @@ def singular_values(m) -> np.ndarray:
 def matrix_rank(m, rank_tol: float = RANK_TOL) -> int:
     """Rank by counting singular values above ``rank_tol * sigma_max``."""
     sv = singular_values(m)
-    if sv[0] == 0.0:
-        return 0
     return int(np.count_nonzero(sv > rank_tol * sv[0]))
 
 
@@ -304,7 +270,7 @@ def null_space_basis(m, rank_tol: float = RANK_TOL) -> np.ndarray:
         raise ValueError("rank_tol must be positive")
     a = as_matrix(m, "M")
     _, sv, vt = _lapack(np.linalg.svd, a)
-    rank = int(np.count_nonzero(sv > rank_tol * sv[0])) if sv[0] > 0.0 else 0
+    rank = int(np.count_nonzero(sv > rank_tol * sv[0]))
     if rank == a.shape[1]:
         raise FullRankError(f"matrix of shape {a.shape} has an empty null space")
     basis = vt[rank:].T
@@ -337,7 +303,7 @@ def solve_linear(a, b) -> np.ndarray:
     b = as_matrix(b, "B")
     _square(a, "solve_linear")
     if b.shape[0] != a.shape[0]:
-        raise ValueError(f"right-hand side has {b.shape[0]} rows, expected {a.shape[0]}")
+        raise ShapeError(f"right-hand side has {b.shape[0]} rows, expected {a.shape[0]}")
     sv = singular_values(a)
     if sv[0] == 0.0 or sv[-1] <= SOLVE_COND_TOL * sv[0]:
         raise _near_singular(

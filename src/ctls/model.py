@@ -19,12 +19,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidPartitionError
+from .errors import InvalidPartitionError, ShapeError
 from .linalg import (
     as_matrix,
     cholesky_lower,
     matrix_rank,
     solve_linear,
+    solve_lower_triangular,
     solve_upper_triangular,
     tall_r,
 )
@@ -117,11 +118,26 @@ class ObservedData:
     computed on first use and cached read-only, so the estimators run on one
     instance share one O(m) pass per row set.  Do not modify ``a`` or ``b``
     after reading either factor.
+
+    Raises ShapeError unless ``a`` is ``m x n`` and ``b`` is ``m x ell``.
     """
 
     a: np.ndarray
     b: np.ndarray
     partition: PartitionSpec
+
+    def __post_init__(self):
+        p = self.partition
+        a_shape, b_shape = np.shape(self.a), np.shape(self.b)
+        if a_shape[:1] != b_shape[:1]:
+            raise ShapeError(
+                f"A and B must have the same number of rows, got {a_shape} and {b_shape}"
+            )
+        if a_shape != (p.m, p.n) or b_shape != (p.m, p.ell):
+            raise ShapeError(
+                f"A {a_shape} and B {b_shape} do not match the partition "
+                f"(m={p.m}, n={p.n}, ell={p.ell})"
+            )
 
     @cached_property
     def r_all(self) -> np.ndarray:
@@ -227,6 +243,8 @@ def whiten(data: ObservedData, sigma_cov) -> tuple[ObservedData, np.ndarray]:
 
     Raises
     ------
+    ShapeError
+        If ``sigma_cov`` is not ``noisy_cols x noisy_cols``.
     NotPositiveDefiniteError
         If ``sigma_cov`` is not positive definite.
     """
@@ -234,12 +252,10 @@ def whiten(data: ObservedData, sigma_cov) -> tuple[ObservedData, np.ndarray]:
     cov = as_matrix(sigma_cov, "sigma_cov")
     w = p.noisy_cols
     if cov.shape != (w, w):
-        raise ValueError(f"sigma_cov must be {w}x{w}, got {cov.shape}")
+        raise ShapeError(f"sigma_cov must be {w}x{w}, got {cov.shape}")
     lower = cholesky_lower(0.5 * (cov + cov.T))
     noisy = np.hstack([data.a[:, p.k :], data.b])
     # noisy @ inv(L).T computed column-block-wise as solve(L, noisy.T).T
-    from .linalg import solve_lower_triangular
-
     white = solve_lower_triangular(lower, noisy.T).T
     a = data.a.copy()
     a[:, p.k :] = white[:, : p.n_free]

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import CBlocks
-from .linalg import is_empty
 
 #: Feasibility slack for the exact-row constraints, relative to the scale of
 #: the right-hand side.
@@ -73,8 +72,7 @@ def constrained_objective(blocks: CBlocks, x) -> ObjectiveProbe:
 
     feasible = True
     if p.j > 0:
-        upper_parts = [] if is_empty(blocks.c11) else [blocks.c11]
-        upper = np.hstack(upper_parts + [blocks.c12[:, : p.n_free]])
+        upper = np.hstack([blocks.c11, blocks.c12[:, : p.n_free]])
         b1 = blocks.c12[:, p.n_free :]
         gap = np.linalg.norm(upper @ x - b1)
         feasible = gap <= FEASIBILITY_TOL * (1.0 + np.linalg.norm(b1))
@@ -85,9 +83,7 @@ def constrained_objective(blocks: CBlocks, x) -> ObjectiveProbe:
     x2 = x[p.k :, :]
     a22 = blocks.c22[:, : p.n_free]
     b2 = blocks.c22[:, p.n_free :]
-    resid = a22 @ x2 - b2
-    if not is_empty(blocks.c21):
-        resid = resid + blocks.c21 @ x1
+    resid = a22 @ x2 - b2 + blocks.c21 @ x1
     nmat = x2.T @ x2 + np.eye(p.ell)
     cost = float(np.trace(np.linalg.solve(nmat, resid.T @ resid)))
     return ObjectiveProbe(x_candidate=x, objective=cost, feasible=True)
@@ -129,8 +125,7 @@ def feasible_sampler(
     p = blocks.partition
     center = np.asarray(center, dtype=float)
     if p.j > 0:
-        parts = [] if is_empty(blocks.c11) else [blocks.c11]
-        a_upper = np.hstack(parts + [blocks.c12[:, : p.n_free]])
+        a_upper = np.hstack([blocks.c11, blocks.c12[:, : p.n_free]])
         _, sv, vt = np.linalg.svd(a_upper)
         rank = int(np.count_nonzero(sv > 1e-10 * sv[0])) if sv[0] > 0 else 0
         w = vt[rank:, :].T

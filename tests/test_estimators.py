@@ -11,17 +11,15 @@ from ctls.errors import (
     RankDeficientUpperRowsError,
 )
 from ctls.estimators import (
-    EstimateResult,
     build_blocks,
     ctls_columns,
     ctls_rowcol,
     ctls_rows,
-    estimate_sigma,
     precondition_rowcol,
     projection_estimator,
     tls_solve,
 )
-from ctls.linalg import is_empty, null_space_basis, sym_eigen
+from ctls.linalg import null_space_basis, sym_eigen
 from ctls.model import ObservedData, PartitionSpec, RegressionModel, observe
 from ctls.oracle import grid_scan_tls_1d
 
@@ -39,7 +37,8 @@ def constraint_gap(data, x_hat):
 def test_build_blocks_unconstrained_collapses():
     _, data = make_instance(j=0, k=0, n=2, ell=1, m=10, sigma=0.1)
     blocks = build_blocks(data)
-    assert is_empty(blocks.c11) and is_empty(blocks.c12) and is_empty(blocks.c21)
+    assert blocks.c11.shape == (0, 0)
+    assert blocks.c12.shape == (0, 3) and blocks.c21.shape == (10, 0)
     assert np.array_equal(blocks.c22, np.hstack([data.a, data.b]))
 
 
@@ -55,9 +54,15 @@ def test_build_blocks_slicing_example():
 
 
 def test_build_blocks_roundtrip():
-    _, data = make_instance(j=2, k=1, n=4, ell=2, m=30, sigma=0.4)
-    blocks = build_blocks(data)
-    assert np.array_equal(blocks.assemble(), np.hstack([data.a, data.b]))
+    m, n, ell = 30, 4, 2
+    for j, k in [(0, 0), (0, 2), (2, 0), (2, 1)]:
+        _, data = make_instance(j=j, k=k, n=n, ell=ell, m=m, sigma=0.4)
+        blocks = build_blocks(data)
+        assert blocks.c11.shape == (j, k)
+        assert blocks.c12.shape == (j, n - k + ell)
+        assert blocks.c21.shape == (m - j, k)
+        assert blocks.c22.shape == (m - j, n - k + ell)
+        assert np.array_equal(blocks.assemble(), np.hstack([data.a, data.b]))
 
 
 # --- tls_solve -----------------------------------------------------------------
@@ -238,13 +243,47 @@ def test_precondition_square_nonsingular_matches_block_elimination():
     reduced, record = precondition_rowcol(blocks)
     assert record.rank == 2
     assert reduced.partition.j == 0 and reduced.partition.k == 0
-    assert is_empty(reduced.c11) and is_empty(reduced.c12) and is_empty(reduced.c21)
+    assert reduced.c11.size == 0 and reduced.c12.size == 0 and reduced.c21.size == 0
     a11, a12 = a[:2, :2], a[:2, 2:]
     a21, a22 = a[2:, :2], a[2:, 2:]
     b1, b2 = b[:2], b[2:]
     mult = a21 @ np.linalg.inv(a11)
     expected = np.hstack([a22 - mult @ a12, b2 - mult @ b1])
     assert np.max(np.abs(reduced.c22 - expected)) <= 1e-10 * (1.0 + np.max(np.abs(expected)))
+
+
+def test_transform_blocks_full_rank_corner_leaves_zero_size_blocks():
+    """A full-rank square corner consumes every exact row and column: the
+    transform maps other blocks sharing the exact rows (here the ground
+    truth) to zero-size exact blocks and the Schur-updated noisy block."""
+    model, data = make_instance(j=2, k=2, n=4, ell=1, m=12, sigma=0.3,
+                                model_seed=17, noise_seed=18)
+    _, record = precondition_rowcol(build_blocks(data))
+    assert record.rank == 2 and record.pivot_c12.shape == (2, 3)
+    bar = ObservedData(a=model.a_bar, b=model.b_bar, partition=data.partition)
+    reduced = record.transform_blocks(build_blocks(bar))
+    assert reduced.c11.shape == (0, 0)
+    assert reduced.c12.shape == (0, 3)
+    assert reduced.c21.shape == (10, 0)
+    assert reduced.c22.shape == (10, 3)
+    assert reduced.assemble().shape == (10, 3)
+    a11, a12 = model.a_bar[:2, :2], model.a_bar[:2, 2:]
+    mult = model.a_bar[2:, :2] @ np.linalg.inv(a11)
+    expected = np.hstack([model.a_bar[2:, 2:] - mult @ a12,
+                          model.b_bar[2:] - mult @ model.b_bar[:2]])
+    assert np.max(np.abs(reduced.c22 - expected)) <= 1e-10 * (1.0 + np.max(np.abs(expected)))
+
+
+def test_precondition_zero_corner_keeps_an_empty_pivot_block():
+    _, data = make_instance(j=1, k=2, n=4, ell=1, m=20, sigma=0.1)
+    a = data.a.copy()
+    a[:1, :2] = 0.0
+    blocks = build_blocks(ObservedData(a=a, b=data.b, partition=data.partition))
+    reduced, record = precondition_rowcol(blocks)
+    assert record.rank == 0 and record.pivot_c12.shape == (0, 3)
+    assert np.array_equal(reduced.c11, np.zeros((1, 2)))
+    x = np.arange(4.0).reshape(4, 1)
+    assert np.array_equal(record.recover(x), np.vstack([record.v @ x[:2], x[2:]]))
 
 
 def test_precondition_rank_deficient_corner_zeroes_upper_left():
@@ -518,24 +557,20 @@ def test_projection_constraint_rows_satisfied():
     assert constraint_gap(data, result.x_hat) <= 1e-8 * scale
 
 
-# --- estimate_sigma -------------------------------------------------------------------
+# --- noise-variance estimate (sigma2_hat) ---------------------------------------------
 
 
 def test_estimate_sigma_zero_noise():
     _, data = make_instance(j=1, k=1, n=3, ell=1, m=50, sigma=0.0)
     result = projection_estimator(data)
-    assert estimate_sigma(result, 50) <= 1e-8
+    assert result.sigma2_hat <= 1e-8
 
 
 def test_estimate_sigma_arithmetic():
-    result = EstimateResult(
-        x_hat=np.zeros((1, 1)),
-        sigma2_hat=0.0,
-        smallest_eigs=np.array([0.0]),
-        diagnostics=None,
-        mu=50.0,
-    )
-    assert estimate_sigma(result, 5000) == pytest.approx(0.01)
+    _, data = make_instance(j=1, k=1, n=3, ell=1, m=500, sigma=0.2,
+                            model_seed=61, noise_seed=62)
+    result = projection_estimator(data)
+    assert result.sigma2_hat == max(0.0, result.mu) / 500
 
 
 def test_estimate_sigma_monte_carlo_band():
@@ -546,6 +581,6 @@ def test_estimate_sigma_monte_carlo_band():
         _, data = make_instance(j=1, k=1, n=3, ell=1, m=100_000, sigma=sigma,
                                 model_seed=7000 + t, noise_seed=8000 + t)
         result = projection_estimator(data)
-        values.append(estimate_sigma(result, 100_000))
+        values.append(result.sigma2_hat)
     med = float(np.median(values))
     assert 0.081 <= med <= 0.099

@@ -155,6 +155,17 @@ def test_write_then_read_is_exact(mat, fmt):
     assert again.tobytes() == mat.tobytes()
 
 
+def test_format_csv_matches_per_value_fstring():
+    edge = [-0.0, 0.0, 1e-310, -1e-310, 5e-324, -5e-324, 1e308, -1e308,
+            sys.float_info.max, -sys.float_info.max, 0.1, 1.0 / 3.0, -2.5e-7]
+    g = np.random.default_rng(3)
+    mats = [np.array(edge).reshape(1, -1), np.array(edge).reshape(-1, 1),
+            g.standard_normal((7, 4)) * 10.0 ** g.integers(-300, 300, (7, 4))]
+    for mat in mats:
+        old = "\n".join(",".join(f"{v:.17g}" for v in row) for row in mat) + "\n"
+        assert fileio.format_csv(mat) == old
+
+
 # --- mtxjson ---------------------------------------------------------------------------
 
 

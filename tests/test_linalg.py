@@ -19,16 +19,14 @@ from ctls.errors import (
     NonFiniteError,
     NonSquareError,
     NotPositiveDefiniteError,
+    ShapeError,
     WideMatrixError,
 )
 from ctls.linalg import (
-    EMPTY_BLOCK,
-    EmptyBlock,
     as_matrix,
     cholesky_lower,
     gram_condition,
     gram_eigen,
-    is_empty,
     matrix_rank,
     null_space_basis,
     qr_decompose,
@@ -70,10 +68,17 @@ def test_as_matrix_rejects_zero_dim():
         as_matrix(np.zeros((0, 3)))
 
 
-def test_empty_block_is_singleton():
-    assert EmptyBlock() is EMPTY_BLOCK
-    assert is_empty(EMPTY_BLOCK)
-    assert not is_empty(np.zeros((1, 1)))
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (3,), (2, 2, 2)])
+def test_as_matrix_shape_errors_are_ctls_errors(shape):
+    with pytest.raises(ShapeError) as info:
+        as_matrix(np.ones(shape))
+    assert isinstance(info.value, CtlsError) and isinstance(info.value, ValueError)
+
+
+def test_shape_error_is_exported():
+    import ctls
+
+    assert ctls.ShapeError is ShapeError and "ShapeError" in ctls.__all__
 
 
 # --- sym_eigen ----------------------------------------------------------------
@@ -164,7 +169,7 @@ def test_qr_identity():
     res = qr_decompose(np.eye(3))
     assert np.array_equal(res.q_full, np.eye(3))
     assert np.array_equal(res.r_top, np.eye(3))
-    assert is_empty(res.q2)
+    assert res.q2.shape == (3, 0)
 
 
 def test_qr_unit_345_column():

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from ctls.errors import InvalidPartitionError, NotPositiveDefiniteError
-from ctls.estimators import tls_solve
+from ctls.errors import InvalidPartitionError, NotPositiveDefiniteError, ShapeError
+from ctls.estimators import ctls_rowcol, projection_estimator, tls_solve
 from ctls.model import (
     DesignKind,
     NoiseKind,
@@ -164,6 +164,34 @@ def test_noise_second_moment_converges():
     assert np.median(vals) < 0.05 * sigma**2
 
 
+# --- ObservedData ----------------------------------------------------------------
+
+
+def test_observed_data_rejects_partition_with_other_m():
+    a, b = np.ones((5, 2)), np.ones((5, 1))
+    with pytest.raises(ShapeError, match="do not match the partition"):
+        ObservedData(a=a, b=b, partition=PartitionSpec(j=0, k=0, n=2, ell=1, m=50))
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [((20, 3), (20, 2)), ((20, 2), (20, 1)), ((20,), (20, 1))])
+def test_observed_data_rejects_columns_other_than_partition(a_shape, b_shape):
+    with pytest.raises(ShapeError):
+        ObservedData(a=np.ones(a_shape), b=np.ones(b_shape),
+                     partition=PartitionSpec(j=0, k=0, n=3, ell=1, m=20))
+
+
+@pytest.mark.parametrize("estimator", [ctls_rowcol, projection_estimator])
+def test_observed_data_rejects_row_mismatch_before_estimation(estimator):
+    _, data = make_instance(j=1, k=1, n=3, ell=1, m=20)
+    with pytest.raises(ShapeError, match="same number of rows"):
+        estimator(ObservedData(a=data.a, b=data.b[:19], partition=data.partition))
+
+
+def test_tls_solve_row_mismatch_is_a_shape_error():
+    with pytest.raises(ShapeError, match="same number of rows"):
+        tls_solve(np.ones((6, 2)), np.ones((5, 1)))
+
+
 # --- whiten ---------------------------------------------------------------------
 
 
@@ -183,6 +211,12 @@ def test_whiten_diagonal_scales_columns():
     assert np.allclose(white.a[:, 2], data.a[:, 2])
     assert np.allclose(white.b, data.b)
     assert np.allclose(transform, np.diag([2.0, 1.0, 1.0]))
+
+
+def test_whiten_rejects_wrong_shaped_covariance():
+    _, data = make_instance(j=0, k=1, n=3, ell=1, m=20)
+    with pytest.raises(ShapeError, match="sigma_cov must be 3x3"):
+        whiten(data, np.eye(2))
 
 
 def test_whiten_rejects_indefinite():
