@@ -3,8 +3,10 @@
 Five estimators share one pipeline on ``C = [A | B]``:
 
 1. Factor the noisy rows once.  ``ObservedData.r_noisy`` caches the square
-   ``R`` with ``R.T @ R = C_noisy.T @ C_noisy`` (one O(m) pass); everything
-   after it costs O((n + ell)^3), independent of ``m``.
+   ``R`` with ``R.T @ R = C_noisy.T @ C_noisy``.  It shares its first TSQR
+   level (the triangles of the 256-row blocks) with ``ObservedData.r_all``,
+   the factor of all rows that TLS uses, so one instance makes one O(m)
+   pass; everything after it costs O((n + ell)^3), independent of ``m``.
 2. Eliminate an exact ``j x k`` corner, if any (:func:`precondition_rowcol`).
    The elimination is a column transform built from the exact rows only, so
    it is applied to ``R`` and the result is re-triangularised.
@@ -138,8 +140,12 @@ class CBlocks:
         return np.block([[self.c11, self.c12], [self.c21, self.c22]])
 
 
-def _split(data: ObservedData, noisy: np.ndarray) -> CBlocks:
-    """Exact-row blocks of ``data`` plus the noisy columns ``noisy = [c21 | c22]``."""
+def split_blocks(data: ObservedData, noisy: np.ndarray) -> CBlocks:
+    """Exact-row blocks of ``data`` plus the noisy columns ``noisy = [c21 | c22]``.
+
+    ``noisy`` is the noisy rows themselves or any matrix with the same Gram
+    matrix, such as their R factor.
+    """
     p = data.partition
     j, k = p.j, p.k
     return CBlocks(
@@ -154,7 +160,7 @@ def _split(data: ObservedData, noisy: np.ndarray) -> CBlocks:
 def build_blocks(data: ObservedData) -> CBlocks:
     """Slice the observed data into the four partition blocks."""
     j = data.partition.j
-    return _split(data, np.hstack([data.a[j:, :], data.b[j:, :]]))
+    return split_blocks(data, np.hstack([data.a[j:, :], data.b[j:, :]]))
 
 
 def factor_blocks(data: ObservedData) -> CBlocks:
@@ -163,7 +169,7 @@ def factor_blocks(data: ObservedData) -> CBlocks:
     Every Gram product of ``c21`` and ``c22`` is unchanged, but they have
     ``n + ell`` rows instead of ``m - j``.
     """
-    return _split(data, data.r_noisy)
+    return split_blocks(data, data.r_noisy)
 
 
 def noisy_factor(blocks: CBlocks) -> np.ndarray:

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -39,11 +41,11 @@ from .estimators import (
     ctls_columns,
     ctls_rowcol,
     ctls_rows,
-    factor_blocks,
     noisy_factor,
     projection_estimator,
     reduced_factor,
     shifted_gram,
+    split_blocks,
     tls_from_data,
 )
 from .linalg import (
@@ -51,6 +53,8 @@ from .linalg import (
     null_space_basis,
     singular_values,
     solve_upper_triangular,
+    sym_eigen,
+    tall_r,
 )
 from .model import (
     DesignKind,
@@ -131,6 +135,23 @@ class SweepConfig:
     noise: NoiseKind = NoiseKind.GAUSS
 
     def __post_init__(self):
+        for name in ("n", "ell", "j", "k", "trials", "base_seed"):
+            _require_int(name, getattr(self, name))
+        for name in ("m_values", "estimators"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise IncompatibleConfigError(
+                    f"{name} must be a list, got {getattr(self, name)!r}"
+                )
+        for m in self.m_values:
+            _require_int("m_values entry", m)
+        if not (
+            isinstance(self.sigma, numbers.Real)
+            and not isinstance(self.sigma, bool)
+            and math.isfinite(self.sigma)
+        ):
+            raise IncompatibleConfigError(
+                f"sigma must be a finite number, got {self.sigma!r}"
+            )
         object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if not self.m_values:
@@ -169,6 +190,10 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepConfig":
+        if not isinstance(d, dict):
+            raise IncompatibleConfigError(
+                f"config must be a JSON object, got {type(d).__name__}"
+            )
         known = {f.name for f in fields(cls)}
         optional = {f.name for f in fields(cls) if f.default is not MISSING}
         unknown = set(d) - known
@@ -181,6 +206,11 @@ class SweepConfig:
         kwargs["design"] = DesignKind(d.get("design", "iid"))
         kwargs["noise"] = NoiseKind(d.get("noise", "gauss"))
         return cls(**kwargs)
+
+
+def _require_int(name: str, value) -> None:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise IncompatibleConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def _compatible(name: str, j: int, k: int, n: int) -> bool:
@@ -315,47 +345,46 @@ def gram_residuals(model: RegressionModel, data: ObservedData) -> dict:
     """Structural residuals comparing data Gram matrices with ground truth.
 
     Needs the ground truth, so this is harness-internal.  Returns max-norm
-    residuals for the shifted Gram matrix of the projection pipeline, for
-    the row-projected column-eliminated Gram matrix, and for the raw noise
-    second moment, plus the smallest eigenvalue of ``C21.T @ C21 / m`` as a
-    positive-definiteness diagnostic (reported, never enforced).
+    residuals for the shifted Gram matrix of the projection pipeline and for
+    the row-projected column-eliminated Gram matrix, plus the smallest
+    eigenvalue of ``C21.T @ C21 / m`` as a positive-definiteness diagnostic
+    (reported, never enforced).
 
-    The data side reuses the estimators' cached factor ``data.r_noisy``; the
-    ground truth takes one factor of its own.
+    The data side reuses the estimators' cached factor ``data.r_noisy``.  The
+    ground truth enters only through the Gram matrix ``G`` of its noisy rows,
+    formed block by block; the projected residual runs the estimators'
+    corner elimination on a square root ``F.T @ F = G`` (``G`` has rank
+    ``n``, so its eigenvalues are clipped at zero), so no O(m) factor of
+    the ground truth is taken.
     """
     p = data.partition
-    m, ell, k = p.m, p.ell, p.k
-    sigma2 = model.sigma**2
-    bar = ObservedData(a=model.a_bar, b=model.b_bar, partition=p)
-    r, r_bar = data.r_noisy, bar.r_noisy
+    m, ell, j, k = p.m, p.ell, p.j, p.k
+    r = data.r_noisy
+    a_bar, b_bar = model.a_bar[j:], model.b_bar[j:]
+    ab = a_bar.T @ b_bar
+    g_bar = np.block([[a_bar.T @ a_bar, ab], [ab.T, b_bar.T @ b_bar]])
 
     # Shifted-Gram residual (projection pipeline, mean shift).
     _, _, f_data = shifted_gram(r, k, ell)
-    shifted_resid = float(np.max(np.abs(f_data - r_bar.T @ r_bar))) / m
+    shifted_resid = float(np.max(np.abs(f_data - g_bar))) / m
 
-    # Row-projected residual in the zero-corner frame.
+    # Row-projected residual in the zero-corner frame.  The exact rows of
+    # the data and of the ground truth are the same numbers.
+    eig = sym_eigen(g_bar)
+    f_bar = np.sqrt(np.maximum(eig.values, 0.0))[:, None] * eig.vectors.T
     work, record, r_work = reduced_factor(data)
     if record is None:
-        r_work_bar = r_bar
+        r_work_bar = tall_r(f_bar)
     else:
-        r_work_bar = noisy_factor(record.transform_blocks(factor_blocks(bar)))
+        r_work_bar = noisy_factor(record.transform_blocks(split_blocks(data, f_bar)))
     kw = work.partition.k
     lhs, rhs = r_work[kw:, kw:], r_work_bar[kw:, kw:]
     if work.partition.j > 0:
         basis = null_space_basis(work.c12)
         lhs, rhs = lhs @ basis, rhs @ basis
     lhs, rhs = lhs.T @ lhs, rhs.T @ rhs
-    target = rhs / m + sigma2 * np.eye(lhs.shape[0])
+    target = rhs / m + model.sigma**2 * np.eye(lhs.shape[0])
     projected_resid = float(np.max(np.abs(lhs / m - target)))
-
-    # Raw noise second moment.
-    e = np.hstack(
-        [
-            data.a[p.j :, p.k :] - model.a_bar[p.j :, p.k :],
-            data.b[p.j :, :] - model.b_bar[p.j :, :],
-        ]
-    )
-    noise_resid = float(np.max(np.abs(e.T @ e / m - sigma2 * np.eye(e.shape[1]))))
 
     c21_eig = None
     if k > 0:
@@ -364,7 +393,6 @@ def gram_residuals(model: RegressionModel, data: ObservedData) -> dict:
     return {
         "shifted_gram_residual": shifted_resid,
         "projected_gram_residual": projected_resid,
-        "noise_gram_residual": noise_resid,
         "c21_gram_smallest_eig": c21_eig,
     }
 

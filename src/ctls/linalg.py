@@ -4,6 +4,8 @@
   through one batched QR and the stacked triangles through one more (one
   level of TSQR), giving a square ``R`` with ``R.T @ R = C.T @ C``.  The
   estimators see their O(m) data only through such factors.
+  ``tall_r_pair`` factors all rows and the rows below an offset from one
+  pass over the blocks.
 * ``gram_eigen`` takes the eigenpairs of ``R.T @ R`` from the SVD of ``R``.
   Forming the Gram matrix first would square the condition number and lose
   the relative accuracy of the small eigenvalues that the TLS solutions are
@@ -138,6 +140,15 @@ def _square(a: np.ndarray, what: str) -> None:
         raise NonSquareError(f"{what} needs a square matrix, got {a.shape}")
 
 
+def _flat_r(a: np.ndarray) -> np.ndarray:
+    """One QR of ``a`` (``mode="r"``), padded with zero rows to a square."""
+    r = _lapack(np.linalg.qr, a, mode="r")
+    cols = a.shape[1]
+    if r.shape[0] < cols:
+        r = np.vstack([r, np.zeros((cols - r.shape[0], cols))])
+    return r
+
+
 def tall_r(c) -> np.ndarray:
     """Square upper-triangular ``R`` with ``R.T @ R = C.T @ C`` up to roundoff.
 
@@ -148,17 +159,42 @@ def tall_r(c) -> np.ndarray:
     Row signs are LAPACK's.  With fewer rows than columns the trapezoidal
     factor is padded with zero rows.
     """
+    return tall_r_pair(c, 0)[0]
+
+
+def tall_r_pair(c, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(tall_r(c), tall_r(c[j:]))`` from one pass over the blocks of ``c``.
+
+    The first factor is bit-identical to ``tall_r(c)``.  For
+    ``j < BLOCK_ROWS`` the second stacks the same block triangles with the
+    first block's replaced by the triangle of its rows ``j:`` (TSQR,
+    Demmel, Grigori, Hoemmen & Langou 2012), so it equals
+    ``tall_r(c[j:])`` up to roundoff and row signs.  Below two full blocks
+    both are flat QRs.  With ``j = 0`` the two factors are one array.
+
+    Raises
+    ------
+    ShapeError
+        If ``j`` is not in ``[0, rows)``.
+    """
     a = as_matrix(c, "C")
     rows, cols = a.shape
+    if not 0 <= j < rows:
+        raise ShapeError(f"row offset j={j} is outside [0, {rows})")
     full = rows // BLOCK_ROWS
-    if full > 1 and cols < BLOCK_ROWS:
-        head = a[: full * BLOCK_ROWS].reshape(full, BLOCK_ROWS, cols)
-        triangles = _lapack(np.linalg.qr, head, mode="r").reshape(-1, cols)
-        a = np.vstack([triangles, a[full * BLOCK_ROWS :]])
-    r = _lapack(np.linalg.qr, a, mode="r")
-    if r.shape[0] < cols:
-        r = np.vstack([r, np.zeros((cols - r.shape[0], cols))])
-    return r
+    if full < 2 or cols >= BLOCK_ROWS:
+        r_all = _flat_r(a)
+        return r_all, r_all if j == 0 else _flat_r(a[j:])
+    head = a[: full * BLOCK_ROWS].reshape(full, BLOCK_ROWS, cols)
+    triangles = _lapack(np.linalg.qr, head, mode="r")
+    tail = a[full * BLOCK_ROWS :]
+    r_all = _flat_r(np.vstack([triangles.reshape(-1, cols), tail]))
+    if j == 0:
+        return r_all, r_all
+    if j >= BLOCK_ROWS:
+        return r_all, tall_r(a[j:])
+    first = _lapack(np.linalg.qr, a[j:BLOCK_ROWS], mode="r")
+    return r_all, _flat_r(np.vstack([first, triangles[1:].reshape(-1, cols), tail]))
 
 
 def gram_eigen(r) -> SymEigenResult:

@@ -27,7 +27,7 @@ from .linalg import (
     solve_linear,
     solve_lower_triangular,
     solve_upper_triangular,
-    tall_r,
+    tall_r_pair,
 )
 
 
@@ -113,11 +113,13 @@ class RegressionModel:
 class ObservedData:
     """What an estimator sees: noisy ``(a, b)`` plus the block structure.
 
-    ``r_all`` and ``r_noisy`` are the R factors (:func:`~ctls.linalg.tall_r`)
-    of ``[a | b]`` over all rows and over the noisy rows ``j:``.  Each is
-    computed on first use and cached read-only, so the estimators run on one
-    instance share one O(m) pass per row set.  Do not modify ``a`` or ``b``
-    after reading either factor.
+    ``r_all`` and ``r_noisy`` are the R factors of ``[a | b]`` over all rows
+    and over the noisy rows ``j:``.  Both come from one
+    :func:`~ctls.linalg.tall_r_pair` pass on first use and are cached
+    read-only, so the estimators run on one instance share one O(m) pass.
+    ``r_all`` is bit-identical to ``tall_r(np.hstack([a, b]))``; with
+    ``j = 0``, ``r_noisy is r_all``.  Do not modify ``a`` or ``b`` after
+    reading either factor.
 
     Raises ShapeError unless ``a`` is ``m x n`` and ``b`` is ``m x ell``.
     """
@@ -140,20 +142,19 @@ class ObservedData:
             )
 
     @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
+        factors = tall_r_pair(np.hstack([self.a, self.b]), self.partition.j)
+        for r in factors:
+            r.flags.writeable = False
+        return factors
+
+    @property
     def r_all(self) -> np.ndarray:
-        return _read_only(tall_r(np.hstack([self.a, self.b])))
+        return self._factors[0]
 
-    @cached_property
+    @property
     def r_noisy(self) -> np.ndarray:
-        j = self.partition.j
-        if j == 0:
-            return self.r_all
-        return _read_only(tall_r(np.hstack([self.a[j:], self.b[j:]])))
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+        return self._factors[1]
 
 
 def generate_model(
@@ -171,13 +172,14 @@ def generate_model(
     Raises
     ------
     InvalidPartitionError
-        If the partition is not overdetermined, sigma is negative, or the
-        drawn instance violates the full-row-rank requirement on the
-        noise-free rows (essentially impossible for the Gaussian design).
+        If the partition is not overdetermined, sigma is negative or not
+        finite, or the drawn instance violates the full-row-rank requirement
+        on the noise-free rows (essentially impossible for the Gaussian
+        design).
     """
     partition.require_overdetermined()
-    if sigma < 0.0:
-        raise InvalidPartitionError("sigma must be nonnegative")
+    if not (np.isfinite(sigma) and sigma >= 0.0):
+        raise InvalidPartitionError(f"sigma must be finite and nonnegative, got {sigma}")
     rng = np.random.default_rng(seed)
     n, ell, m = partition.n, partition.ell, partition.m
     x_true = rng.uniform(-2.0, 2.0, size=(n, ell))
@@ -219,7 +221,8 @@ def observe(
         rng = np.random.default_rng(seed)
         shape = (p.m - p.j, p.noisy_cols)
         if noise is NoiseKind.GAUSS:
-            e = model.sigma * rng.standard_normal(shape)
+            e = rng.standard_normal(shape)
+            e *= model.sigma
         elif noise is NoiseKind.UNIFORM:
             half = model.sigma * np.sqrt(3.0)
             e = rng.uniform(-half, half, size=shape)

@@ -92,6 +92,17 @@ def test_simulate_rejects_bad_partition(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_simulate_rejects_non_finite_sigma(tmp_path, capsys, sigma):
+    code, _, err = run_cli(
+        capsys, "simulate", "--n", "3", "--ell", "1", "--m", "50",
+        "--sigma", sigma, "--seed", "1", "--out-dir", str(tmp_path / "inst"),
+    )
+    assert code == 1
+    assert "sigma must be finite" in err
+    assert not (tmp_path / "inst").exists()
+
+
 def test_simulate_noise_is_uncorrelated_with_design(tmp_path, capsys):
     """With every column of A exact, A is the design and B - A @ X_true the
     noise.  Drawing both from one seed made the noise the design's normal
@@ -277,6 +288,41 @@ def test_sweep_rejects_empty_m_values(tmp_path, capsys):
     )
     assert code == 1
     assert "m_values" in err
+
+
+@pytest.mark.parametrize(
+    "payload,expect",
+    [
+        (sweep_config_dict(trials=1.5), "trials must be an integer"),
+        (sweep_config_dict(trials=True), "trials must be an integer"),
+        (sweep_config_dict(n="3"), "n must be an integer"),
+        (sweep_config_dict(ell=1.0), "ell must be an integer"),
+        (sweep_config_dict(base_seed="99"), "base_seed must be an integer"),
+        (sweep_config_dict(m_values=[30, 100.7]), "m_values entry must be an integer"),
+        (sweep_config_dict(m_values="30"), "m_values must be a list"),
+        (sweep_config_dict(sigma="0.1"), "sigma must be a finite number"),
+        (sweep_config_dict(sigma=float("nan")), "sigma must be a finite number"),
+        (sweep_config_dict(sigma=float("inf")), "sigma must be a finite number"),
+        (sweep_config_dict(sigma=False), "sigma must be a finite number"),
+        (sweep_config_dict(estimators="projection"), "estimators must be a list"),
+        (7, "config must be a JSON object"),
+    ],
+    ids=[
+        "trials-float", "trials-bool", "n-str", "ell-float", "seed-str",
+        "m-float", "m-values-str", "sigma-str", "sigma-nan", "sigma-inf",
+        "sigma-bool", "estimators-str", "top-level-number",
+    ],
+)
+def test_sweep_config_types_exit_1(tmp_path, capsys, payload, expect):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload))
+    code, _, err = run_cli(
+        capsys, "sweep", "--config", str(cfg_path),
+        "--out-trace", str(tmp_path / "t.json"),
+    )
+    assert code == 1
+    assert expect in err
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_sweep_failure_rate_exits_3(tmp_path, capsys, monkeypatch):

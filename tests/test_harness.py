@@ -14,7 +14,7 @@ from ctls.harness import (
     run_sweep,
     trial_seed,
 )
-from ctls.model import generate_model, observe
+from ctls.model import DesignKind, ObservedData, generate_model, observe
 
 from conftest import make_instance
 
@@ -206,8 +206,46 @@ def test_gram_residuals_zero_noise_reports_sampling_error():
     res = gram_residuals(model, data)
     assert res["shifted_gram_residual"] >= 0.0
     assert res["projected_gram_residual"] >= 0.0
-    assert res["noise_gram_residual"] == 0.0
     assert res["c21_gram_smallest_eig"] > 0.0
+
+
+def factor_residuals(model, data):
+    """Reference for gram_residuals: the shifted and projected residuals
+    from an R factor of the ground truth's noisy rows, where gram_residuals
+    sees the ground truth only through their Gram matrix."""
+    p = data.partition
+    m, j, k = p.m, p.j, p.k
+    bar = ObservedData(a=model.a_bar, b=model.b_bar, partition=p)
+    r_bar = linalg.tall_r(np.hstack([model.a_bar[j:], model.b_bar[j:]]))
+    _, _, f = estimators.shifted_gram(data.r_noisy, k, p.ell)
+    shifted = float(np.max(np.abs(f - r_bar.T @ r_bar))) / m
+    work, record, r_work = estimators.reduced_factor(data)
+    if record is None:
+        r_work_bar = r_bar
+    else:
+        r_work_bar = estimators.noisy_factor(
+            record.transform_blocks(estimators.split_blocks(bar, r_bar))
+        )
+    kw = work.partition.k
+    lhs, rhs = r_work[kw:, kw:], r_work_bar[kw:, kw:]
+    if work.partition.j > 0:
+        basis = linalg.null_space_basis(work.c12)
+        lhs, rhs = lhs @ basis, rhs @ basis
+    target = rhs.T @ rhs / m + model.sigma**2 * np.eye(lhs.shape[1])
+    projected = float(np.max(np.abs(lhs.T @ lhs / m - target)))
+    return shifted, projected
+
+
+@pytest.mark.parametrize("design", list(DesignKind))
+@pytest.mark.parametrize("j,k", [(0, 0), (0, 1), (1, 0), (1, 1), (2, 3)])
+@pytest.mark.parametrize("m", [300, 2000])
+def test_gram_residuals_match_factor_formula(design, j, k, m):
+    model, data = make_instance(j=j, k=k, n=4, ell=2, m=m, sigma=0.1,
+                                model_seed=m + j, noise_seed=m + k, design=design)
+    res = gram_residuals(model, data)
+    shifted, projected = factor_residuals(model, data)
+    assert res["shifted_gram_residual"] == pytest.approx(shifted, rel=1e-9)
+    assert res["projected_gram_residual"] == pytest.approx(projected, rel=1e-9)
 
 
 def test_gram_residuals_shrink_with_m():
@@ -309,26 +347,29 @@ def test_sweep_errors_match_public_estimators_bit_for_bit(j, k, names):
 
 
 def test_sweep_factors_each_row_set_once(monkeypatch):
-    """One sweep instance factors the data rows once per row set (all rows
-    for tls and naive_ls, the noisy rows for the rest) plus the ground
-    truth once; the other factors are re-triangularisations of n + ell rows."""
+    """One sweep instance makes one O(m) factor pass: both row sets come
+    from one ``tall_r_pair`` call over ``[A | B]``, and the ground truth is
+    not factored; every other factor re-triangularises n + ell rows."""
     m = 300
     tall_calls = []
-    real = linalg.tall_r
+    real_r, real_pair = linalg.tall_r, linalg.tall_r_pair
 
-    def counting(c):
-        if np.shape(c)[0] > 10:
-            tall_calls.append(np.shape(c))
-        return real(c)
+    def counting(real):
+        def wrapped(c, *args):
+            if np.shape(c)[0] > 10:
+                tall_calls.append((real.__name__, np.shape(c)) + args)
+            return real(c, *args)
+
+        return wrapped
 
     for module in (linalg, model_mod, estimators, harness):
-        if hasattr(module, "tall_r"):
-            monkeypatch.setattr(module, "tall_r", counting)
+        for name, real in (("tall_r", real_r), ("tall_r_pair", real_pair)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(real))
     cfg = small_config(m_values=(m,), trials=1,
                        estimators=("naive_ls", "tls", "ctls_rowcol", "projection"))
     run_sweep(cfg)
-    # [A | B] over all rows, over the noisy rows, and the ground truth's noisy rows
-    assert sorted(tall_calls) == [(m - 1, 4), (m - 1, 4), (m, 4)]
+    assert tall_calls == [("tall_r_pair", (m, 4), 1)]
 
 
 def test_lapack_failure_is_a_counted_trial(monkeypatch):

@@ -38,6 +38,7 @@ from ctls.linalg import (
     svd,
     sym_eigen,
     tall_r,
+    tall_r_pair,
 )
 
 from conftest import seeded_symmetric
@@ -411,6 +412,22 @@ def test_tall_r_rejects_non_finite():
     c[550, 1] = np.inf
     with pytest.raises(NonFiniteError):
         tall_r(c)
+
+
+@pytest.mark.parametrize("j", [0, 1, 255, 256, 300])
+def test_tall_r_pair_offsets(j):
+    c = np.random.default_rng(42).standard_normal((800, 4))
+    r_all, r_low = tall_r_pair(c, j)
+    assert np.array_equal(r_all, tall_r(c))
+    assert (r_low is r_all) == (j == 0)
+    assert np.array_equal(r_low, np.triu(r_low))
+    assert np.allclose(r_low.T @ r_low, c[j:].T @ c[j:], rtol=1e-12, atol=1e-10)
+
+
+@pytest.mark.parametrize("j", [-1, 800])
+def test_tall_r_pair_rejects_offset_outside_rows(j):
+    with pytest.raises(ShapeError):
+        tall_r_pair(np.ones((800, 4)), j)
 
 
 def test_gram_eigen_keeps_small_eigenvalues():

@@ -5,6 +5,7 @@ import pytest
 
 from ctls.errors import InvalidPartitionError, NotPositiveDefiniteError, ShapeError
 from ctls.estimators import ctls_rowcol, projection_estimator, tls_solve
+from ctls.linalg import tall_r
 from ctls.model import (
     DesignKind,
     NoiseKind,
@@ -83,6 +84,9 @@ def test_generate_rejects_negative_sigma_and_small_m():
     p = PartitionSpec(j=0, k=0, n=3, ell=1, m=30)
     with pytest.raises(InvalidPartitionError):
         generate_model(p, -0.1, seed=1)
+    for sigma in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(InvalidPartitionError, match="finite"):
+            generate_model(p, sigma, seed=1)
     tight = PartitionSpec(j=0, k=0, n=3, ell=1, m=4)
     with pytest.raises(InvalidPartitionError):
         generate_model(tight, 0.1, seed=1)
@@ -193,6 +197,32 @@ def test_tls_solve_row_mismatch_is_a_shape_error():
 
 
 # --- whiten ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+@pytest.mark.parametrize("rows", ["j+d", 511, 512, 513, 767, 2000])
+def test_observed_factors_share_one_pass(j, rows):
+    """r_all is bit-identical to the factor of [A | B]; r_noisy, built from
+    the same block triangles, factors the rows j: like a direct tall_r."""
+    n, ell = 3, 2
+    d = n + ell
+    m = j + d if rows == "j+d" else rows
+    g = np.random.default_rng(10 * m + j)
+    a = g.standard_normal((m, n)) * [1.0, 10.0, 1e-3]
+    b = g.standard_normal((m, ell))
+    data = ObservedData(a=a, b=b, partition=PartitionSpec(j=j, k=1, n=n, ell=ell, m=m))
+    c = np.hstack([a, b])
+    assert np.array_equal(data.r_all, tall_r(c))
+    r, direct = data.r_noisy, tall_r(c[j:])
+    gram = c[j:].T @ c[j:]
+    assert np.max(np.abs(r.T @ r - gram)) <= 1e-12 * np.max(np.abs(gram))
+    assert np.allclose(np.abs(r), np.abs(direct), rtol=1e-10, atol=1e-12)
+    assert (data.r_noisy is data.r_all) == (j == 0)
+    for factor in (data.r_all, data.r_noisy):
+        assert factor.shape == (d, d)
+        assert np.array_equal(factor, np.triu(factor))
+        with pytest.raises(ValueError, match="read-only"):
+            factor[0, 0] = 1.0
 
 
 def test_whiten_identity_covariance_is_noop():
