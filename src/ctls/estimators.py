@@ -214,7 +214,7 @@ def _normalize_subspace(
             f"(smallest singular value {sv_low[-1]:.3e})"
         )
     try:
-        x = solve_linear(z_lower.T, -z_upper.T).T
+        x = solve_linear(z_lower.T, -z_upper.T, sv=sv_low).T
     except NearSingularError as exc:
         raise LowerBlockSingularError(str(exc)) from exc
     return x, values[:ell].copy(), gap, float(sv_low[-1]), flags
@@ -430,16 +430,18 @@ def ctls_rowcol(data: ObservedData, rank_tol: float = RANK_TOL) -> EstimateResul
             f"k {p.k}->{rp.k})"
         )
 
+    basis = None
     if rp.j > 0:
         c12 = blocks.c12
-        if rp.j > n_free or matrix_rank(c12, rank_tol) != rp.j:
+        if rp.j <= n_free:
+            # c12 has more columns than rows, so the null space is never
+            # empty and its size gives the rank.
+            basis = null_space_basis(c12, rank_tol)
+        if basis is None or c12.shape[1] - basis.shape[1] != rp.j:
             raise RankDeficientUpperRowsError(
                 "exact rows remaining after preconditioning are rank deficient "
                 f"or too many (j'={rp.j}, free columns={n_free})"
             )
-        basis = null_space_basis(c12, rank_tol)
-    else:
-        basis = None
 
     k = rp.k
     cond21 = gram_condition(r[:k, :k]) if k > 0 else None
@@ -538,11 +540,13 @@ def projection_estimator(
     basis = None
     if j > 0:
         c_upper = np.hstack([data.a[:j], data.b[:j]])
-        if matrix_rank(c_upper, rank_tol) != j:
+        # j < n + ell columns, so the null space is never empty and its
+        # size gives the rank.
+        basis = null_space_basis(c_upper, rank_tol)
+        if c_upper.shape[1] - basis.shape[1] != j:
             raise RankDeficientUpperRowsError(
                 f"the {j} exact rows of [A | B] are rank deficient"
             )
-        basis = null_space_basis(c_upper, rank_tol)
 
     r = data.r_noisy
     cond21 = gram_condition(r[:k, :k]) if k > 0 else None

@@ -397,12 +397,15 @@ def gram_residuals(model: RegressionModel, data: ObservedData) -> dict:
     }
 
 
-def _max_workers() -> int:
+def _max_workers(tasks: int) -> int:
+    """Threads for ``tasks`` sweep instances: ``CTLS_THREADS``, capped at the
+    CPU count and at ``tasks`` (the pool submits every task at once)."""
     raw = os.environ.get("CTLS_THREADS", "")
     try:
-        return max(1, int(raw))
+        requested = int(raw)
     except ValueError:
         return 1
+    return max(1, min(requested, os.cpu_count() or 1, tasks))
 
 
 def run_sweep(config: SweepConfig) -> ConvergenceTrace:
@@ -462,7 +465,7 @@ def run_sweep(config: SweepConfig) -> ConvergenceTrace:
         return records
 
     tasks = [(m, t) for m in config.m_values for t in range(config.trials)]
-    workers = _max_workers()
+    workers = _max_workers(len(tasks))
     by_cell: dict[tuple[int, int], list[TrialRecord]] = {}
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -1,11 +1,12 @@
 """Dense linear-algebra kernels on LAPACK (``numpy.linalg``), with explicit contracts.
 
 * ``tall_r`` factors a tall matrix once: blocks of ``BLOCK_ROWS`` rows go
-  through one batched QR and the stacked triangles through one more (one
+  through batched QRs and the stacked triangles through one more (one
   level of TSQR), giving a square ``R`` with ``R.T @ R = C.T @ C``.  The
   estimators see their O(m) data only through such factors.
-  ``tall_r_pair`` factors all rows and the rows below an offset from one
-  pass over the blocks.
+  ``tall_r_pair`` runs the first level over the column blocks of ``C``,
+  ``CHUNK_ROWS`` rows at a time, and shares it between the factors of all
+  rows and of the rows below an offset.
 * ``gram_eigen`` takes the eigenpairs of ``R.T @ R`` from the SVD of ``R``.
   Forming the Gram matrix first would square the condition number and lose
   the relative accuracy of the small eigenvalues that the TLS solutions are
@@ -32,6 +33,7 @@ BLAS thread count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +60,10 @@ SOLVE_COND_TOL = 1e-12
 
 #: Rows per block in the first level of :func:`tall_r`.
 BLOCK_ROWS = 256
+
+#: Rows per chunk (64 blocks) in which :func:`tall_r_pair` assembles and
+#: factors the blocks and ``ctls.model.observe`` draws its noise.
+CHUNK_ROWS = 64 * BLOCK_ROWS
 
 
 def as_matrix(obj, name: str = "matrix") -> np.ndarray:
@@ -152,49 +158,119 @@ def _flat_r(a: np.ndarray) -> np.ndarray:
 def tall_r(c) -> np.ndarray:
     """Square upper-triangular ``R`` with ``R.T @ R = C.T @ C`` up to roundoff.
 
-    Blocks of ``BLOCK_ROWS`` rows are factored in one batched
-    ``numpy.linalg.qr(..., mode="r")`` call, and the stacked triangles plus
+    Blocks of ``BLOCK_ROWS`` rows are factored in batched
+    ``numpy.linalg.qr(..., mode="r")`` calls, and the stacked triangles plus
     the leftover rows once more; one flat QR of a 1e5 x 12 matrix took
     about twice as long (OpenBLAS 0.3.31, one thread, 2-CPU x86-64 VM).
     Row signs are LAPACK's.  With fewer rows than columns the trapezoidal
-    factor is padded with zero rows.
+    factor is padded with zero rows.  The result is read-only.
     """
-    return tall_r_pair(c, 0)[0]
+    return tall_r_pair([c], 0).r_all
 
 
-def tall_r_pair(c, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(tall_r(c), tall_r(c[j:]))`` from one pass over the blocks of ``c``.
+@dataclass(frozen=True)
+class TallRPair:
+    """The first TSQR level of ``C``, shared by the factors of its rows
+    ``0:`` and ``j:``; each second level runs on its first read.
 
-    The first factor is bit-identical to ``tall_r(c)``.  For
-    ``j < BLOCK_ROWS`` the second stacks the same block triangles with the
-    first block's replaced by the triangle of its rows ``j:`` (TSQR,
-    Demmel, Grigori, Hoemmen & Langou 2012), so it equals
-    ``tall_r(c[j:])`` up to roundoff and row signs.  Below two full blocks
-    both are flat QRs.  With ``j = 0`` the two factors are one array.
+    ``stack`` holds the triangles of the ``BLOCK_ROWS``-row blocks followed
+    by the leftover rows (below two full blocks, or with ``BLOCK_ROWS`` or
+    more columns, ``C`` itself).  The rows ``j:`` stack as ``head`` (the
+    triangle of the part of a block below row ``j``, or None) on top of
+    ``stack[skip:]``; once ``r_all`` is cached, ``r_low`` writes ``head``
+    into the rows just above ``skip`` rather than copy the stack.  Both
+    factors are read-only.
+    """
+
+    stack: np.ndarray
+    skip: int
+    head: np.ndarray | None
+
+    @cached_property
+    def r_all(self) -> np.ndarray:
+        """``tall_r(C)``."""
+        return _read_only(_flat_r(self.stack))
+
+    @cached_property
+    def r_low(self) -> np.ndarray:
+        """The factor of the rows ``j:``; ``r_all`` itself when ``j = 0``."""
+        if self.skip == 0:
+            return self.r_all
+        if self.head is None:
+            return _read_only(_flat_r(self.stack[self.skip :]))
+        top = self.skip - len(self.head)
+        if "r_all" in self.__dict__:
+            # Once r_all is cached nothing reads the rows above skip, so the
+            # head goes there instead of into a copy of the whole stack.
+            self.stack[top : self.skip] = self.head
+            return _read_only(_flat_r(self.stack[top:]))
+        return _read_only(_flat_r(np.vstack([self.head, self.stack[self.skip :]])))
+
+
+def _read_only(r: np.ndarray) -> np.ndarray:
+    r.flags.writeable = False
+    return r
+
+
+def tall_r_pair(blocks, j: int) -> TallRPair:
+    """The first TSQR level of ``C = np.hstack(blocks)`` and of its rows ``j:``.
+
+    ``blocks`` are the column blocks of ``C``, for example ``(A, B)``.  The
+    blocks of ``BLOCK_ROWS`` rows are assembled and factored ``CHUNK_ROWS``
+    rows at a time, so beyond its inputs the pass holds one chunk of ``C``
+    and the block triangles, never a copy of ``C`` (except below two full
+    blocks or with ``BLOCK_ROWS`` or more columns, where ``C`` is factored
+    flat).  The per-block QRs are independent, so the triangles do not
+    depend on the chunking.
+    ``r_all`` is bit-identical to ``tall_r(C)``.  ``r_low`` stacks the same
+    triangles with those of the blocks above row ``j`` dropped and the
+    triangle of the block rows from ``j`` on in their place (TSQR, Demmel,
+    Grigori, Hoemmen & Langou 2012), so it equals ``tall_r(C[j:])`` up to
+    roundoff and row signs.  Below two full blocks both are flat QRs.
 
     Raises
     ------
     ShapeError
-        If ``j`` is not in ``[0, rows)``.
+        If a block is not 2-D, the blocks differ in rows, ``C`` has a zero
+        dimension or ``j`` is not in ``[0, rows)``.
+    NonFiniteError
+        If any entry is NaN or infinite.
     """
-    a = as_matrix(c, "C")
-    rows, cols = a.shape
+    parts = [np.asarray(x, dtype=float) for x in blocks]
+    if any(x.ndim != 2 for x in parts) or len({x.shape[0] for x in parts}) != 1:
+        raise ShapeError(
+            f"column blocks of C must be 2-D with equal rows, got {[x.shape for x in parts]}"
+        )
+    rows = parts[0].shape[0]
+    cols = sum(x.shape[1] for x in parts)
     if not 0 <= j < rows:
         raise ShapeError(f"row offset j={j} is outside [0, {rows})")
+
+    def rows_of(lo: int, hi: int) -> np.ndarray:
+        return as_matrix(np.hstack([x[lo:hi] for x in parts]), "C")
+
     full = rows // BLOCK_ROWS
     if full < 2 or cols >= BLOCK_ROWS:
-        r_all = _flat_r(a)
-        return r_all, r_all if j == 0 else _flat_r(a[j:])
-    head = a[: full * BLOCK_ROWS].reshape(full, BLOCK_ROWS, cols)
-    triangles = _lapack(np.linalg.qr, head, mode="r")
-    tail = a[full * BLOCK_ROWS :]
-    r_all = _flat_r(np.vstack([triangles.reshape(-1, cols), tail]))
-    if j == 0:
-        return r_all, r_all
-    if j >= BLOCK_ROWS:
-        return r_all, tall_r(a[j:])
-    first = _lapack(np.linalg.qr, a[j:BLOCK_ROWS], mode="r")
-    return r_all, _flat_r(np.vstack([first, triangles[1:].reshape(-1, cols), tail]))
+        return TallRPair(stack=rows_of(0, rows), skip=j, head=None)
+    stack = np.empty((full * cols + rows - full * BLOCK_ROWS, cols))
+    triangles = stack[: full * cols].reshape(full, cols, cols)
+    block, offset = divmod(j, BLOCK_ROWS)
+    head = None
+    for lo in range(0, full * BLOCK_ROWS, CHUNK_ROWS):
+        hi = min(lo + CHUNK_ROWS, full * BLOCK_ROWS)
+        chunk = rows_of(lo, hi if hi < full * BLOCK_ROWS else rows)
+        triangles[lo // BLOCK_ROWS : hi // BLOCK_ROWS] = _lapack(
+            np.linalg.qr, chunk[: hi - lo].reshape(-1, BLOCK_ROWS, cols), mode="r"
+        )
+        if offset and lo <= j < hi:
+            top = (block + 1) * BLOCK_ROWS - lo
+            head = _lapack(np.linalg.qr, chunk[j - lo : top], mode="r")
+    stack[full * cols :] = chunk[hi - lo :]
+    if block >= full:
+        skip = full * cols + j - full * BLOCK_ROWS
+    else:
+        skip = (block + (head is not None)) * cols
+    return TallRPair(stack=stack, skip=skip, head=head)
 
 
 def gram_eigen(r) -> SymEigenResult:
@@ -320,13 +396,14 @@ def _near_singular(cond: float, what: str) -> NearSingularError:
     )
 
 
-def solve_linear(a, b) -> np.ndarray:
+def solve_linear(a, b, sv=None) -> np.ndarray:
     """Solve ``a @ x = b`` for square, well-conditioned ``a``.
 
     Conditioning is estimated from the singular values first; matrices with
     ``sigma_min <= SOLVE_COND_TOL * sigma_max`` are rejected so that every
     implicit inverse in the estimators surfaces its conditioning instead of
-    silently amplifying noise.
+    silently amplifying noise.  A caller that already holds the singular
+    values of ``a`` (or of ``a.T``) passes them as ``sv`` to skip the SVD.
 
     Raises
     ------
@@ -340,7 +417,8 @@ def solve_linear(a, b) -> np.ndarray:
     _square(a, "solve_linear")
     if b.shape[0] != a.shape[0]:
         raise ShapeError(f"right-hand side has {b.shape[0]} rows, expected {a.shape[0]}")
-    sv = singular_values(a)
+    if sv is None:
+        sv = singular_values(a)
     if sv[0] == 0.0 or sv[-1] <= SOLVE_COND_TOL * sv[0]:
         raise _near_singular(
             float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1]), "matrix"

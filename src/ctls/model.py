@@ -21,6 +21,8 @@ import numpy as np
 
 from .errors import InvalidPartitionError, ShapeError
 from .linalg import (
+    CHUNK_ROWS,
+    TallRPair,
     as_matrix,
     cholesky_lower,
     matrix_rank,
@@ -114,12 +116,14 @@ class ObservedData:
     """What an estimator sees: noisy ``(a, b)`` plus the block structure.
 
     ``r_all`` and ``r_noisy`` are the R factors of ``[a | b]`` over all rows
-    and over the noisy rows ``j:``.  Both come from one
-    :func:`~ctls.linalg.tall_r_pair` pass on first use and are cached
-    read-only, so the estimators run on one instance share one O(m) pass.
-    ``r_all`` is bit-identical to ``tall_r(np.hstack([a, b]))``; with
-    ``j = 0``, ``r_noisy is r_all``.  Do not modify ``a`` or ``b`` after
-    reading either factor.
+    and over the noisy rows ``j:``.  The first read of either runs the one
+    O(m) pass, :func:`~ctls.linalg.tall_r_pair` over the column blocks
+    ``(a, b)``, which never copies ``[a | b]`` whole; each factor's small
+    second level runs on its own first read, so a caller that reads only
+    ``r_noisy`` never factors all rows.  Both are cached read-only, and the
+    estimators run on one instance share them.  ``r_all`` is bit-identical
+    to ``tall_r(np.hstack([a, b]))``; with ``j = 0``, ``r_noisy is r_all``.
+    Do not modify ``a`` or ``b`` after reading either factor.
 
     Raises ShapeError unless ``a`` is ``m x n`` and ``b`` is ``m x ell``.
     """
@@ -142,19 +146,16 @@ class ObservedData:
             )
 
     @cached_property
-    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
-        factors = tall_r_pair(np.hstack([self.a, self.b]), self.partition.j)
-        for r in factors:
-            r.flags.writeable = False
-        return factors
+    def _pair(self) -> TallRPair:
+        return tall_r_pair((self.a, self.b), self.partition.j)
 
     @property
     def r_all(self) -> np.ndarray:
-        return self._factors[0]
+        return self._pair.r_all
 
     @property
     def r_noisy(self) -> np.ndarray:
-        return self._factors[1]
+        return self._pair.r_low
 
 
 def generate_model(
@@ -212,27 +213,41 @@ def observe(
     Rows ``1..j`` and the first ``k`` columns of the left-hand side are
     copied bit-exactly; only the lower-right blocks receive noise.  Each
     noise entry has mean 0 and variance ``sigma^2`` under every
-    ``NoiseKind``.
+    ``NoiseKind``.  The noise is drawn and added ``CHUNK_ROWS`` rows at a
+    time, so beyond the ground truth and the returned ``a`` and ``b`` the
+    call holds one chunk of noise.  ``Generator`` draws are sequential, so
+    the numbers do not depend on the chunking.
     """
     p = model.partition
     a = model.a_bar.copy()
     b = model.b_bar.copy()
     if model.sigma > 0.0:
         rng = np.random.default_rng(seed)
-        shape = (p.m - p.j, p.noisy_cols)
-        if noise is NoiseKind.GAUSS:
-            e = rng.standard_normal(shape)
-            e *= model.sigma
-        elif noise is NoiseKind.UNIFORM:
-            half = model.sigma * np.sqrt(3.0)
-            e = rng.uniform(-half, half, size=shape)
-        elif noise is NoiseKind.RADEMACHER:
-            e = model.sigma * (2.0 * rng.integers(0, 2, size=shape) - 1.0)
-        else:
-            raise ValueError(f"unknown noise kind: {noise!r}")
-        a[p.j :, p.k :] += e[:, : p.n_free]
-        b[p.j :, :] += e[:, p.n_free :]
+        for lo in range(p.j, p.m, CHUNK_ROWS):
+            hi = min(lo + CHUNK_ROWS, p.m)
+            _add_noise(rng, noise, model.sigma, a[lo:hi, p.k :], b[lo:hi])
     return ObservedData(a=a, b=b, partition=p)
+
+
+def _add_noise(rng, noise: NoiseKind, sigma: float, a_free, b_rows) -> None:
+    """Add noise entries with mean 0 and variance ``sigma^2`` to ``a_free``
+    and ``b_rows`` in place, drawn row by row across both."""
+    width = a_free.shape[1]
+    shape = (a_free.shape[0], width + b_rows.shape[1])
+    if noise is NoiseKind.GAUSS:
+        e = rng.standard_normal(shape)
+        e *= sigma
+    elif noise is NoiseKind.UNIFORM:
+        half = sigma * np.sqrt(3.0)
+        e = rng.uniform(-half, half, size=shape)
+    elif noise is NoiseKind.RADEMACHER:
+        e = 2.0 * rng.integers(0, 2, size=shape)
+        e -= 1.0
+        e *= sigma
+    else:
+        raise ValueError(f"unknown noise kind: {noise!r}")
+    a_free += e[:, :width]
+    b_rows += e[:, width:]
 
 
 def whiten(data: ObservedData, sigma_cov) -> tuple[ObservedData, np.ndarray]:

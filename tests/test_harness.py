@@ -181,6 +181,35 @@ def test_sweep_thread_pool_matches_sequential(monkeypatch):
     assert t_par.records == t_seq.records
 
 
+@pytest.mark.parametrize("cpus,expected", [(8, 6), (4, 4), (1, None), (None, None)])
+def test_sweep_pool_is_capped_at_cpus_and_tasks(monkeypatch, cpus, expected):
+    """A huge CTLS_THREADS asks for no more threads than CPUs or tasks (6
+    here).  The stand-in pool records its size and maps serially, so no
+    thread starts."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    monkeypatch.setenv("CTLS_THREADS", "100000")
+    capped = run_sweep(small_config(trials=3))
+    assert sizes == ([] if expected is None else [expected])
+    monkeypatch.delenv("CTLS_THREADS")
+    assert capped.records == run_sweep(small_config(trials=3)).records
+
+
 def test_trace_serialization_shapes():
     trace = run_sweep(small_config(trials=2))
     payload = trace.to_json_dict()
@@ -348,28 +377,31 @@ def test_sweep_errors_match_public_estimators_bit_for_bit(j, k, names):
 
 def test_sweep_factors_each_row_set_once(monkeypatch):
     """One sweep instance makes one O(m) factor pass: both row sets come
-    from one ``tall_r_pair`` call over ``[A | B]``, and the ground truth is
-    not factored; every other factor re-triangularises n + ell rows."""
+    from one ``tall_r_pair`` call over the column blocks ``(A, B)``, and the
+    ground truth is not factored; every other factor re-triangularises
+    n + ell rows."""
     m = 300
     tall_calls = []
     real_r, real_pair = linalg.tall_r, linalg.tall_r_pair
 
-    def counting(real):
+    def counting(real, blocks_of):
         def wrapped(c, *args):
-            if np.shape(c)[0] > 10:
-                tall_calls.append((real.__name__, np.shape(c)) + args)
+            shapes = tuple(np.shape(x) for x in blocks_of(c))
+            if shapes[0][0] > 10:
+                tall_calls.append((real.__name__, shapes) + args)
             return real(c, *args)
 
         return wrapped
 
     for module in (linalg, model_mod, estimators, harness):
-        for name, real in (("tall_r", real_r), ("tall_r_pair", real_pair)):
+        for name, real, blocks_of in (("tall_r", real_r, lambda c: [c]),
+                                      ("tall_r_pair", real_pair, list)):
             if hasattr(module, name):
-                monkeypatch.setattr(module, name, counting(real))
+                monkeypatch.setattr(module, name, counting(real, blocks_of))
     cfg = small_config(m_values=(m,), trials=1,
                        estimators=("naive_ls", "tls", "ctls_rowcol", "projection"))
     run_sweep(cfg)
-    assert tall_calls == [("tall_r_pair", (m, 4), 1)]
+    assert tall_calls == [("tall_r_pair", ((m, 3), (m, 1)), 1)]
 
 
 def test_lapack_failure_is_a_counted_trial(monkeypatch):

@@ -414,10 +414,11 @@ def test_tall_r_rejects_non_finite():
         tall_r(c)
 
 
-@pytest.mark.parametrize("j", [0, 1, 255, 256, 300])
+@pytest.mark.parametrize("j", [0, 1, 255, 256, 300, 799])
 def test_tall_r_pair_offsets(j):
     c = np.random.default_rng(42).standard_normal((800, 4))
-    r_all, r_low = tall_r_pair(c, j)
+    pair = tall_r_pair((c[:, :1], c[:, 1:]), j)
+    r_all, r_low = pair.r_all, pair.r_low
     assert np.array_equal(r_all, tall_r(c))
     assert (r_low is r_all) == (j == 0)
     assert np.array_equal(r_low, np.triu(r_low))
@@ -427,7 +428,14 @@ def test_tall_r_pair_offsets(j):
 @pytest.mark.parametrize("j", [-1, 800])
 def test_tall_r_pair_rejects_offset_outside_rows(j):
     with pytest.raises(ShapeError):
-        tall_r_pair(np.ones((800, 4)), j)
+        tall_r_pair((np.ones((800, 3)), np.ones((800, 1))), j)
+
+
+@pytest.mark.parametrize("blocks", [(np.ones((800, 3)), np.ones((799, 1))),
+                                    (np.ones((800, 3)), np.ones(800))])
+def test_tall_r_pair_rejects_mismatched_blocks(blocks):
+    with pytest.raises(ShapeError):
+        tall_r_pair(blocks, 0)
 
 
 def test_gram_eigen_keeps_small_eigenvalues():

@@ -1,11 +1,13 @@
 """Model generation, noise injection and covariance whitening."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ctls.errors import InvalidPartitionError, NotPositiveDefiniteError, ShapeError
 from ctls.estimators import ctls_rowcol, projection_estimator, tls_solve
-from ctls.linalg import tall_r
+from ctls.linalg import BLOCK_ROWS, CHUNK_ROWS, tall_r
 from ctls.model import (
     DesignKind,
     NoiseKind,
@@ -301,3 +303,116 @@ def test_whiten_commutes_exactly_at_zero_noise():
     x_colored_true = unwhiten_estimate(model.x_true, p, lower)
     assert np.max(np.abs(colored.a @ x_colored_true - colored.b)) <= 1e-8
     assert np.max(np.abs(x_hat - x_colored_true)) <= 1e-8
+
+
+# --- the chunked O(m) pass ----------------------------------------------------
+
+
+def one_shot_observe(model, seed, noise):
+    """``observe`` with the whole noise block drawn at once."""
+    p = model.partition
+    a, b = model.a_bar.copy(), model.b_bar.copy()
+    rng = np.random.default_rng(seed)
+    shape = (p.m - p.j, p.noisy_cols)
+    if noise is NoiseKind.GAUSS:
+        e = rng.standard_normal(shape) * model.sigma
+    elif noise is NoiseKind.UNIFORM:
+        half = model.sigma * np.sqrt(3.0)
+        e = rng.uniform(-half, half, size=shape)
+    else:
+        e = model.sigma * (2.0 * rng.integers(0, 2, size=shape) - 1.0)
+    a[p.j :, p.k :] += e[:, : p.n_free]
+    b[p.j :, :] += e[:, p.n_free :]
+    return a, b
+
+
+@pytest.mark.parametrize("noise", list(NoiseKind))
+@pytest.mark.parametrize("noisy_rows", [300, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
+                                        2 * CHUNK_ROWS + 7])
+def test_chunked_noise_matches_one_draw(noise, noisy_rows):
+    j = 2
+    p = PartitionSpec(j=j, k=3, n=10, ell=2, m=noisy_rows + j)
+    model = generate_model(p, 0.3, seed=noisy_rows)
+    data = observe(model, 5, noise)
+    a, b = one_shot_observe(model, 5, noise)
+    assert np.array_equal(data.a, a) and np.array_equal(data.b, b)
+
+
+def one_batch_factors(c, j):
+    """``(r_all, r_noisy)`` from one batched QR over every block of ``c``."""
+    rows, cols = c.shape
+    full = rows // BLOCK_ROWS
+    triangles = np.linalg.qr(c[: full * BLOCK_ROWS].reshape(full, BLOCK_ROWS, cols), mode="r")
+    tail = c[full * BLOCK_ROWS :]
+    r_all = np.linalg.qr(np.vstack([triangles.reshape(-1, cols), tail]), mode="r")
+    if j == 0:
+        return r_all, r_all
+    first = np.linalg.qr(c[j:BLOCK_ROWS], mode="r")
+    rest = [first, triangles[1:].reshape(-1, cols), tail]
+    return r_all, np.linalg.qr(np.vstack(rest), mode="r")
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+@pytest.mark.parametrize("m", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 300])
+def test_chunked_factors_match_one_batch(j, m):
+    g = np.random.default_rng(m + j)
+    a = g.standard_normal((m, 10)) * np.logspace(0, -3, 10)
+    b = g.standard_normal((m, 2))
+    p = PartitionSpec(j=j, k=3, n=10, ell=2, m=m)
+    r_all, r_noisy = one_batch_factors(np.hstack([a, b]), j)
+    # Both read orders: r_noisy either copies the stack or reuses it.
+    first_all = ObservedData(a=a, b=b, partition=p)
+    first_noisy = ObservedData(a=a, b=b, partition=p)
+    assert np.array_equal(first_all.r_all, r_all)
+    assert np.array_equal(first_all.r_noisy, r_noisy)
+    assert np.array_equal(first_noisy.r_noisy, r_noisy)
+    assert np.array_equal(first_noisy.r_all, r_all)
+
+
+def test_reading_r_noisy_alone_skips_the_all_rows_factor(monkeypatch):
+    m, j = 300, 2
+    g = np.random.default_rng(3)
+    data = ObservedData(a=g.standard_normal((m, 3)), b=g.standard_normal((m, 1)),
+                        partition=PartitionSpec(j=j, k=1, n=3, ell=1, m=m))
+    real_qr, rows = np.linalg.qr, []
+
+    def counting(x, *args, **kwargs):
+        rows.append(np.shape(x)[-2])
+        return real_qr(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    data.r_noisy
+    assert rows == [m - j]
+    data.r_all
+    assert rows == [m - j, m]
+
+
+def traced_peak(fn):
+    """Bytes allocated by ``fn()`` at its peak, above what was live before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+MB = 1e6
+
+
+def test_o_m_pass_holds_no_full_size_temporaries():
+    """Beyond the ground truth and a, b, the pass holds one chunk of noise
+    and one chunk of [A | B] plus the block triangles (0.9 MB at 2e5 x 12)."""
+    factor_peaks = []
+    for m in (200_000, 400_000):
+        p = PartitionSpec(j=2, k=0, n=10, ell=2, m=m)
+        model = generate_model(p, 0.3, seed=1)
+        for noise in NoiseKind if m == 200_000 else [NoiseKind.GAUSS]:
+            observed = []
+            peak = traced_peak(lambda: observed.append(observe(model, 2, noise)))
+            data = observed[0]
+            assert peak < data.a.nbytes + data.b.nbytes + 4 * MB, noise
+        factor_peaks.append(traced_peak(lambda: (data.r_all, data.r_noisy)))
+    assert factor_peaks[0] < 8 * MB
+    assert factor_peaks[1] < factor_peaks[0] + 1 * MB

@@ -27,6 +27,9 @@ import ctls.cli  # noqa: E402
         ("sweep-readme", dict(m_values=[100, 300])),
         ("sweep-wide", dict(m_values=[300, 600])),
         ("estimate-csv", dict(m=600)),
+        # 65 full blocks: the O(m) pass spans two chunks of 64 blocks.
+        ("sweep-wide", dict(m_values=[300, 16641])),
+        ("estimate-csv", dict(m=16641)),
     ],
 )
 def test_workload_ops_pass_their_checks(tmp_path, name, overrides):
