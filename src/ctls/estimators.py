@@ -36,6 +36,11 @@ cases for them.
 
 Every matrix inverse is realized as a linear solve, and the conditioning of
 each solve is surfaced in the returned diagnostics.
+
+The stages that several estimators and the sweep's residuals take of one
+instance run once on it, whichever caller comes first
+(:func:`ctls.model.instance_stage`): :func:`reduced_factor`,
+:func:`noisy_gram` (before any shift ``mu``) and :func:`fixed_sv`.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ from .linalg import (
     sym_eigen,
     tall_r,
 )
-from .model import ObservedData, PartitionSpec
+from .model import ObservedData, PartitionSpec, instance_stage
 
 #: Relative eigenvalue-gap threshold below which the solution subspace is
 #: flagged as not numerically unique.
@@ -124,7 +129,7 @@ class CBlocks:
     ``c11 = A11`` (exact), ``c12 = [A12 B1]`` (exact rows), ``c21 = A21``
     (exact columns), ``c22 = [A22 B2]`` (the noisy block).  With ``j = 0``
     the exact-row blocks have zero rows, with ``k = 0`` the exact-column
-    blocks have zero columns.  In the blocks of :func:`factor_blocks`,
+    blocks have zero columns.  In the blocks of :func:`reduced_factor`,
     ``c21`` and ``c22`` are the columns of the R factor of the noisy rows
     instead of the rows themselves.
     """
@@ -161,15 +166,6 @@ def build_blocks(data: ObservedData) -> CBlocks:
     """Slice the observed data into the four partition blocks."""
     j = data.partition.j
     return split_blocks(data, np.hstack([data.a[j:, :], data.b[j:, :]]))
-
-
-def factor_blocks(data: ObservedData) -> CBlocks:
-    """:func:`build_blocks` with the noisy rows replaced by ``data.r_noisy``.
-
-    Every Gram product of ``c21`` and ``c22`` is unchanged, but they have
-    ``n + ell`` rows instead of ``m - j``.
-    """
-    return split_blocks(data, data.r_noisy)
 
 
 def noisy_factor(blocks: CBlocks) -> np.ndarray:
@@ -277,7 +273,7 @@ def ctls_columns(data: ObservedData) -> EstimateResult:
             f"ctls_columns needs j=0 and 0<k<n, got j={p.j}, k={p.k}, n={p.n}"
         )
     p.require_overdetermined()
-    sv = singular_values(data.r_noisy[: p.k, : p.k])
+    sv = fixed_sv(data)
     if sv[0] == 0.0 or sv[-1] <= RANK_TOL * sv[0]:
         raise RankDeficientFixedColumnsError(
             f"fixed columns have singular values {sv}; full column rank required"
@@ -311,8 +307,8 @@ class PreconditionRecord:
         The transform is built from the exact blocks only, so it applies
         verbatim to ground-truth blocks that share them (the noisy block is
         shifted by fixed quantities, never rescaled).  On the noisy columns
-        it is a column transform, so it applies to the blocks of
-        :func:`factor_blocks` as well.
+        it is a column transform, so it applies to the factor blocks of
+        :func:`reduced_factor` as well.
         """
         r = self.rank
         c12t = self.u.T @ blocks.c12
@@ -338,9 +334,7 @@ class PreconditionRecord:
         return np.vstack([self.v @ x_prime[:k, :], x_prime[k:, :]])
 
 
-def precondition_rowcol(
-    blocks: CBlocks, rank_tol: float = RANK_TOL
-) -> tuple[CBlocks, PreconditionRecord]:
+def precondition_rowcol(blocks: CBlocks) -> tuple[CBlocks, PreconditionRecord]:
     """Zero the exact ``j x k`` corner and shrink the problem accordingly.
 
     SVD of the corner rotates the exact rows and fixed columns so the corner
@@ -355,7 +349,7 @@ def precondition_rowcol(
         raise InvalidPartitionError("precondition_rowcol needs j > 0 and k > 0")
     dec = svd(blocks.c11)
     sv = dec.singular_values
-    r = int(np.count_nonzero(sv > rank_tol * sv[0]))
+    r = int(np.count_nonzero(sv > RANK_TOL * sv[0]))
     reduced = PartitionSpec(
         j=p.j - r, k=p.k - r, n=p.n - r, ell=p.ell, m=p.m - r
     )
@@ -371,24 +365,24 @@ def precondition_rowcol(
     return record.transform_blocks(blocks), record
 
 
-def reduced_factor(
-    data: ObservedData, rank_tol: float = RANK_TOL
-) -> tuple[CBlocks, PreconditionRecord | None, np.ndarray]:
-    """The factor blocks of ``data`` after the exact corner is eliminated.
+@instance_stage
+def reduced_factor(data: ObservedData) -> tuple[CBlocks, PreconditionRecord | None, np.ndarray]:
+    """The blocks of ``data``, noisy rows replaced by the factor ``data.r_noisy``
+    (same Gram products), after the exact corner is eliminated.
 
     Returns the blocks, the record that undoes the elimination (None when
     there is no corner) and the re-triangularised R factor of the blocks'
     noisy columns.
     """
-    blocks = factor_blocks(data)
+    blocks = split_blocks(data, data.r_noisy)
     p = data.partition
     if p.j == 0 or p.k == 0:
         return blocks, None, data.r_noisy
-    blocks, record = precondition_rowcol(blocks, rank_tol)
+    blocks, record = precondition_rowcol(blocks)
     return blocks, record, noisy_factor(blocks)
 
 
-def ctls_rowcol(data: ObservedData, rank_tol: float = RANK_TOL) -> EstimateResult:
+def ctls_rowcol(data: ObservedData) -> EstimateResult:
     """Constrained TLS with exact leading rows and columns.
 
     Pipeline: eliminate the exact corner inside the factor
@@ -415,12 +409,12 @@ def ctls_rowcol(data: ObservedData, rank_tol: float = RANK_TOL) -> EstimateResul
     m, ell = p.m, p.ell
     n_free = p.n_free
 
-    if p.j > 0 and matrix_rank(data.a[: p.j, :], rank_tol) != p.j:
+    if p.j > 0 and matrix_rank(data.a[: p.j, :]) != p.j:
         raise RankDeficientUpperRowsError(
             f"the {p.j} exact rows of A are rank deficient"
         )
 
-    blocks, record, r = reduced_factor(data, rank_tol)
+    blocks, record, r = reduced_factor(data)
     rp = blocks.partition
 
     notes = []
@@ -436,7 +430,7 @@ def ctls_rowcol(data: ObservedData, rank_tol: float = RANK_TOL) -> EstimateResul
         if rp.j <= n_free:
             # c12 has more columns than rows, so the null space is never
             # empty and its size gives the rank.
-            basis = null_space_basis(c12, rank_tol)
+            basis = null_space_basis(c12)
         if basis is None or c12.shape[1] - basis.shape[1] != rp.j:
             raise RankDeficientUpperRowsError(
                 "exact rows remaining after preconditioning are rank deficient "
@@ -444,7 +438,8 @@ def ctls_rowcol(data: ObservedData, rank_tol: float = RANK_TOL) -> EstimateResul
             )
 
     k = rp.k
-    cond21 = gram_condition(r[:k, :k]) if k > 0 else None
+    sv = fixed_sv(data) if record is None and k > 0 else None  # r is data.r_noisy
+    cond21 = gram_condition(r[:k, :k], sv) if k > 0 else None
     r22 = r[k:, k:]
     ritz_factor = r22 @ basis if basis is not None else r22
     x_lower, ritz, gap, z_min, flags = _normalize_subspace(
@@ -493,32 +488,46 @@ def ctls_rows(data: ObservedData) -> EstimateResult:
     return ctls_rowcol(data)
 
 
+@instance_stage
+def fixed_sv(data: ObservedData) -> np.ndarray:
+    """Singular values of ``R11``, the exact-column corner of ``data.r_noisy`` (k > 0)."""
+    k = data.partition.k
+    return singular_values(data.r_noisy[:k, :k])
+
+
+@instance_stage
+def noisy_gram(data: ObservedData) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of ``R22.T @ R22`` and ``R.T @ R`` for ``R = data.r_noisy``."""
+    r, k = data.r_noisy, data.partition.k
+    return gram_eigen(r[k:, k:]).values, r.T @ r
+
+
 def shifted_gram(
-    r: np.ndarray, k: int, ell: int, mu_rule: str = "mean"
+    data: ObservedData, mu_rule: str = "mean"
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """The shifted Gram matrix of the projection estimator.
 
-    ``r`` is the factor of the noisy rows with ``k`` exact leading columns.
-    Returns ``(g_eigs, mu, f)``: the ``ell`` smallest eigenvalues of the
-    Schur complement ``R22.T @ R22``, the shift ``mu`` that ``mu_rule``
-    picks among them, and ``r.T @ r`` minus ``mu`` on the diagonal of its
-    noisy columns.
+    With ``R = data.r_noisy`` split after the ``k`` exact columns, returns
+    ``(g_eigs, mu, f)``: the ``ell`` smallest eigenvalues of the Schur
+    complement ``R22.T @ R22``, the shift ``mu`` that ``mu_rule`` picks
+    among them, and ``R.T @ R`` minus ``mu`` on the diagonal of its noisy
+    columns.
     """
-    g_eigs = gram_eigen(r[k:, k:]).values[:ell]
+    k = data.partition.k
+    eigs, gram = noisy_gram(data)
+    g_eigs = eigs[: data.partition.ell]
     if mu_rule == "min":
         mu = float(g_eigs[0])
     elif mu_rule == "max":
         mu = float(g_eigs[-1])
     else:
         mu = float(np.mean(g_eigs))
-    f = r.T @ r
+    f = gram.copy()
     f[k:, k:] -= mu * np.eye(f.shape[0] - k)
     return g_eigs, mu, f
 
 
-def projection_estimator(
-    data: ObservedData, mu_rule: str = "mean", rank_tol: float = RANK_TOL
-) -> EstimateResult:
+def projection_estimator(data: ObservedData, mu_rule: str = "mean") -> EstimateResult:
     """Orthogonal-projection estimator with a noise-variance shift.
 
     The noisy columns of ``R.T @ R`` are shifted by ``mu``, a point in the
@@ -542,15 +551,14 @@ def projection_estimator(
         c_upper = np.hstack([data.a[:j], data.b[:j]])
         # j < n + ell columns, so the null space is never empty and its
         # size gives the rank.
-        basis = null_space_basis(c_upper, rank_tol)
+        basis = null_space_basis(c_upper)
         if c_upper.shape[1] - basis.shape[1] != j:
             raise RankDeficientUpperRowsError(
                 f"the {j} exact rows of [A | B] are rank deficient"
             )
 
-    r = data.r_noisy
-    cond21 = gram_condition(r[:k, :k]) if k > 0 else None
-    g_eigs, mu, f = shifted_gram(r, k, ell, mu_rule)
+    cond21 = gram_condition(data.r_noisy[:k, :k], fixed_sv(data)) if k > 0 else None
+    g_eigs, mu, f = shifted_gram(data, mu_rule)
     fmat = basis.T @ f @ basis if basis is not None else f
     x_hat, ritz, gap, z_min, flags = _normalize_subspace(sym_eigen(fmat), basis, n, ell)
 

@@ -41,6 +41,7 @@ from .estimators import (
     ctls_columns,
     ctls_rowcol,
     ctls_rows,
+    fixed_sv,
     noisy_factor,
     projection_estimator,
     reduced_factor,
@@ -51,7 +52,6 @@ from .estimators import (
 from .linalg import (
     gram_condition,
     null_space_basis,
-    singular_values,
     solve_upper_triangular,
     sym_eigen,
     tall_r,
@@ -91,8 +91,8 @@ def naive_ls(data: ObservedData) -> EstimateResult:
     does not shrink with the sample size because noise in the design matrix
     biases the normal equations (classical attenuation).
     """
-    m, ell = data.b.shape
-    n = data.a.shape[1]
+    p = data.partition
+    m, n, ell = p.m, p.n, p.ell
     r = data.r_all
     gram_condition(r[:n, :n])
     x = solve_upper_triangular(r[:n, :n], r[:n, n:])
@@ -291,7 +291,8 @@ class ConvergenceTrace:
     def to_json_dict(self) -> dict:
         return {
             "config": self.config.to_dict(),
-            "records": [asdict(r) for r in self.records],
+            # A shallow copy: asdict would deep-copy every record.
+            "records": [dict(vars(r)) for r in self.records],
             "aggregates": {
                 est: {str(m): dict(stats) for m, stats in per_m.items()}
                 for est, per_m in self.aggregates.items()
@@ -350,22 +351,22 @@ def gram_residuals(model: RegressionModel, data: ObservedData) -> dict:
     eigenvalue of ``C21.T @ C21 / m`` as a positive-definiteness diagnostic
     (reported, never enforced).
 
-    The data side reuses the estimators' cached factor ``data.r_noisy``.  The
-    ground truth enters only through the Gram matrix ``G`` of its noisy rows,
-    formed block by block; the projected residual runs the estimators'
+    The data side reads the stages the estimators cache on ``data`` and runs
+    any that none has run yet, so no decomposition of the data runs twice.
+    The ground truth enters only through the Gram matrix ``G`` of its noisy
+    rows, formed block by block; the projected residual runs the estimators'
     corner elimination on a square root ``F.T @ F = G`` (``G`` has rank
     ``n``, so its eigenvalues are clipped at zero), so no O(m) factor of
     the ground truth is taken.
     """
     p = data.partition
-    m, ell, j, k = p.m, p.ell, p.j, p.k
-    r = data.r_noisy
+    m, j, k = p.m, p.j, p.k
     a_bar, b_bar = model.a_bar[j:], model.b_bar[j:]
     ab = a_bar.T @ b_bar
     g_bar = np.block([[a_bar.T @ a_bar, ab], [ab.T, b_bar.T @ b_bar]])
 
     # Shifted-Gram residual (projection pipeline, mean shift).
-    _, _, f_data = shifted_gram(r, k, ell)
+    _, _, f_data = shifted_gram(data)
     shifted_resid = float(np.max(np.abs(f_data - g_bar))) / m
 
     # Row-projected residual in the zero-corner frame.  The exact rows of
@@ -386,10 +387,7 @@ def gram_residuals(model: RegressionModel, data: ObservedData) -> dict:
     target = rhs / m + model.sigma**2 * np.eye(lhs.shape[0])
     projected_resid = float(np.max(np.abs(lhs / m - target)))
 
-    c21_eig = None
-    if k > 0:
-        c21_eig = float(singular_values(r[:k, :k])[-1]) ** 2 / m
-
+    c21_eig = float(fixed_sv(data)[-1]) ** 2 / m if k > 0 else None
     return {
         "shifted_gram_residual": shifted_resid,
         "projected_gram_residual": projected_resid,

@@ -177,9 +177,9 @@ class TallRPair:
     by the leftover rows (below two full blocks, or with ``BLOCK_ROWS`` or
     more columns, ``C`` itself).  The rows ``j:`` stack as ``head`` (the
     triangle of the part of a block below row ``j``, or None) on top of
-    ``stack[skip:]``; once ``r_all`` is cached, ``r_low`` writes ``head``
-    into the rows just above ``skip`` rather than copy the stack.  Both
-    factors are read-only.
+    ``stack[skip:]``; ``r_low`` writes ``head`` into the rows just above
+    ``skip`` for its QR rather than copy the stack, then restores them.
+    Both factors are read-only.
     """
 
     stack: np.ndarray
@@ -198,13 +198,14 @@ class TallRPair:
             return self.r_all
         if self.head is None:
             return _read_only(_flat_r(self.stack[self.skip :]))
+        # Factor the head in place of the rows above skip, not in a copy of
+        # the stack, and restore those rows for r_all.
         top = self.skip - len(self.head)
-        if "r_all" in self.__dict__:
-            # Once r_all is cached nothing reads the rows above skip, so the
-            # head goes there instead of into a copy of the whole stack.
-            self.stack[top : self.skip] = self.head
-            return _read_only(_flat_r(self.stack[top:]))
-        return _read_only(_flat_r(np.vstack([self.head, self.stack[self.skip :]])))
+        saved = self.stack[top : self.skip].copy()
+        self.stack[top : self.skip] = self.head
+        r = _flat_r(self.stack[top:])
+        self.stack[top : self.skip] = saved
+        return _read_only(r)
 
 
 def _read_only(r: np.ndarray) -> np.ndarray:
@@ -426,15 +427,16 @@ def solve_linear(a, b, sv=None) -> np.ndarray:
     return _lapack(np.linalg.solve, a, b)
 
 
-def gram_condition(r) -> float:
+def gram_condition(r, sv=None) -> float:
     """Condition number of ``r.T @ r`` for square ``r``, from the singular values of ``r``.
 
     Raises NearSingularError where :func:`solve_linear` would reject the
     Gram matrix itself (condition at or above ``1 / SOLVE_COND_TOL``), so a
     triangular solve with ``r`` can stand in for a solve with its Gram
-    matrix without forming it.
+    matrix without forming it.  A caller that already holds the singular
+    values of ``r`` passes them as ``sv`` to skip the SVD.
     """
-    sv = singular_values(r)
+    sv = singular_values(r) if sv is None else sv
     cond = float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1]) ** 2
     if cond * SOLVE_COND_TOL >= 1.0:
         raise _near_singular(cond, "Gram matrix")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -123,6 +123,8 @@ class ObservedData:
     ``r_noisy`` never factors all rows.  Both are cached read-only, and the
     estimators run on one instance share them.  ``r_all`` is bit-identical
     to ``tall_r(np.hstack([a, b]))``; with ``j = 0``, ``r_noisy is r_all``.
+    The small decompositions of these factors that several estimators share
+    are cached on the instance too (:func:`instance_stage`).
     Do not modify ``a`` or ``b`` after reading either factor.
 
     Raises ShapeError unless ``a`` is ``m x n`` and ``b`` is ``m x ell``.
@@ -156,6 +158,20 @@ class ObservedData:
     @property
     def r_noisy(self) -> np.ndarray:
         return self._pair.r_low
+
+
+def instance_stage(build):
+    """Run ``build(data)`` once per ``ObservedData``: the result is cached on
+    the instance, as a ``cached_property`` is, and must not be modified."""
+
+    @wraps(build)
+    def cached(data: ObservedData):
+        stages = data.__dict__.setdefault("_stages", {})
+        if build not in stages:
+            stages[build] = build(data)
+        return stages[build]
+
+    return cached
 
 
 def generate_model(
@@ -232,8 +248,7 @@ def observe(
 def _add_noise(rng, noise: NoiseKind, sigma: float, a_free, b_rows) -> None:
     """Add noise entries with mean 0 and variance ``sigma^2`` to ``a_free``
     and ``b_rows`` in place, drawn row by row across both."""
-    width = a_free.shape[1]
-    shape = (a_free.shape[0], width + b_rows.shape[1])
+    shape = (a_free.shape[0], a_free.shape[1] + b_rows.shape[1])
     if noise is NoiseKind.GAUSS:
         e = rng.standard_normal(shape)
         e *= sigma
@@ -246,8 +261,9 @@ def _add_noise(rng, noise: NoiseKind, sigma: float, a_free, b_rows) -> None:
         e *= sigma
     else:
         raise ValueError(f"unknown noise kind: {noise!r}")
-    a_free += e[:, :width]
-    b_rows += e[:, width:]
+    # Column by column: 2-D adds of strided slices loop over a few columns per row.
+    for i, col in enumerate([*a_free.T, *b_rows.T]):
+        col += e[:, i]
 
 
 def whiten(data: ObservedData, sigma_cov) -> tuple[ObservedData, np.ndarray]:

@@ -1,5 +1,7 @@
 """Sweep mechanics: determinism, reproducibility, aggregation, residual records."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -246,7 +248,7 @@ def factor_residuals(model, data):
     m, j, k = p.m, p.j, p.k
     bar = ObservedData(a=model.a_bar, b=model.b_bar, partition=p)
     r_bar = linalg.tall_r(np.hstack([model.a_bar[j:], model.b_bar[j:]]))
-    _, _, f = estimators.shifted_gram(data.r_noisy, k, p.ell)
+    _, _, f = estimators.shifted_gram(data)
     shifted = float(np.max(np.abs(f - r_bar.T @ r_bar))) / m
     work, record, r_work = estimators.reduced_factor(data)
     if record is None:
@@ -402,6 +404,65 @@ def test_sweep_factors_each_row_set_once(monkeypatch):
                        estimators=("naive_ls", "tls", "ctls_rowcol", "projection"))
     run_sweep(cfg)
     assert tall_calls == [("tall_r_pair", ((m, 3), (m, 1)), 1)]
+
+
+def fingerprint(fn, data):
+    """``fn(data)`` with its arrays as bytes and its other values by repr,
+    or the name of the CtlsError it raised."""
+    try:
+        result = fn(data)
+    except CtlsError as exc:
+        return type(exc).__name__
+    if isinstance(result, dict):
+        return repr(result)
+    values = {**vars(result), **vars(result.diagnostics)}
+    return {key: v.tobytes() if isinstance(v, np.ndarray) else repr(v)
+            for key, v in values.items() if key != "diagnostics"}
+
+
+@pytest.mark.parametrize("j,k", [(0, 0), (0, 2), (2, 0), (1, 1), (2, 3)])
+@pytest.mark.parametrize("m", [300, 600])
+def test_stages_shared_on_an_instance_do_not_depend_on_order(j, k, m):
+    """The estimators and gram_residuals share the stages cached on one
+    instance; run in either order, every result is bit-identical to a run
+    on a fresh instance."""
+    def instance():
+        return make_instance(j=j, k=k, n=4, ell=2, m=m, model_seed=m + j, noise_seed=k)
+
+    model, _ = instance()
+    runs = dict(harness.ESTIMATORS)
+    for rule in estimators.MU_RULES:
+        runs[f"projection_{rule}"] = partial(estimators.projection_estimator, mu_rule=rule)
+    runs["gram_residuals"] = partial(gram_residuals, model)
+    fresh = {name: fingerprint(fn, instance()[1]) for name, fn in runs.items()}
+    for order in (list(runs), list(reversed(runs))):
+        data = instance()[1]
+        assert {name: fingerprint(runs[name], data) for name in order} == fresh
+
+
+def test_readme_instance_runs_each_small_decomposition_once(monkeypatch):
+    """One README-config instance (generation, both estimators and the
+    residuals) makes at most 9 SVDs, 5 QRs and 2 symmetric eigensolves,
+    and eliminates its exact corner once."""
+    calls = {"svd": 0, "qr": 0, "eigh": 0, "precondition_rowcol": 0}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    for name in ("svd", "qr", "eigh"):
+        counting(np.linalg, name)
+    counting(estimators, "precondition_rowcol")
+    trace = run_sweep(small_config(m_values=(1000,), trials=1,
+                                   estimators=("projection", "ctls_rowcol")))
+    assert [r.status for r in trace.records] == ["ok", "ok"]
+    assert calls["svd"] <= 9 and calls["qr"] <= 5 and calls["eigh"] <= 2, calls
+    assert calls["precondition_rowcol"] == 1
 
 
 def test_lapack_failure_is_a_counted_trial(monkeypatch):

@@ -6,6 +6,8 @@ companion matrix (``np.roots``).  It never touches the LAPACK eigensolver it
 checks.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -423,6 +425,27 @@ def test_tall_r_pair_offsets(j):
     assert (r_low is r_all) == (j == 0)
     assert np.array_equal(r_low, np.triu(r_low))
     assert np.allclose(r_low.T @ r_low, c[j:].T @ c[j:], rtol=1e-12, atol=1e-10)
+    # Read in the other order, r_low factors its head in place of rows of
+    # the stack and restores them for r_all.
+    low_first = tall_r_pair((c[:, :1], c[:, 1:]), j)
+    stack = low_first.stack.copy()
+    assert np.array_equal(low_first.r_low, r_low)
+    assert np.array_equal(low_first.stack, stack)
+    assert np.array_equal(low_first.r_all, r_all)
+
+
+def test_tall_r_pair_low_factor_does_not_copy_the_stack():
+    """Read first, r_low allocates only the QR's own working copy of the
+    stack (numpy's qr copies its input), not a stacked copy besides."""
+    c = np.random.default_rng(44).standard_normal((200_000, 12))
+    pair = tall_r_pair((c[:, :10], c[:, 10:]), 2)
+    tracemalloc.start()
+    try:
+        pair.r_low
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * pair.stack.nbytes
 
 
 @pytest.mark.parametrize("j", [-1, 800])
@@ -448,6 +471,8 @@ def test_gram_eigen_keeps_small_eigenvalues():
 
 def test_gram_condition_matches_solve_linear_rule():
     assert gram_condition(np.diag([2.0, 1.0])) == pytest.approx(4.0)
+    # Given singular values stand in for the SVD of r.
+    assert gram_condition(np.eye(2), sv=np.array([2.0, 1.0])) == pytest.approx(4.0)
     with pytest.raises(NearSingularError) as exc:
         gram_condition(np.diag([1.0, 1e-7]))
     assert exc.value.condition == pytest.approx(1e14)
