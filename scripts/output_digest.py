@@ -1,0 +1,218 @@
+#!/usr/bin/env python3
+"""Hash every output of the estimators on a fixed grid of instances.
+
+    python3 scripts/output_digest.py              # one digest for the working tree
+    python3 scripts/output_digest.py --cases      # one digest per case
+    python3 scripts/output_digest.py --base HEAD  # compare with a revision
+
+A case is one seeded instance: a partition (j, k) of n = 4 left and
+ell = 2 right columns, a design, a noise kind and a row count m.  On each
+case every estimator that accepts the partition (all three ``mu_rule``\\ s of
+the projection estimator included) runs on one fresh instance in forward
+order and on another in reverse order.  The digest covers ``x_hat``,
+``sigma2_hat``, ``smallest_eigs``, ``mu`` and every ``Diagnostics`` field,
+or the error type name where an estimator raises.  ``gram_residuals`` is
+hashed after a successful ``projection`` or ``ctls_rowcol``, the only place
+a sweep calls it.  Further cases hash instances with rank-deficient exact
+rows and with a zero exact corner, and the ``run_sweep`` traces of five
+partitions.
+
+``--base REV`` writes the ``src/`` files of ``REV`` into a temporary
+directory with ``git show``, runs this script on them and on the working tree
+(uncommitted changes included) and prints the first case whose digest
+differs.  It exits 1 if any case differs.
+
+Digests depend on the numpy and BLAS build, so they are compared between
+two trees on one machine, never against a stored value.  The BLAS thread
+count is pinned to 1.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+#: (j, k) partitions of the instance grid; (1, 0) multiplies ``x_hat`` with
+#: a single exact row, where products round by the layout of ``x_hat``.
+PARTITIONS = ((0, 0), (0, 2), (2, 0), (1, 0), (1, 1), (2, 3), (3, 1), (1, 3), (3, 3))
+M_VALUES = (30, 300, 2000, 16641)
+N, ELL, SIGMA = 4, 2, 0.3
+SWEEP_PARTITIONS = ((0, 0), (0, 2), (2, 0), (1, 1), (2, 3))
+
+
+def case_digests() -> list[tuple[str, str]]:
+    """``(case, sha256)`` for every case, in a fixed order."""
+    import numpy as np
+
+    from ctls import estimators as est
+    from ctls.errors import CtlsError
+    from ctls.harness import SweepConfig, gram_residuals, naive_ls, run_sweep
+    from ctls.model import (
+        DesignKind,
+        NoiseKind,
+        ObservedData,
+        PartitionSpec,
+        generate_model,
+        observe,
+    )
+
+    def runs_for(p: PartitionSpec) -> dict:
+        runs = {"naive_ls": naive_ls, "tls": est.tls_from_data,
+                "ctls_rowcol": est.ctls_rowcol}
+        if p.j == 0 and 0 < p.k < p.n:
+            runs["ctls_columns"] = est.ctls_columns
+        if p.k == 0 and p.j > 0:
+            runs["ctls_rows"] = est.ctls_rows
+        for rule in est.MU_RULES:
+            runs[f"projection_{rule}"] = (
+                lambda d, rule=rule: est.projection_estimator(d, mu_rule=rule))
+        return runs
+
+    def encode(value) -> str:
+        if value is None or isinstance(value, (str, int, float, list)):
+            return repr(value)
+        arr = np.asarray(value, dtype=float)
+        return f"{arr.shape}:{np.ascontiguousarray(arr).tobytes().hex()}"
+
+    def outcome(fn, data) -> tuple[bool, str]:
+        try:
+            result = fn(data)
+        except CtlsError as exc:
+            return False, type(exc).__name__
+        if isinstance(result, dict):  # gram_residuals
+            return True, repr(sorted(result.items()))
+        diag = result.diagnostics
+        parts = [encode(result.x_hat), repr(result.sigma2_hat),
+                 encode(result.smallest_eigs), repr(result.mu)]
+        parts += [f"{f.name}={encode(getattr(diag, f.name))}"
+                  for f in dataclasses.fields(diag)]
+        return True, "|".join(parts)
+
+    def instance_lines(model, data_of) -> list[str]:
+        """Every run on one fresh instance per call order."""
+        runs = runs_for(model.partition)
+        lines = []
+        for order in (list(runs), list(reversed(runs))):
+            data = data_of()
+            residuals = False
+            for name in order:
+                ok, line = outcome(runs[name], data)
+                residuals |= ok and name in ("ctls_rowcol", "projection_mean")
+                lines.append(f"{name}: {line}")
+            if residuals:
+                _, line = outcome(lambda d: gram_residuals(model, d), data)
+                lines.append(f"gram_residuals: {line}")
+        return lines
+
+    cases = []
+    for design in DesignKind:
+        for noise in NoiseKind:
+            for j, k in PARTITIONS:
+                for m in M_VALUES:
+                    p = PartitionSpec(j=j, k=k, n=N, ell=ELL, m=m)
+                    seed = 1000 * j + 100 * k + m
+                    model = generate_model(p, SIGMA, seed, design)
+                    lines = instance_lines(model, lambda: observe(model, seed + 1, noise))
+                    cases.append((f"{design.value}/{noise.value}/j{j}k{k}/m{m}", lines))
+
+    # Hand-built exact rows: dependent rows of [A | B], dependent rows of A
+    # only, and an exact corner of zeros.
+    for name, j, k in (("rankdef-ab", 2, 0), ("rankdef-ab", 2, 1), ("rankdef-a", 2, 1),
+                       ("zero-corner", 1, 1), ("zero-corner", 2, 2)):
+        p = PartitionSpec(j=j, k=k, n=N, ell=ELL, m=300)
+        model = generate_model(p, SIGMA, 17 + j + k)
+        data = observe(model, 18 + j + k)
+        a, b = data.a.copy(), data.b.copy()
+        if name.startswith("rankdef"):
+            a[1] = 3.0 * a[0]
+            b[1] = 3.0 * b[0] if name == "rankdef-ab" else b[0] + 1.0
+        else:
+            a[:j, :k] = 0.0
+        model = dataclasses.replace(model, a_bar=np.vstack([a[:j], model.a_bar[j:]]),
+                                    b_bar=np.vstack([b[:j], model.b_bar[j:]]))
+        lines = instance_lines(model, lambda: ObservedData(a=a.copy(), b=b.copy(), partition=p))
+        cases.append((f"{name}/j{j}k{k}", lines))
+
+    for j, k in SWEEP_PARTITIONS:
+        names = [n for n in ("naive_ls", "tls", "ctls_columns", "ctls_rows",
+                             "ctls_rowcol", "projection")
+                 if (n != "ctls_columns" or (j == 0 and 0 < k < N))
+                 and (n != "ctls_rows" or (k == 0 and j > 0))]
+        config = SweepConfig(n=N, ell=ELL, j=j, k=k, m_values=(50, 500, 5000), trials=3,
+                             sigma=SIGMA, estimators=tuple(names), base_seed=99)
+        trace = run_sweep(config).to_json_dict()
+        cases.append((f"sweep/j{j}k{k}", [json.dumps(trace, sort_keys=True)]))
+
+    return [(name, hashlib.sha256("\n".join(lines).encode()).hexdigest())
+            for name, lines in cases]
+
+
+def run_on(src: str) -> list[tuple[str, str]]:
+    """The per-case digests of the package under ``src``, in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--src", src, "--cases"],
+        capture_output=True, text=True, check=False,
+    )
+    if proc.returncode != 0:
+        sys.exit(f"error: digest of {src} failed:\n{proc.stderr}")
+    return [tuple(line.split()) for line in proc.stdout.splitlines()]
+
+
+def git(root: str, *args: str) -> bytes:
+    return subprocess.run(["git", "-C", root, *args], check=True, capture_output=True).stdout
+
+
+def compare(base: str) -> int:
+    root = git(HERE, "rev-parse", "--show-toplevel").decode().strip()
+    with tempfile.TemporaryDirectory(prefix="output-digest-") as tmp:
+        for path in git(root, "ls-tree", "-r", "--name-only", base, "src").decode().split():
+            os.makedirs(os.path.join(tmp, os.path.dirname(path)), exist_ok=True)
+            with open(os.path.join(tmp, path), "wb") as fh:
+                fh.write(git(root, "show", f"{base}:{path}"))
+        before = run_on(os.path.join(tmp, "src"))
+    after = run_on(os.path.join(root, "src"))
+    if [name for name, _ in before] != [name for name, _ in after]:
+        print("the two trees produce different case lists")
+        return 1
+    differ = [name for (name, x), (_, y) in zip(before, after) if x != y]
+    if differ:
+        print(f"{len(differ)} of {len(after)} cases differ from {base}; first: {differ[0]}")
+        return 1
+    print(f"all {len(after)} cases equal to {base}")
+    return 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", help="git revision to compare the working tree with")
+    parser.add_argument("--src", default=os.path.join(HERE, "..", "src"),
+                        help="directory that holds the ctls package (default: this tree's)")
+    parser.add_argument("--cases", action="store_true", help="print one digest per case")
+    args = parser.parse_args()
+    if args.base:
+        return compare(args.base)
+    sys.path.insert(0, os.path.abspath(args.src))
+    digests = case_digests()
+    if args.cases:
+        for name, digest in digests:
+            print(name, digest)
+    else:
+        total = hashlib.sha256("".join(d for _, d in digests).encode()).hexdigest()
+        print(f"{total}  ({len(digests)} cases)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -85,10 +85,6 @@ class RankDeficientUpperRowsError(CtlsError):
 # --- oracle / harness / cli errors ------------------------------------------
 
 
-class InfeasibleCandidateError(CtlsError):
-    """A candidate violates the exact-row constraints of the instance."""
-
-
 class IncompatibleConfigError(CtlsError):
     """A sweep configuration pairs an estimator with an unusable partition."""
 

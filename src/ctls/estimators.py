@@ -7,7 +7,7 @@ Five estimators share one pipeline on ``C = [A | B]``:
    level (the triangles of the 256-row blocks) with ``ObservedData.r_all``,
    the factor of all rows that TLS uses, so one instance makes one O(m)
    pass; everything after it costs O((n + ell)^3), independent of ``m``.
-2. Eliminate an exact ``j x k`` corner, if any (:func:`precondition_rowcol`).
+2. Eliminate the exact ``j x k`` corner (:func:`precondition_rowcol`).
    The elimination is a column transform built from the exact rows only, so
    it is applied to ``R`` and the result is re-triangularised.
 3. Split the factor after the exact columns,
@@ -20,9 +20,9 @@ Five estimators share one pipeline on ``C = [A | B]``:
 
 The SVD of the factor, not an eigensolver on its Gram matrix, keeps the
 relative accuracy of the small singular values the solution is made of.
-With ``j = 0`` or ``k = 0`` the partition blocks that have no rows or no
-columns are ordinary zero-size arrays, so the block algebra needs no special
-cases for them.
+Every partition runs these steps: with ``j = 0`` or ``k = 0`` the empty
+blocks are zero-size arrays, the corner elimination is the identity and,
+with ``j = 0``, ``P = I``.  Products with ``I`` are exact.
 
 * :func:`tls_solve` - no constraints; the factor covers all rows.
 * :func:`ctls_rowcol` - the first ``j`` rows and ``k`` columns are exact.
@@ -39,7 +39,8 @@ each solve is surfaced in the returned diagnostics.
 
 The stages that several estimators and the sweep's residuals take of one
 instance run once on it, whichever caller comes first
-(:func:`ctls.model.instance_stage`): :func:`reduced_factor`,
+(:func:`ctls.model.instance_stage`): :func:`reduced_factor` (the reduced
+blocks, the elimination record, the re-triangularised factor and ``P``),
 :func:`noisy_gram` (before any shift ``mu``) and :func:`fixed_sv`.
 """
 
@@ -64,7 +65,6 @@ from .linalg import (
     as_matrix,
     gram_condition,
     gram_eigen,
-    matrix_rank,
     null_space_basis,
     singular_values,
     solve_linear,
@@ -175,7 +175,7 @@ def noisy_factor(blocks: CBlocks) -> np.ndarray:
 
 def _normalize_subspace(
     eig: SymEigenResult,
-    basis: np.ndarray | None,
+    basis: np.ndarray,
     n_upper: int,
     ell: int,
 ) -> tuple[np.ndarray, np.ndarray, float | None, float, list[str]]:
@@ -199,8 +199,7 @@ def _normalize_subspace(
                 EstimatorWarning,
                 stacklevel=3,
             )
-    z_small = eig.vectors[:, :ell]
-    z = basis @ z_small if basis is not None else z_small
+    z = basis @ eig.vectors[:, :ell]
     z_upper = z[:n_upper, :]
     z_lower = z[n_upper:, :]
     sv_low = singular_values(z_lower)
@@ -224,7 +223,7 @@ def tls_from_data(data: ObservedData) -> EstimateResult:
     """
     p = data.partition
     x, eigs, gap, z_min, flags = _normalize_subspace(
-        gram_eigen(data.r_all), None, p.n, p.ell
+        gram_eigen(data.r_all), np.eye(p.n + p.ell), p.n, p.ell
     )
     diag = Diagnostics(z_lower_smallest_sv=z_min, eig_gap=gap, flags=flags)
     sigma2 = max(0.0, float(np.mean(eigs))) / p.m
@@ -326,6 +325,10 @@ class PreconditionRecord:
     def recover(self, x_reduced: np.ndarray) -> np.ndarray:
         """Map a solution of the reduced problem back to original coordinates."""
         k, n_free = self.partition.k, self.partition.n_free
+        if not (self.partition.j and k):
+            # No corner: a copy of x_reduced would change the memory layout
+            # that the constraint residual's product with one row rounds by.
+            return x_reduced
         x_free = x_reduced[k - self.rank :, :]
         pivot_a = self.pivot_c12[:, :n_free]
         pivot_b = self.pivot_c12[:, n_free:]
@@ -341,45 +344,72 @@ def precondition_rowcol(blocks: CBlocks) -> tuple[CBlocks, PreconditionRecord]:
     becomes ``diag(sigma_r, 0)``; block elimination on the ``rank``
     nonsingular pivots then zeroes the fixed columns below them.  The pivot
     rows determine their coefficients a posteriori, so they are dropped,
-    leaving a problem whose exact corner is identically zero.  An already
-    zero corner yields the identity transform.
+    leaving a problem whose exact corner is identically zero.  Without a
+    corner (``j = 0`` or ``k = 0``) or with a zero one, the record is the
+    identity: rank 0, ``u = I_j``, ``v = I_k`` and no SVD.
     """
     p = blocks.partition
-    if p.j == 0 or p.k == 0:
-        raise InvalidPartitionError("precondition_rowcol needs j > 0 and k > 0")
-    dec = svd(blocks.c11)
-    sv = dec.singular_values
-    r = int(np.count_nonzero(sv > RANK_TOL * sv[0]))
-    reduced = PartitionSpec(
-        j=p.j - r, k=p.k - r, n=p.n - r, ell=p.ell, m=p.m - r
-    )
+    if blocks.c11.any():
+        dec = svd(blocks.c11)
+        sv = dec.singular_values
+        r = int(np.count_nonzero(sv > RANK_TOL * sv[0]))
+        u, v, sigma_r = dec.u, dec.v, sv[:r].copy()
+    else:
+        r, u, v, sigma_r = 0, np.eye(p.j), np.eye(p.k), np.zeros(0)
     record = PreconditionRecord(
-        u=dec.u,
-        v=dec.v,
+        u=u,
+        v=v,
         rank=r,
-        sigma_r=sv[:r].copy(),
-        pivot_c12=(dec.u.T @ blocks.c12)[:r, :].copy(),
+        sigma_r=sigma_r,
+        pivot_c12=(u.T @ blocks.c12)[:r, :].copy(),
         partition=p,
-        reduced_partition=reduced,
+        reduced_partition=PartitionSpec(
+            j=p.j - r, k=p.k - r, n=p.n - r, ell=p.ell, m=p.m - r
+        ),
     )
     return record.transform_blocks(blocks), record
 
 
+def _exact_row_basis(rows: np.ndarray, max_rows: int) -> np.ndarray:
+    """Orthonormal basis ``P`` of the null space of ``rows``; ``I`` without rows.
+
+    ``max_rows`` is below the column count, so the null space is never
+    empty and its size gives the rank.  Raises RankDeficientUpperRowsError
+    if the rows are rank deficient or more than ``max_rows``.
+    """
+    j, cols = rows.shape
+    if j == 0:
+        return np.eye(cols)
+    if j > max_rows or cols - (basis := null_space_basis(rows)).shape[1] != j:
+        raise RankDeficientUpperRowsError(
+            f"the {j} exact rows are rank deficient or more than {max_rows}"
+        )
+    return basis
+
+
+def _constraint_residual(data: ObservedData, x_hat: np.ndarray) -> float | None:
+    """``|A1 @ x_hat - B1|_F`` over the exact rows; None without exact rows."""
+    j = data.partition.j
+    return float(np.linalg.norm(data.a[:j] @ x_hat - data.b[:j], "fro")) if j > 0 else None
+
+
 @instance_stage
-def reduced_factor(data: ObservedData) -> tuple[CBlocks, PreconditionRecord | None, np.ndarray]:
+def reduced_factor(
+    data: ObservedData,
+) -> tuple[CBlocks, PreconditionRecord, np.ndarray, np.ndarray]:
     """The blocks of ``data``, noisy rows replaced by the factor ``data.r_noisy``
     (same Gram products), after the exact corner is eliminated.
 
-    Returns the blocks, the record that undoes the elimination (None when
-    there is no corner) and the re-triangularised R factor of the blocks'
-    noisy columns.
+    Returns the reduced blocks, the record that undoes the elimination, the
+    re-triangularised R factor of the blocks' noisy columns and the
+    null-space basis ``P`` of the remaining exact rows (``I`` when none
+    remain).  With no pivot eliminated the factor is ``data.r_noisy`` bit
+    for bit: QR hands an upper-triangular matrix back unchanged.  Raises
+    RankDeficientUpperRowsError as :func:`_exact_row_basis` does.
     """
-    blocks = split_blocks(data, data.r_noisy)
-    p = data.partition
-    if p.j == 0 or p.k == 0:
-        return blocks, None, data.r_noisy
-    blocks, record = precondition_rowcol(blocks)
-    return blocks, record, noisy_factor(blocks)
+    blocks, record = precondition_rowcol(split_blocks(data, data.r_noisy))
+    basis = _exact_row_basis(blocks.c12, data.partition.n_free)
+    return blocks, record, noisy_factor(blocks), basis
 
 
 def ctls_rowcol(data: ObservedData) -> EstimateResult:
@@ -390,11 +420,15 @@ def ctls_rowcol(data: ObservedData) -> EstimateResult:
     to the null space ``P`` of the remaining exact rows, take the ``ell``
     smallest Ritz pairs from the SVD of ``R22 @ P``, normalize them into
     the free-column coefficients, then solve the fixed-column least-squares
-    problem with ``R11`` and undo the preconditioning.  Degenerate
-    partitions collapse to the simpler estimators (j = k = 0 is plain TLS).
+    problem with ``R11`` and undo the preconditioning.  Every partition
+    runs this pipeline; without exact rows or columns its steps are
+    identities, and acceptance check C09 finds ``j = k = 0`` bit for bit
+    equal to :func:`tls_solve`.
 
     Raises
     ------
+    InvalidPartitionError
+        If ``m <= n + ell``.
     RankDeficientUpperRowsError
         If the exact rows are rank deficient; select independent rows first.
     NearSingularError
@@ -403,72 +437,42 @@ def ctls_rowcol(data: ObservedData) -> EstimateResult:
         Nongeneric instance (see :func:`tls_solve`).
     """
     p = data.partition
-    if p.j == 0 and p.k == 0:
-        return tls_from_data(data)
     p.require_overdetermined()
-    m, ell = p.m, p.ell
-    n_free = p.n_free
-
-    if p.j > 0 and matrix_rank(data.a[: p.j, :]) != p.j:
-        raise RankDeficientUpperRowsError(
-            f"the {p.j} exact rows of A are rank deficient"
-        )
-
-    blocks, record, r = reduced_factor(data)
+    # j < n: the exact rows of A must be independent on their own.
+    _exact_row_basis(data.a[: p.j], p.n - 1)
+    blocks, record, r, basis = reduced_factor(data)
     rp = blocks.partition
+    k = rp.k
 
     notes = []
-    if record is not None:
+    if p.j > 0 and p.k > 0:
         notes.append(
             f"fixed-corner rank {record.rank} eliminated (j {p.j}->{rp.j}, "
-            f"k {p.k}->{rp.k})"
+            f"k {p.k}->{k})"
         )
-
-    basis = None
-    if rp.j > 0:
-        c12 = blocks.c12
-        if rp.j <= n_free:
-            # c12 has more columns than rows, so the null space is never
-            # empty and its size gives the rank.
-            basis = null_space_basis(c12)
-        if basis is None or c12.shape[1] - basis.shape[1] != rp.j:
-            raise RankDeficientUpperRowsError(
-                "exact rows remaining after preconditioning are rank deficient "
-                f"or too many (j'={rp.j}, free columns={n_free})"
-            )
-
-    k = rp.k
-    sv = fixed_sv(data) if record is None and k > 0 else None  # r is data.r_noisy
+    # With no pivot eliminated, r is data.r_noisy bit for bit.
+    sv = fixed_sv(data) if k > 0 and record.rank == 0 else None
     cond21 = gram_condition(r[:k, :k], sv) if k > 0 else None
-    r22 = r[k:, k:]
-    ritz_factor = r22 @ basis if basis is not None else r22
     x_lower, ritz, gap, z_min, flags = _normalize_subspace(
-        gram_eigen(ritz_factor), basis, n_free, ell
+        gram_eigen(r[k:, k:] @ basis), basis, p.n_free, p.ell
     )
-
+    # Without exact columns left, x_lower itself, not a copy: recover's
+    # products round by its memory layout.
+    x_reduced = x_lower
     if k > 0:
-        y = np.vstack([-x_lower, np.eye(ell)])
+        y = np.vstack([-x_lower, np.eye(p.ell)])
         x_top = solve_upper_triangular(r[:k, :k], r[:k, k:] @ y)
         x_reduced = np.vstack([x_top, x_lower])
-    else:
-        x_reduced = x_lower
-
-    x_hat = record.recover(x_reduced) if record is not None else x_reduced
-
-    constraint_residual = None
-    if p.j > 0:
-        constraint_residual = float(
-            np.linalg.norm(data.a[: p.j] @ x_hat - data.b[: p.j], "fro")
-        )
+    x_hat = record.recover(x_reduced)
     diag = Diagnostics(
         z_lower_smallest_sv=z_min,
         c21_gram_condition=cond21,
         eig_gap=gap,
-        constraint_residual=constraint_residual,
+        constraint_residual=_constraint_residual(data, x_hat),
         flags=flags,
         rank_notes=notes,
     )
-    sigma2 = max(0.0, float(np.mean(ritz))) / m
+    sigma2 = max(0.0, float(np.mean(ritz))) / p.m
     return EstimateResult(
         x_hat=x_hat, sigma2_hat=sigma2, smallest_eigs=ritz, diagnostics=diag
     )
@@ -546,32 +550,19 @@ def projection_estimator(data: ObservedData, mu_rule: str = "mean") -> EstimateR
     p.require_overdetermined()
     m, n, ell, j, k = p.m, p.n, p.ell, p.j, p.k
 
-    basis = None
-    if j > 0:
-        c_upper = np.hstack([data.a[:j], data.b[:j]])
-        # j < n + ell columns, so the null space is never empty and its
-        # size gives the rank.
-        basis = null_space_basis(c_upper)
-        if c_upper.shape[1] - basis.shape[1] != j:
-            raise RankDeficientUpperRowsError(
-                f"the {j} exact rows of [A | B] are rank deficient"
-            )
-
+    # j < n, so the exact rows never fill the n + ell columns.
+    basis = _exact_row_basis(np.hstack([data.a[:j], data.b[:j]]), n - 1)
     cond21 = gram_condition(data.r_noisy[:k, :k], fixed_sv(data)) if k > 0 else None
     g_eigs, mu, f = shifted_gram(data, mu_rule)
-    fmat = basis.T @ f @ basis if basis is not None else f
-    x_hat, ritz, gap, z_min, flags = _normalize_subspace(sym_eigen(fmat), basis, n, ell)
+    x_hat, ritz, gap, z_min, flags = _normalize_subspace(
+        sym_eigen(basis.T @ f @ basis), basis, n, ell
+    )
 
-    constraint_residual = None
-    if j > 0:
-        constraint_residual = float(
-            np.linalg.norm(data.a[:j] @ x_hat - data.b[:j], "fro")
-        )
     diag = Diagnostics(
         z_lower_smallest_sv=z_min,
         c21_gram_condition=cond21,
         eig_gap=gap,
-        constraint_residual=constraint_residual,
+        constraint_residual=_constraint_residual(data, x_hat),
         g_smallest_eigs=g_eigs.copy(),
         flags=flags,
     )

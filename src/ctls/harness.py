@@ -49,13 +49,7 @@ from .estimators import (
     split_blocks,
     tls_from_data,
 )
-from .linalg import (
-    gram_condition,
-    null_space_basis,
-    solve_upper_triangular,
-    sym_eigen,
-    tall_r,
-)
+from .linalg import gram_condition, solve_upper_triangular, sym_eigen
 from .model import (
     DesignKind,
     NoiseKind,
@@ -300,9 +294,9 @@ class ConvergenceTrace:
         }
 
     def write_json(self, path: str) -> None:
+        # One write: json.dump would stream many small writes into the file.
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_json_dict(), indent=1) + "\n")
 
     def csv_rows(self) -> list[str]:
         def fmt(value) -> str:
@@ -357,7 +351,11 @@ def gram_residuals(model: RegressionModel, data: ObservedData) -> dict:
     rows, formed block by block; the projected residual runs the estimators'
     corner elimination on a square root ``F.T @ F = G`` (``G`` has rank
     ``n``, so its eigenvalues are clipped at zero), so no O(m) factor of
-    the ground truth is taken.
+    the ground truth is taken, and projects both sides with the null-space
+    basis that :func:`~ctls.estimators.reduced_factor` returns.
+
+    Raises RankDeficientUpperRowsError where the row-and-column estimator
+    does (:func:`~ctls.estimators.reduced_factor`).
     """
     p = data.partition
     m, j, k = p.m, p.j, p.k
@@ -373,16 +371,10 @@ def gram_residuals(model: RegressionModel, data: ObservedData) -> dict:
     # the data and of the ground truth are the same numbers.
     eig = sym_eigen(g_bar)
     f_bar = np.sqrt(np.maximum(eig.values, 0.0))[:, None] * eig.vectors.T
-    work, record, r_work = reduced_factor(data)
-    if record is None:
-        r_work_bar = tall_r(f_bar)
-    else:
-        r_work_bar = noisy_factor(record.transform_blocks(split_blocks(data, f_bar)))
+    work, record, r_work, basis = reduced_factor(data)
+    r_work_bar = noisy_factor(record.transform_blocks(split_blocks(data, f_bar)))
     kw = work.partition.k
-    lhs, rhs = r_work[kw:, kw:], r_work_bar[kw:, kw:]
-    if work.partition.j > 0:
-        basis = null_space_basis(work.c12)
-        lhs, rhs = lhs @ basis, rhs @ basis
+    lhs, rhs = r_work[kw:, kw:] @ basis, r_work_bar[kw:, kw:] @ basis
     lhs, rhs = lhs.T @ lhs, rhs.T @ rhs
     target = rhs / m + model.sigma**2 * np.eye(lhs.shape[0])
     projected_resid = float(np.max(np.abs(lhs / m - target)))

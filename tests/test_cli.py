@@ -242,6 +242,21 @@ def test_estimate_estimator_error_exits_2(tmp_path, capsys):
     assert "RankDeficientFixedColumns" in err
 
 
+def test_estimate_rowcol_without_exact_blocks_needs_more_rows_than_columns(
+    tmp_path, capsys
+):
+    g = np.random.default_rng(10)
+    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_matrix(str(a_path), g.standard_normal((3, 2)), "csv")
+    write_matrix(str(b_path), g.standard_normal((3, 1)), "csv")
+    code, _, err = run_cli(
+        capsys, "estimate", "--a", str(a_path), "--b", str(b_path),
+        "--j", "0", "--k", "0", "--method", "ctls-rowcol",
+    )
+    assert code == 2
+    assert "InvalidPartitionError" in err
+
+
 def test_unknown_flag_exits_1(capsys):
     code, _, err = run_cli(capsys, "estimate", "--nope")
     assert code == 1

@@ -10,7 +10,9 @@ from ctls.errors import (
     RankDeficientFixedColumnsError,
     RankDeficientUpperRowsError,
 )
+from ctls import estimators
 from ctls.estimators import (
+    _exact_row_basis,
     build_blocks,
     ctls_columns,
     ctls_rowcol,
@@ -232,6 +234,46 @@ def test_precondition_zero_corner_is_identity():
     assert np.array_equal(record.recover(x), x)
 
 
+@pytest.mark.parametrize("j,k", [(0, 2), (2, 0)])
+def test_precondition_without_corner_is_the_identity(j, k, monkeypatch):
+    """No exact rows or no exact columns: no corner to eliminate, so the
+    record is the identity, no SVD runs and no block or solution moves."""
+    def no_svd(*args):
+        raise AssertionError("precondition_rowcol ran an SVD")
+
+    monkeypatch.setattr(estimators, "svd", no_svd)
+    _, data = make_instance(j=j, k=k, n=4, ell=2, m=30, sigma=0.2)
+    blocks = build_blocks(data)
+    reduced, record = precondition_rowcol(blocks)
+    assert record.rank == 0 and record.sigma_r.size == 0
+    assert np.array_equal(record.u, np.eye(j)) and np.array_equal(record.v, np.eye(k))
+    assert record.pivot_c12.shape == (0, 4 - k + 2)
+    assert reduced.partition == record.reduced_partition == blocks.partition
+    for got in (reduced, record.transform_blocks(blocks)):
+        for name in ("c11", "c12", "c21", "c22"):
+            a, b = getattr(got, name), getattr(blocks, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    x = np.random.default_rng(5).standard_normal((4, 2))
+    assert np.array_equal(record.recover(x), x)
+
+
+def test_exact_row_basis_is_identity_without_rows():
+    assert np.array_equal(_exact_row_basis(np.zeros((0, 5)), 3), np.eye(5))
+    rows = np.random.default_rng(3).standard_normal((2, 5))
+    basis = _exact_row_basis(rows, 3)
+    assert basis.shape == (5, 3)
+    assert np.max(np.abs(rows @ basis)) <= 1e-12
+    assert np.max(np.abs(basis.T @ basis - np.eye(3))) <= 1e-12
+
+
+def test_exact_row_basis_rejects_repeated_and_surplus_rows():
+    rows = np.random.default_rng(4).standard_normal((2, 5))
+    with pytest.raises(RankDeficientUpperRowsError):
+        _exact_row_basis(np.vstack([rows, rows[:1]]), 3)
+    with pytest.raises(RankDeficientUpperRowsError):
+        _exact_row_basis(rows, 1)
+
+
 def test_precondition_square_nonsingular_matches_block_elimination():
     """Square nonsingular corner reduces to the explicit Schur update of the
     noisy block with the fixed rows and columns fully consumed."""
@@ -409,6 +451,16 @@ def test_exact_row_frame_is_orthogonal():
     frame = np.hstack([dec.v[:, :rank], basis_null])
     assert frame.shape[0] == frame.shape[1]
     assert np.max(np.abs(frame.T @ frame - np.eye(frame.shape[1]))) <= 1e-10
+
+
+def test_ctls_rowcol_unconstrained_needs_more_rows_than_columns():
+    """j = k = 0 runs the same pipeline as every other partition, so it
+    refuses m <= n + ell as they do."""
+    g = np.random.default_rng(31)
+    data = ObservedData(a=g.standard_normal((3, 2)), b=g.standard_normal((3, 1)),
+                        partition=PartitionSpec(j=0, k=0, n=2, ell=1, m=3))
+    with pytest.raises(InvalidPartitionError):
+        ctls_rowcol(data)
 
 
 def test_ctls_rowcol_rejects_rank_deficient_rows():

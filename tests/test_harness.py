@@ -250,7 +250,7 @@ def factor_residuals(model, data):
     r_bar = linalg.tall_r(np.hstack([model.a_bar[j:], model.b_bar[j:]]))
     _, _, f = estimators.shifted_gram(data)
     shifted = float(np.max(np.abs(f - r_bar.T @ r_bar))) / m
-    work, record, r_work = estimators.reduced_factor(data)
+    work, record, r_work, _ = estimators.reduced_factor(data)
     if record is None:
         r_work_bar = r_bar
     else:
@@ -463,6 +463,25 @@ def test_readme_instance_runs_each_small_decomposition_once(monkeypatch):
     assert [r.status for r in trace.records] == ["ok", "ok"]
     assert calls["svd"] <= 9 and calls["qr"] <= 5 and calls["eigh"] <= 2, calls
     assert calls["precondition_rowcol"] == 1
+
+
+def test_exact_rows_without_columns_take_each_null_space_once(monkeypatch):
+    """A (j = 2, k = 0) instance (generation, ctls_rows, projection and the
+    residuals) makes at most 8 SVDs: gram_residuals reads the null-space
+    basis of the exact rows that ctls_rows has taken."""
+    calls = {"svd": 0}
+    real = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls["svd"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    trace = run_sweep(small_config(n=4, ell=2, j=2, k=0, m_values=(1000,), trials=1,
+                                   estimators=("ctls_rows", "projection")))
+    assert [r.status for r in trace.records] == ["ok", "ok"]
+    assert trace.records[1].shifted_gram_residual is not None
+    assert calls["svd"] <= 8, calls
 
 
 def test_lapack_failure_is_a_counted_trial(monkeypatch):
