@@ -2,15 +2,17 @@
 
     python3 scripts/bench_pairs.py --workload sweep-readme --base HEAD --pairs 10
 
-Checks the base revision out with ``git worktree`` into a temporary
-directory, then runs ``perfbench/run.py --trace 0`` from that tree and from
+Writes the files of the base revision into a temporary directory with
+``git archive``, then runs ``perfbench/run.py --trace 0`` from that tree and from
 the working tree (uncommitted changes included) in turn, ``--pairs`` times.
 Pair ``i`` gives both sides the seed ``--seed + i`` and swaps which side runs
 first on every other pair, so a slow phase of a shared machine lands on both
 sides.  For each end-to-end metric of the working tree's ``BENCHMARK.json``
 it prints the median and quartiles on each side and the pairs the working
-tree won, then whether the output digests of each pair were equal.  The
-worktree is removed at the end.
+tree won, then whether the output digests of each pair were equal and the
+CPUs each side could use (``provenance.nproc``), with a warning for every
+pair whose sides differ: ``ctls sweep`` runs one process per available CPU,
+so its gain scales with them.  The temporary directory is removed at the end.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ def git(root: str, *args: str) -> str:
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run from ``tree``: its metrics and digest."""
+    """One ``perfbench/run.py`` run from ``tree``: its metrics, digest and CPUs."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
@@ -47,9 +49,10 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     result_path = next(line.split(": ", 1)[1] for line in lines
                        if line.startswith("full result: "))
     with open(os.path.join(tree, result_path), encoding="utf-8") as fh:
-        digest = json.load(fh)["digest"]
+        result = json.load(fh)
     values = {name: entry["value"] for name, entry in summary["metrics"].items()}
-    return {"metrics": values, "correct": summary["correct"], "digest": digest}
+    return {"metrics": values, "correct": summary["correct"], "digest": result["digest"],
+            "nproc": result["provenance"]["nproc"]}
 
 
 def spread(values: list[float]) -> tuple[float, float, float]:
@@ -77,10 +80,13 @@ def main() -> int:
 
     scratch = tempfile.mkdtemp(prefix="bench-pairs-")
     base_tree = os.path.join(scratch, "base")
-    git(here, "worktree", "add", "--detach", base_tree, args.base)
     runs: dict[str, list[dict]] = {"base": [], "change": []}
     try:
-        revision = git(base_tree, "rev-parse", "--short", "HEAD")
+        revision = git(here, "rev-parse", "--short", args.base)
+        os.makedirs(base_tree)
+        archive = subprocess.run(["git", "-C", here, "archive", revision],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", base_tree], input=archive, check=True)
         print(f"base {args.base} ({revision}) against the working tree {here}")
         for i in range(args.pairs):
             seed = args.seed + i
@@ -94,8 +100,6 @@ def main() -> int:
                   f"op_p50_s {base['metrics']['op_p50_s']:.4g} -> "
                   f"{change['metrics']['op_p50_s']:.4g}", flush=True)
     finally:
-        subprocess.run(["git", "-C", here, "worktree", "remove", "--force", base_tree],
-                       check=False)
         shutil.rmtree(scratch, ignore_errors=True)
 
     print(f"\n{args.workload}, {args.pairs} pairs: median [q1, q3] base -> change, "
@@ -113,6 +117,12 @@ def main() -> int:
     correct = sum(r["correct"] for side in runs.values() for r in side)
     print(f"output digests equal in {same}/{args.pairs} pairs; "
           f"correct in {correct}/{2 * args.pairs} runs")
+    print(f"nproc base {sorted({r['nproc'] for r in runs['base']})}, "
+          f"change {sorted({r['nproc'] for r in runs['change']})}")
+    for i, (b, c) in enumerate(zip(runs["base"], runs["change"]), start=1):
+        if b["nproc"] != c["nproc"]:
+            print(f"warning: pair {i} ran on {b['nproc']} CPUs for the base and "
+                  f"{c['nproc']} for the change; sweep times scale with the CPUs")
     return 0
 
 

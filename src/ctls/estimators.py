@@ -65,6 +65,7 @@ from .linalg import (
     as_matrix,
     gram_condition,
     gram_eigen,
+    matrix_rank,
     null_space_basis,
     singular_values,
     solve_linear,
@@ -381,10 +382,14 @@ def _exact_row_basis(rows: np.ndarray, max_rows: int) -> np.ndarray:
     if j == 0:
         return np.eye(cols)
     if j > max_rows or cols - (basis := null_space_basis(rows)).shape[1] != j:
-        raise RankDeficientUpperRowsError(
-            f"the {j} exact rows are rank deficient or more than {max_rows}"
-        )
+        raise _exact_rows_error(j, max_rows)
     return basis
+
+
+def _exact_rows_error(j: int, max_rows: int) -> RankDeficientUpperRowsError:
+    return RankDeficientUpperRowsError(
+        f"the {j} exact rows are rank deficient or more than {max_rows}"
+    )
 
 
 def _constraint_residual(data: ObservedData, x_hat: np.ndarray) -> float | None:
@@ -439,7 +444,8 @@ def ctls_rowcol(data: ObservedData) -> EstimateResult:
     p = data.partition
     p.require_overdetermined()
     # j < n: the exact rows of A must be independent on their own.
-    _exact_row_basis(data.a[: p.j], p.n - 1)
+    if p.j and (p.j >= p.n or matrix_rank(data.a[: p.j]) != p.j):
+        raise _exact_rows_error(p.j, p.n - 1)
     blocks, record, r, basis = reduced_factor(data)
     rp = blocks.partition
     k = rp.k

@@ -17,9 +17,9 @@ acceptance suite checks.
 
 Trials derive their seeds from the base seed and the cell coordinates alone
 (estimator identity excluded), so every estimator in a sweep sees the same
-instances and any single cell can be reproduced in isolation.  Cells are
-keyed, not appended, so optional thread-level parallelism (capped by the
-``CTLS_THREADS`` environment variable) cannot change the output.
+instances and any single cell can be reproduced in isolation.  Instances
+run on one forked process per available CPU, keyed by task, so the output is
+byte-identical whatever the process count (``taskset -c 0`` runs serially).
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import traceback
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
@@ -387,15 +388,53 @@ def gram_residuals(model: RegressionModel, data: ObservedData) -> dict:
     }
 
 
-def _max_workers(tasks: int) -> int:
-    """Threads for ``tasks`` sweep instances: ``CTLS_THREADS``, capped at the
-    CPU count and at ``tasks`` (the pool submits every task at once)."""
-    raw = os.environ.get("CTLS_THREADS", "")
+def _run_tasks(run_instance, tasks: list) -> list:
+    """``run_instance(*task)`` for every task, in task order.  Worker ``w`` of
+    ``min(available CPUs, tasks)`` runs ``tasks[w::workers]``: worker 0 here,
+    the others in children forked first and pinned to CPU ``w`` of the mask."""
+    mask = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    workers = min(len(mask) or os.cpu_count() or 1, len(tasks)) if hasattr(os, "fork") else 1
+    shares = [range(w, len(tasks), workers) for w in range(workers)]
+    children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
     try:
-        requested = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(requested, os.cpu_count() or 1, tasks))
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            if (pid := os.fork()) == 0:
+                # Leave only by os._exit: flush no inherited buffer, run no exit handler.
+                status = 1
+                try:
+                    os.close(read_fd)
+                    try:
+                        if mask:  # else the scheduler may leave a new child on this CPU
+                            os.sched_setaffinity(0, {mask[w]})
+                        payload, status = {i: run_instance(*tasks[i]) for i in shares[w]}, 0
+                    except BaseException:
+                        payload = traceback.format_exc()
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children[pid] = read_fd
+        results = {i: run_instance(*tasks[i]) for i in shares[0]}
+        for w, (pid, fd) in enumerate(list(children.items()), start=1):
+            data = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+            os.close(fd)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            try:
+                payload = pickle.loads(data)
+            except Exception:  # noqa: BLE001 - short or garbled data
+                payload = f"{len(data)} bytes of incomplete output"
+            if status != 0 or not isinstance(payload, dict):
+                raise RuntimeError(f"sweep worker {w} exited with status {status}: {payload}")
+            results.update(payload)
+    finally:
+        for pid, fd in children.items():  # only when raising: stop, then reap
+            os.close(fd)
+            os.kill(pid, 9)  # SIGKILL; the signal module is not loaded
+            os.waitpid(pid, 0)
+    return [results[i] for i in range(len(tasks))]
 
 
 def run_sweep(config: SweepConfig) -> ConvergenceTrace:
@@ -455,17 +494,7 @@ def run_sweep(config: SweepConfig) -> ConvergenceTrace:
         return records
 
     tasks = [(m, t) for m in config.m_values for t in range(config.trials)]
-    workers = _max_workers(len(tasks))
-    by_cell: dict[tuple[int, int], list[TrialRecord]] = {}
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for key, recs in zip(tasks, pool.map(lambda mt: run_instance(*mt), tasks)):
-                by_cell[key] = recs
-    else:
-        for key in tasks:
-            by_cell[key] = run_instance(*key)
-
-    records = [rec for key in tasks for rec in by_cell[key]]
+    records = [rec for recs in _run_tasks(run_instance, tasks) for rec in recs]
 
     aggregates: dict[str, dict[int, dict[str, float]]] = {}
     for name in config.estimators:

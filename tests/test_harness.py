@@ -1,5 +1,8 @@
 """Sweep mechanics: determinism, reproducibility, aggregation, residual records."""
 
+import json
+import os
+import signal
 from functools import partial
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 
 import ctls.harness as harness
 from ctls.errors import CtlsError, IncompatibleConfigError, LapackError, NearSingularError
-from ctls import estimators, linalg, model as model_mod
+from ctls import cli, estimators, linalg, model as model_mod
 from ctls.harness import (
     CSV_COLUMNS,
     SweepConfig,
@@ -175,41 +178,147 @@ def test_sweep_records_failures_instead_of_dropping(monkeypatch):
     assert trace.max_failure_rate() == 1.0
 
 
-def test_sweep_thread_pool_matches_sequential(monkeypatch):
-    monkeypatch.setenv("CTLS_THREADS", "4")
-    t_par = run_sweep(small_config(trials=3))
-    monkeypatch.setenv("CTLS_THREADS", "1")
-    t_seq = run_sweep(small_config(trials=3))
-    assert t_par.records == t_seq.records
+def set_cpus(monkeypatch, count, pins=None):
+    """Report ``count`` available CPUs through the affinity mask, and append
+    the CPUs a (forked) process pins itself to as ``"pid cpus"`` lines to the
+    file ``pins``, where given."""
+    def pin(pid, cpus):
+        if pins is not None:
+            with open(pins, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {sorted(cpus)}\n")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(os, "sched_setaffinity", pin)
 
 
-@pytest.mark.parametrize("cpus,expected", [(8, 6), (4, 4), (1, None), (None, None)])
-def test_sweep_pool_is_capped_at_cpus_and_tasks(monkeypatch, cpus, expected):
-    """A huge CTLS_THREADS asks for no more threads than CPUs or tasks (6
-    here).  The stand-in pool records its size and maps serially, so no
-    thread starts."""
-    sizes = []
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the children ``os.fork`` starts during the test, which
+    fails with TimeoutError in the parent if it runs for a minute."""
+    real, pids = os.fork, []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def counting():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
+    def expire(signum, frame):
+        raise TimeoutError("the sweep did not end within 60 s")
 
-        def __exit__(self, *exc):
-            return False
+    monkeypatch.setattr(os, "fork", counting)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield pids
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
-        def map(self, fn, items):
-            return map(fn, items)
 
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-    monkeypatch.setenv("CTLS_THREADS", "100000")
-    capped = run_sweep(small_config(trials=3))
-    assert sizes == ([] if expected is None else [expected])
-    monkeypatch.delenv("CTLS_THREADS")
-    assert capped.records == run_sweep(small_config(trials=3)).records
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["ok", "ctls-error"])
+def test_sweep_forked_matches_serial(monkeypatch, tmp_path, capsys, forked, fail):
+    """Three workers (two forked) and one give equal records, aggregates and
+    ``ctls sweep`` files and exit codes, with a synthetic CtlsError at m = 60
+    too: the forked children inherit the patched ``_run_estimator``."""
+    if fail:
+        real = harness._run_estimator
+
+        def flaky(name, data):
+            if name == "tls" and data.partition.m == 60:
+                raise CtlsError("synthetic failure")
+            return real(name, data)
+
+        monkeypatch.setattr(harness, "_run_estimator", flaky)
+    cfg = small_config(trials=3)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    runs = {}
+    for cpus in (3, 1):
+        set_cpus(monkeypatch, cpus)
+        trace = run_sweep(cfg)
+        out = [tmp_path / f"{cpus}.json", tmp_path / f"{cpus}.csv"]
+        code = cli.main(["sweep", "--config", str(cfg_path),
+                         "--out-trace", str(out[0]), "--csv", str(out[1])])
+        runs[cpus] = (trace.records, trace.aggregates, code,
+                      [path.read_bytes() for path in out], capsys.readouterr().out)
+    assert runs[3] == runs[1]
+    assert len(forked) == 2 * 2
+    assert_reaped(forked)
+    assert runs[3][2] == (3 if fail else 0)
+    assert sum(r.status == "CtlsError" for r in runs[3][0]) == (3 if fail else 0)
+
+
+@pytest.mark.parametrize(
+    "affinity,cpu_count,m_values,trials,forks",
+    [
+        (3, 8, (30, 60), 3, 2),
+        (8, 8, (30,), 3, 2),
+        (1, 8, (30, 60), 3, 0),
+        (3, 8, (30,), 1, 0),
+        (None, 2, (30, 60), 3, 1),
+        (None, None, (30, 60), 3, 0),
+    ],
+    ids=["cpus", "tasks", "one-cpu", "one-task", "cpu-count", "no-count"],
+)
+def test_sweep_forks_one_worker_per_cpu_up_to_tasks(
+    monkeypatch, tmp_path, forked, affinity, cpu_count, m_values, trials, forks
+):
+    """``min(CPUs, tasks) - 1`` children, the CPUs read from the affinity
+    mask or, without one, from ``os.cpu_count``; a one-task sweep (as in the
+    in-process call-counting tests) never forks.  With a mask, child ``w``
+    pins itself to its ``w``-th CPU; without one, nothing is pinned."""
+    pins = tmp_path / "pins"
+    pins.touch()
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        set_cpus(monkeypatch, affinity, pins)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    trace = run_sweep(small_config(m_values=m_values, trials=trials))
+    assert len(forked) == forks
+    assert_reaped(forked)
+    pinned = dict(line.split(" ", 1) for line in pins.read_text().splitlines())
+    if affinity is None:
+        assert pinned == {}
+    else:
+        assert pinned == {str(pid): f"[{w}]" for w, pid in enumerate(forked, start=1)}
+    assert [(r.m, r.trial) for r in trace.records[::4]] == [
+        (m, t) for m in m_values for t in range(trials)
+    ]
+
+
+@pytest.mark.parametrize("where", ["child-raises", "child-dies", "parent-interrupted"])
+def test_sweep_worker_failure_raises_and_reaps(monkeypatch, forked, where):
+    """A non-CtlsError in a child, a child that exits without its records
+    and a Ctrl-C in the parent all end run_sweep, and leave no child
+    unreaped."""
+    parent, real = os.getpid(), harness._run_estimator
+
+    def failing(name, data):
+        if where == "parent-interrupted" and os.getpid() == parent:
+            raise KeyboardInterrupt
+        if where == "child-raises" and os.getpid() != parent:
+            raise RuntimeError("instance blew up in a child")
+        if where == "child-dies" and os.getpid() != parent:
+            os._exit(0)
+        return real(name, data)
+
+    monkeypatch.setattr(harness, "_run_estimator", failing)
+    set_cpus(monkeypatch, 3)
+    expected = {
+        "child-raises": pytest.raises(RuntimeError, match="instance blew up in a child"),
+        "child-dies": pytest.raises(RuntimeError, match="0 bytes of incomplete output"),
+        "parent-interrupted": pytest.raises(KeyboardInterrupt),
+    }[where]
+    with expected:
+        run_sweep(small_config(trials=3))
+    assert len(forked) == 2
+    assert_reaped(forked)
 
 
 def test_trace_serialization_shapes():
@@ -251,12 +360,9 @@ def factor_residuals(model, data):
     _, _, f = estimators.shifted_gram(data)
     shifted = float(np.max(np.abs(f - r_bar.T @ r_bar))) / m
     work, record, r_work, _ = estimators.reduced_factor(data)
-    if record is None:
-        r_work_bar = r_bar
-    else:
-        r_work_bar = estimators.noisy_factor(
-            record.transform_blocks(estimators.split_blocks(bar, r_bar))
-        )
+    r_work_bar = estimators.noisy_factor(
+        record.transform_blocks(estimators.split_blocks(bar, r_bar))
+    )
     kw = work.partition.k
     lhs, rhs = r_work[kw:, kw:], r_work_bar[kw:, kw:]
     if work.partition.j > 0:
