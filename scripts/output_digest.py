@@ -14,8 +14,10 @@ order and on another in reverse order.  The digest covers ``x_hat``,
 or the error type name where an estimator raises.  ``gram_residuals`` is
 hashed after a successful ``projection`` or ``ctls_rowcol``, the only place
 a sweep calls it.  Further cases hash instances with rank-deficient exact
-rows and with a zero exact corner, and the ``run_sweep`` traces of five
-partitions.
+rows and with a zero exact corner, the ``run_sweep`` traces of five
+partitions, and the exit code, stdout, stderr and X file of ``ctls estimate``
+for every method on CSV files written with LF, with CRLF and with blank
+lines, both below and above the size at which the reader splits a file.
 
 ``--base REV`` writes the ``src/`` files of ``REV`` into a temporary
 directory with ``git show``, runs this script on them and on the working tree
@@ -35,8 +37,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -50,6 +54,18 @@ PARTITIONS = ((0, 0), (0, 2), (2, 0), (1, 0), (1, 1), (2, 3), (3, 1), (1, 3), (3
 M_VALUES = (30, 300, 2000, 16641)
 N, ELL, SIGMA = 4, 2, 0.3
 SWEEP_PARTITIONS = ((0, 0), (0, 2), (2, 0), (1, 1), (2, 3))
+#: ``ctls estimate`` row counts: B.csv is about 40 kB and 1.2 MB, A.csv twice
+#: that, so both larger files split into spans on a machine with 2 or more CPUs.
+ESTIMATE_ROWS = (1000, 30000)
+ESTIMATE_METHODS = (("tls", 0, 0), ("ctls-cols", 0, 2), ("ctls-rows", 2, 0),
+                    ("ctls-rowcol", 2, 2), ("projection", 2, 2))
+#: CSV layouts: LF, CRLF, and a blank line after each row with a blank tail
+#: as long as the rows, so the last span holds blank lines only.
+CSV_LAYOUTS = {
+    "lf": lambda text: text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "blank": lambda text: text.replace("\n", "\n\n") + "\n" * len(text),
+}
 
 
 def case_digests() -> list[tuple[str, str]]:
@@ -58,6 +74,7 @@ def case_digests() -> list[tuple[str, str]]:
 
     from ctls import estimators as est
     from ctls.errors import CtlsError
+    from ctls.fileio import format_csv
     from ctls.harness import SweepConfig, gram_residuals, naive_ls, run_sweep
     from ctls.model import (
         DesignKind,
@@ -155,8 +172,45 @@ def case_digests() -> list[tuple[str, str]]:
         trace = run_sweep(config).to_json_dict()
         cases.append((f"sweep/j{j}k{k}", [json.dumps(trace, sort_keys=True)]))
 
+    # ``ctls estimate`` on CSV files in three layouts, below and above the
+    # size at which the reader splits a file into spans.
+    for m in ESTIMATE_ROWS:
+        p = PartitionSpec(j=2, k=2, n=N, ell=ELL, m=m)
+        model = generate_model(p, SIGMA, 41 + m)
+        data = observe(model, 42 + m)
+        for layout, relayout in CSV_LAYOUTS.items():
+            with tempfile.TemporaryDirectory() as tmp:
+                for name, mat in (("A.csv", data.a), ("B.csv", data.b)):
+                    with open(os.path.join(tmp, name), "w", encoding="utf-8", newline="") as fh:
+                        fh.write(relayout(format_csv(mat)))
+                cases.append((f"estimate/{layout}/m{m}", estimate_lines(tmp)))
+
     return [(name, hashlib.sha256("\n".join(lines).encode()).hexdigest())
             for name, lines in cases]
+
+
+def estimate_lines(workdir: str) -> list[str]:
+    """Exit code, stdout, stderr and X file of ``ctls estimate`` on
+    ``workdir``'s A.csv and B.csv, for every method, run in-process."""
+    from ctls.cli import main
+
+    lines, cwd = [], os.getcwd()
+    os.chdir(workdir)  # relative paths, so no message names the directory
+    try:
+        for method, j, k in ESTIMATE_METHODS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["estimate", "--a", "A.csv", "--b", "B.csv", "--j", str(j),
+                             "--k", str(k), "--method", method, "--out", "X.csv"])
+            x_file = None
+            if os.path.exists("X.csv"):
+                with open("X.csv", "rb") as fh:
+                    x_file = fh.read().hex()
+                os.remove("X.csv")
+            lines.append(f"{method}: {code} {out.getvalue()!r} {err.getvalue()!r} {x_file}")
+    finally:
+        os.chdir(cwd)
+    return lines
 
 
 def run_on(src: str) -> list[tuple[str, str]]:

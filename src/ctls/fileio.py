@@ -12,8 +12,9 @@ no header.  The accepted grammar:
 An empty first line, a token that is not a number, a non-finite entry
 (``nan``, ``inf``, or a literal that overflows) and a ragged row are
 rejected with a ``path:line:col`` (or ``path:line``) :class:`MatrixFileError`.
-The common case is parsed by one :func:`numpy.loadtxt` call; only input it
-rejects goes through the per-token scanner, which locates the error or
+The common case is cut after LFs into spans, parsed by one :func:`numpy.loadtxt`
+call each on the fork pool of :mod:`ctls.parallel`; only input a span rejects
+goes through the whole-file per-token scanner, which locates the error or
 parses the spellings only ``float`` knows (``1_0``, non-ASCII digits).
 
 The JSON container is ``{"rows": r, "cols": c, "data": [row-major floats]}``.
@@ -30,8 +31,13 @@ import numpy as np
 
 from .errors import MatrixFileError
 from .linalg import as_matrix
+from .parallel import run_tasks, worker_count
 
 FORMATS = ("csv", "mtxjson")
+
+#: Smallest CSV span worth a forked worker: the fork, the copy-on-write
+#: faults it causes and the pickled rows cost about what parsing this does.
+MIN_SPAN_BYTES = 512 * 1024
 
 
 def _read_text(path: str) -> str:
@@ -93,21 +99,46 @@ def _scan_csv(lines: list[str], path: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def read_matrix_csv(path: str) -> np.ndarray:
-    """Read a headerless CSV matrix (grammar in the module docstring)."""
-    lines = _split_lines(_read_text(path))
+def _spans(path: str) -> list[tuple[str, int, int]]:
+    """``(path, start, stop)`` byte ranges of about equal size, cut after an LF."""
+    size = os.path.getsize(path)
+    spans = worker_count(size // MIN_SPAN_BYTES)
+    cuts = [0]
+    with open(path, "rb") as fh:
+        for w in range(1, spans):
+            fh.seek(max(w * size // spans, cuts[-1]))
+            fh.readline()  # in binary mode, up to and including b"\n" only
+            if cuts[-1] < fh.tell() < size:
+                cuts.append(fh.tell())
+    return [(path, start, stop) for start, stop in zip(cuts, cuts[1:] + [size])]
+
+
+def _parse_span(path: str, start: int, stop: int) -> np.ndarray | None:
+    """The rows of bytes ``start:stop``, a zero-size array for blank lines
+    only, or None for an empty file or first line (the scanner's errors)."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        lines = _split_lines(fh.read(stop - start).decode("utf-8"))
+    if start == 0 and not (lines and lines[0]):
+        return None
+    if not any(lines):  # loadtxt would warn "input contained no data"
+        return np.empty((0, 0))
     # loadtxt parses ASCII tokens with the same correctly rounded conversion
     # as float() and skips only empty lines, so whatever it returns finite is
     # what the scanner would return.
-    if lines and lines[0] != "":
-        try:
-            arr = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(arr).all():
-                return arr
-    return _scan_csv(lines, path)
+    arr = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
+    return arr if np.isfinite(arr).all() else None
+
+
+def read_matrix_csv(path: str) -> np.ndarray:
+    """Read a headerless CSV matrix (grammar in the module docstring)."""
+    try:
+        parts = [part for part in run_tasks(_parse_span, _spans(path)) if part is None or part.size]
+    except (OSError, ValueError, RuntimeError):  # RuntimeError: a child failed
+        parts = [None]
+    if all(part is not None for part in parts) and len({part.shape[1] for part in parts}) == 1:
+        return np.concatenate(parts) if len(parts) > 1 else parts[0]
+    return _scan_csv(_split_lines(_read_text(path)), path)
 
 
 def read_matrix_mtxjson(path: str) -> np.ndarray:

@@ -18,7 +18,7 @@ acceptance suite checks.
 Trials derive their seeds from the base seed and the cell coordinates alone
 (estimator identity excluded), so every estimator in a sweep sees the same
 instances and any single cell can be reproduced in isolation.  Instances
-run on one forked process per available CPU, keyed by task, so the output is
+run on the fork pool of :mod:`ctls.parallel`, keyed by task, so the output is
 byte-identical whatever the process count (``taskset -c 0`` runs serially).
 """
 
@@ -28,9 +28,6 @@ import hashlib
 import json
 import math
 import numbers
-import os
-import pickle
-import traceback
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
@@ -60,6 +57,7 @@ from .model import (
     generate_model,
     observe,
 )
+from .parallel import run_tasks
 
 #: Flat-file column order for trace CSV output (stable public interface).
 CSV_COLUMNS = (
@@ -388,55 +386,6 @@ def gram_residuals(model: RegressionModel, data: ObservedData) -> dict:
     }
 
 
-def _run_tasks(run_instance, tasks: list) -> list:
-    """``run_instance(*task)`` for every task, in task order.  Worker ``w`` of
-    ``min(available CPUs, tasks)`` runs ``tasks[w::workers]``: worker 0 here,
-    the others in children forked first and pinned to CPU ``w`` of the mask."""
-    mask = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    workers = min(len(mask) or os.cpu_count() or 1, len(tasks)) if hasattr(os, "fork") else 1
-    shares = [range(w, len(tasks), workers) for w in range(workers)]
-    children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
-    try:
-        for w in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            if (pid := os.fork()) == 0:
-                # Leave only by os._exit: flush no inherited buffer, run no exit handler.
-                status = 1
-                try:
-                    os.close(read_fd)
-                    try:
-                        if mask:  # else the scheduler may leave a new child on this CPU
-                            os.sched_setaffinity(0, {mask[w]})
-                        payload, status = {i: run_instance(*tasks[i]) for i in shares[w]}, 0
-                    except BaseException:
-                        payload = traceback.format_exc()
-                    with os.fdopen(write_fd, "wb") as pipe:
-                        pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            children[pid] = read_fd
-        results = {i: run_instance(*tasks[i]) for i in shares[0]}
-        for w, (pid, fd) in enumerate(list(children.items()), start=1):
-            data = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
-            os.close(fd)
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            try:
-                payload = pickle.loads(data)
-            except Exception:  # noqa: BLE001 - short or garbled data
-                payload = f"{len(data)} bytes of incomplete output"
-            if status != 0 or not isinstance(payload, dict):
-                raise RuntimeError(f"sweep worker {w} exited with status {status}: {payload}")
-            results.update(payload)
-    finally:
-        for pid, fd in children.items():  # only when raising: stop, then reap
-            os.close(fd)
-            os.kill(pid, 9)  # SIGKILL; the signal module is not loaded
-            os.waitpid(pid, 0)
-    return [results[i] for i in range(len(tasks))]
-
-
 def run_sweep(config: SweepConfig) -> ConvergenceTrace:
     """Run the configured sweep and aggregate per-cell statistics.
 
@@ -494,7 +443,7 @@ def run_sweep(config: SweepConfig) -> ConvergenceTrace:
         return records
 
     tasks = [(m, t) for m in config.m_values for t in range(config.trials)]
-    records = [rec for recs in _run_tasks(run_instance, tasks) for rec in recs]
+    records = [rec for recs in run_tasks(run_instance, tasks) for rec in recs]
 
     aggregates: dict[str, dict[int, dict[str, float]]] = {}
     for name in config.estimators:

@@ -1,0 +1,67 @@
+"""One fork pool for Monte-Carlo sweeps and the CSV reader: results come back
+in task order, so no output depends on the number of processes."""
+
+from __future__ import annotations
+
+import os
+import pickle
+import threading
+import traceback
+
+
+def worker_count(tasks: int) -> int:
+    """One process per available CPU and task; one without ``os.fork`` or while
+    another thread runs, whose locks a forked child would inherit held."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, tasks))
+
+
+def run_tasks(run_task, tasks: list) -> list:
+    """``run_task(*task)`` for every task, in task order.  Worker ``w`` of
+    :func:`worker_count` runs ``tasks[w::workers]``: worker 0 here, the others
+    in children forked first and pinned to CPU ``w`` of the mask."""
+    mask = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    workers = worker_count(len(tasks))
+    shares = [range(w, len(tasks), workers) for w in range(workers)]
+    children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            if (pid := os.fork()) == 0:
+                # Leave only by os._exit: flush no inherited buffer, run no exit handler.
+                status = 1
+                try:
+                    os.close(read_fd)
+                    try:
+                        if mask:  # else the scheduler may leave a new child on this CPU
+                            os.sched_setaffinity(0, {mask[w]})
+                        payload, status = {i: run_task(*tasks[i]) for i in shares[w]}, 0
+                    except BaseException:
+                        payload = traceback.format_exc()
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children[pid] = read_fd
+        results = {i: run_task(*tasks[i]) for i in shares[0]}
+        for w, (pid, fd) in enumerate(list(children.items()), start=1):
+            data = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+            os.close(fd)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            try:
+                payload = pickle.loads(data)
+            except Exception:  # noqa: BLE001 - short or garbled data
+                payload = f"{len(data)} bytes of incomplete output"
+            if status != 0 or not isinstance(payload, dict):
+                raise RuntimeError(f"pool worker {w} exited with status {status}: {payload}")
+            results.update(payload)
+    finally:
+        for pid, fd in children.items():  # only when raising: stop, then reap
+            os.close(fd)
+            os.kill(pid, 9)  # SIGKILL; the signal module is not loaded
+            os.waitpid(pid, 0)
+    return [results[i] for i in range(len(tasks))]

@@ -1,3 +1,6 @@
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -32,3 +35,45 @@ def seeded_symmetric(seed: int, dim: int) -> np.ndarray:
     g = np.random.default_rng(seed)
     a = g.standard_normal((dim, dim))
     return 0.5 * (a + a.T)
+
+
+def set_cpus(monkeypatch, count, pins=None):
+    """Report ``count`` available CPUs through the affinity mask, and append
+    the CPUs a (forked) process pins itself to as ``"pid cpus"`` lines to the
+    file ``pins``, where given."""
+    def pin(pid, cpus):
+        if pins is not None:
+            with open(pins, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {sorted(cpus)}\n")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(os, "sched_setaffinity", pin)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the children ``os.fork`` starts during the test, which
+    fails with TimeoutError in the parent if it runs for a minute."""
+    real, pids = os.fork, []
+
+    def counting():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def expire(signum, frame):
+        raise TimeoutError("the pool did not end within 60 s")
+
+    monkeypatch.setattr(os, "fork", counting)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield pids
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)

@@ -1,11 +1,15 @@
 """CLI surface: flag grammar, exit codes, file formats, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import ctls.cli as cli
+from ctls import fileio
 from ctls.errors import MatrixFileError
 from ctls.fileio import read_matrix, read_matrix_csv, write_matrix
 from ctls.harness import ConvergenceTrace
@@ -358,3 +362,51 @@ def test_sweep_failure_rate_exits_3(tmp_path, capsys, monkeypatch):
     )
     assert code == 3
     assert "failure rate" in err
+
+
+# --- real processes ------------------------------------------------------------------
+
+ESTIMATE_RUNS = (
+    ("tls", 0, 0), ("ctls-cols", 0, 2), ("ctls-rows", 2, 0),
+    ("ctls-rowcol", 2, 2), ("projection", 2, 2),
+)
+MASK = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+
+
+@pytest.mark.skipif(len(MASK) < 2, reason="needs an affinity mask of two or more CPUs")
+def test_outputs_equal_on_one_cpu_and_on_all(tmp_path):
+    """``ctls estimate`` (all five methods, on an A file that splits into
+    spans) and a small ``ctls sweep``, each run as a real process pinned to
+    one CPU before exec and with the whole mask, write byte-identical stdout,
+    stderr, X files, traces and CSVs."""
+    g = np.random.default_rng(11)
+    rows = 2 * fileio.MIN_SPAN_BYTES // (8 * 20)
+    a = g.standard_normal((rows, 8))
+    b = a[:, :2] @ g.standard_normal((2, 2)) + 0.1 * g.standard_normal((rows, 2))
+    write_matrix(str(tmp_path / "A.csv"), a)
+    write_matrix(str(tmp_path / "B.csv"), b)
+    assert (tmp_path / "A.csv").stat().st_size >= 2 * fileio.MIN_SPAN_BYTES
+    (tmp_path / "cfg.json").write_text(json.dumps(sweep_config_dict(
+        estimators=["projection", "ctls_rowcol"])))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+    def outputs(cpus: set, tag: str) -> list:
+        workdir = tmp_path / tag
+        workdir.mkdir()
+        commands = [["estimate", "--a", "../A.csv", "--b", "../B.csv", "--j", str(j),
+                     "--k", str(k), "--method", method, "--out", f"{method}.csv"]
+                    for method, j, k in ESTIMATE_RUNS]
+        commands.append(["sweep", "--config", "../cfg.json",
+                         "--out-trace", "trace.json", "--csv", "trace.csv"])
+        runs = [subprocess.run([sys.executable, "-m", "ctls.cli", *argv], cwd=workdir,
+                               env=env, capture_output=True, timeout=300,
+                               preexec_fn=lambda: os.sched_setaffinity(0, cpus))
+                for argv in commands]
+        files = {path.name: path.read_bytes() for path in sorted(workdir.iterdir())}
+        return [(run.returncode, run.stdout, run.stderr) for run in runs] + [files]
+
+    one, everything = outputs({MASK[0]}, "one"), outputs(set(MASK), "all")
+    assert all(code == 0 for code, _, _ in one[:-1])
+    assert len(one[-1]) == len(ESTIMATE_RUNS) + 2
+    assert one == everything

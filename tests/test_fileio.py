@@ -1,20 +1,26 @@
 """Matrix file readers: the vectorised CSV path against the per-token scanner,
-round trips, and malformed input ending in MatrixFileError."""
+serially and split into spans on forked workers, round trips, and malformed
+input ending in MatrixFileError."""
 
 import json
+import os
 import sys
 import tempfile
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ctls import fileio
+from ctls import fileio, harness
 from ctls.errors import MatrixFileError
 from ctls.fileio import read_matrix, read_matrix_csv, write_matrix
+
+from conftest import assert_reaped, set_cpus
 
 # --- CSV: vectorised reader vs scanner ---------------------------------------------
 
@@ -58,6 +64,15 @@ CSV_CORPUS = {
 }
 
 
+@pytest.fixture(params=[1, 3], ids=["1cpu", "3cpus"])
+def cpus(request, monkeypatch):
+    """A faked affinity mask of 1 or 3 CPUs, with spans of any size, so that
+    with 3 CPUs every file of more than one line is split."""
+    set_cpus(monkeypatch, request.param)
+    monkeypatch.setattr(fileio, "MIN_SPAN_BYTES", 1)
+    return request.param
+
+
 def scanner_reference(path: Path) -> np.ndarray:
     """The reader as it was: the file's own line iteration, then the scanner."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -92,6 +107,15 @@ def test_csv_reader_matches_scanner(tmp_path, name):
     assert_reader_matches_scanner(path)
 
 
+@pytest.mark.parametrize("cpus", [3], indirect=True)
+@pytest.mark.parametrize("name", sorted(CSV_CORPUS))
+def test_split_reader_matches_scanner(tmp_path, cpus, name):
+    """The corpus again, with every file of two or more lines split."""
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(CSV_CORPUS[name])
+    assert_reader_matches_scanner(path)
+
+
 float_token = st.tuples(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from(["%r", "%.3e", "%.25f", "%.40g", " %+.17g\t"]),
@@ -106,6 +130,17 @@ csv_rows = st.integers(1, 4).flatmap(
 @settings(max_examples=60, deadline=None)
 @given(csv_rows)
 def test_csv_reader_matches_scanner_on_float_spellings(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        assert_reader_matches_scanner(path)
+
+
+@pytest.mark.parametrize("cpus", [3], indirect=True)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_rows)
+def test_split_reader_matches_scanner_on_float_spellings(cpus, rows):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.csv"
         path.write_text("\n".join(",".join(row) for row in rows) + "\n")
@@ -130,6 +165,154 @@ def test_undecodable_bytes_raise_matrix_file_error(tmp_path, suffix):
     with pytest.raises(MatrixFileError) as exc:
         read_matrix(str(path))
     assert str(exc.value).startswith(f"{path}: not UTF-8 text")
+
+
+# --- CSV: spans on forked workers ----------------------------------------------------
+
+ROWS = [f"{i},{-i / 7!r},{i * 1e-5:.3e}" for i in range(30)]
+ENDING_FILES = {
+    "lf": "\n".join(ROWS).encode() + b"\n",
+    "crlf": "\r\n".join(ROWS).encode() + b"\r\n",
+    "cr_only": "\r".join(ROWS).encode() + b"\r",
+    "no_final_newline": "\n".join(ROWS).encode(),
+    "blank_tail": "\n".join(ROWS[:10]).encode() + b"\n" * 400,
+    "empty": b"",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENDING_FILES))
+def test_split_reader_line_endings(tmp_path, capfd, recwarn, cpus, name):
+    """Every ending splits only after an LF, and a span of blank lines adds
+    no row and no "input contained no data" warning, here or in a child."""
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(ENDING_FILES[name])
+    splits = cpus == 3 and b"\n" in ENDING_FILES[name]
+    spans = fileio._spans(str(path))
+    assert len(spans) == (3 if splits else 1)
+    assert all(ENDING_FILES[name][stop - 1:stop] == b"\n" for _, _, stop in spans[:-1])
+    assert_reader_matches_scanner(path)
+    assert not recwarn.list
+    assert capfd.readouterr().err == ""
+    if name == "blank_tail" and splits:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fileio._parse_span(*spans[-1]).size == 0
+
+
+SECOND_SPAN_ERRORS = {
+    "bad_token": b"3,oops",
+    "nan": b"nan,4",
+    "ragged": b"3,4,5",
+    "not_utf8": b"3,\xff4",
+    "ragged_span": b"1,2,3.5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SECOND_SPAN_ERRORS))
+def test_split_reader_error_in_second_span(tmp_path, cpus, name):
+    """An error past the first span gives the serial reader's message, with
+    the line and column counted from the start of the file.  In
+    ``ragged_span`` each span parses, but the last one has three columns."""
+    lines = [b"1.5,2.5"] * 30
+    if name == "ragged_span":  # as long as the other rows, so the cuts stay put
+        lines[21:] = [SECOND_SPAN_ERRORS[name]] * 9
+    else:
+        lines[14] = SECOND_SPAN_ERRORS[name]
+    data = b"\n".join(lines) + b"\n"
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    if cpus == 3:
+        spans = fileio._spans(str(path))
+        bad = data.index(SECOND_SPAN_ERRORS[name])
+        if name == "ragged_span":
+            assert spans[2][1] == bad
+        else:
+            assert spans[1][1] <= bad < spans[1][2]
+    with pytest.raises(MatrixFileError) as exc:
+        read_matrix_csv(str(path))
+    if name == "not_utf8":
+        with pytest.raises(UnicodeDecodeError) as decode:
+            data.decode("utf-8")
+        assert str(exc.value) == f"{path}: not UTF-8 text: {decode.value}"
+    else:
+        want = outcome(scanner_reference, path)
+        assert str(exc.value) == str(want)
+        assert str(want).startswith(f"{path}:{22 if name == 'ragged_span' else 15}:")
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_split_reader_falls_back_when_a_span_raises(tmp_path, monkeypatch, where):
+    """An OSError in a child (shipped back as a RuntimeError) or in this
+    process's own span sends the file through the serial scanner."""
+    set_cpus(monkeypatch, 3)
+    monkeypatch.setattr(fileio, "MIN_SPAN_BYTES", 1)
+    parent, real_span, real_scan, scans = os.getpid(), fileio._parse_span, fileio._scan_csv, []
+
+    def failing(path, start, stop):
+        if (os.getpid() != parent) == (where == "child"):
+            raise OSError("synthetic read failure")
+        return real_span(path, start, stop)
+
+    def scan(lines, path):
+        scans.append(path)
+        return real_scan(lines, path)
+
+    monkeypatch.setattr(fileio, "_parse_span", failing)
+    monkeypatch.setattr(fileio, "_scan_csv", scan)
+    path = tmp_path / "m.csv"
+    path.write_bytes(ENDING_FILES["lf"])
+    got = read_matrix_csv(str(path))
+    assert scans == [str(path)]
+    assert got.tobytes() == scanner_reference(path).tobytes()
+
+
+@pytest.mark.parametrize(
+    "cpus,spans,forks",
+    [(3, 4.0, 2), (3, 2.5, 1), (3, 0.5, 0), (1, 4.0, 0), (2, 4.0, 1)],
+    ids=["cpus", "spans", "below-threshold", "one-cpu", "two-cpus"],
+)
+def test_split_reader_forks_one_worker_per_cpu_above_threshold(
+    tmp_path, monkeypatch, forked, cpus, spans, forks
+):
+    """``min(CPUs, size // MIN_SPAN_BYTES) - 1`` children, none for a file
+    under the threshold; child ``w`` pins itself to CPU ``w`` of the mask."""
+    pins = tmp_path / "pins"
+    pins.touch()
+    set_cpus(monkeypatch, cpus, pins)
+    monkeypatch.setattr(fileio, "MIN_SPAN_BYTES", 64)
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"1.5,2.5\n" * int(spans * 64 / 8))
+    assert read_matrix_csv(str(path)).tolist() == [[1.5, 2.5]] * int(spans * 64 / 8)
+    assert len(forked) == forks
+    assert_reaped(forked)
+    pinned = dict(line.split(" ", 1) for line in pins.read_text().splitlines())
+    assert pinned == {str(pid): f"[{w}]" for w, pid in enumerate(forked, start=1)}
+
+
+def test_no_fork_while_another_thread_runs(tmp_path, monkeypatch):
+    """A forked child inherits only the calling thread, and any lock another
+    thread held stays locked in it, so the pool runs in-process then."""
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or pytest.fail("forked"))
+    set_cpus(monkeypatch, 3)
+    monkeypatch.setattr(fileio, "MIN_SPAN_BYTES", 1)
+    path = tmp_path / "m.csv"
+    path.write_bytes(ENDING_FILES["lf"])
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        got = read_matrix_csv(str(path))
+        trace = harness.run_sweep(harness.SweepConfig(
+            n=3, ell=1, j=1, k=1, m_values=(30, 60), trials=2, sigma=0.1,
+            estimators=("tls",), base_seed=5))
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert forks == []
+    assert got.tobytes() == scanner_reference(path).tobytes()
+    assert len(trace.records) == 4
 
 
 # --- round trips ---------------------------------------------------------------------

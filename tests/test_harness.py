@@ -2,7 +2,6 @@
 
 import json
 import os
-import signal
 from functools import partial
 
 import numpy as np
@@ -21,7 +20,7 @@ from ctls.harness import (
 )
 from ctls.model import DesignKind, ObservedData, generate_model, observe
 
-from conftest import make_instance
+from conftest import assert_reaped, make_instance, set_cpus
 
 
 def small_config(**overrides):
@@ -176,48 +175,6 @@ def test_sweep_records_failures_instead_of_dropping(monkeypatch):
     assert trace.failure_rate("tls", 60) == 1.0
     assert trace.failure_rate("tls", 30) == 0.0
     assert trace.max_failure_rate() == 1.0
-
-
-def set_cpus(monkeypatch, count, pins=None):
-    """Report ``count`` available CPUs through the affinity mask, and append
-    the CPUs a (forked) process pins itself to as ``"pid cpus"`` lines to the
-    file ``pins``, where given."""
-    def pin(pid, cpus):
-        if pins is not None:
-            with open(pins, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()} {sorted(cpus)}\n")
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-    monkeypatch.setattr(os, "sched_setaffinity", pin)
-
-
-@pytest.fixture
-def forked(monkeypatch):
-    """The pids of the children ``os.fork`` starts during the test, which
-    fails with TimeoutError in the parent if it runs for a minute."""
-    real, pids = os.fork, []
-
-    def counting():
-        pid = real()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    def expire(signum, frame):
-        raise TimeoutError("the sweep did not end within 60 s")
-
-    monkeypatch.setattr(os, "fork", counting)
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield pids
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
-def assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
 
 
 @pytest.mark.parametrize("fail", [False, True], ids=["ok", "ctls-error"])
