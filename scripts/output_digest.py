@@ -13,16 +13,21 @@ order and on another in reverse order.  The digest covers ``x_hat``,
 ``sigma2_hat``, ``smallest_eigs``, ``mu`` and every ``Diagnostics`` field,
 or the error type name where an estimator raises.  ``gram_residuals`` is
 hashed after a successful ``projection`` or ``ctls_rowcol``, the only place
-a sweep calls it.  Further cases hash instances with rank-deficient exact
-rows and with a zero exact corner, the ``run_sweep`` traces of five
-partitions, and the exit code, stdout, stderr and X file of ``ctls estimate``
-for every method on CSV files written with LF, with CRLF and with blank
-lines, both below and above the size at which the reader splits a file.
+a sweep calls it, with the ground truth's Gram matrix from whole-column
+products (``RegressionModel.truth_gram``).  Further cases hash instances
+with rank-deficient exact rows and with a zero exact corner, the
+``run_sweep`` traces of five partitions, and the exit code, stdout, stderr
+and X file of ``ctls estimate`` for every method on CSV files written with
+LF, with CRLF and with blank lines, both below and above the size at which
+the reader splits a file.  A sweep trace is two cases: ``sweep/jXkY``
+without and ``sweep/jXkY/residuals`` with only the Gram-residual fields of
+its records and their medians, whose ground truth a sweep sums by chunks.
 
 ``--base REV`` writes the ``src/`` files of ``REV`` into a temporary
 directory with ``git show``, runs this script on them and on the working tree
-(uncommitted changes included) and prints the first case whose digest
-differs.  It exits 1 if any case differs.
+(uncommitted changes included) and names every case whose digest differs.
+It exits 1 if any case differs.  ``gram_residuals`` took the model, not its
+Gram matrix, in trees without ``RegressionModel.truth_gram``; both forms run.
 
 Digests depend on the numpy and BLAS build, so they are compared between
 two trees on one machine, never against a stored value.  The BLAS thread
@@ -51,6 +56,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 #: (j, k) partitions of the instance grid; (1, 0) multiplies ``x_hat`` with
 #: a single exact row, where products round by the layout of ``x_hat``.
 PARTITIONS = ((0, 0), (0, 2), (2, 0), (1, 0), (1, 1), (2, 3), (3, 1), (1, 3), (3, 3))
+#: The Gram-residual fields of a sweep record and of a cell's aggregates.
+RESIDUAL_KEYS = ("shifted_gram_residual", "projected_gram_residual",
+                 "median_shifted_gram", "median_projected_gram")
 M_VALUES = (30, 300, 2000, 16641)
 N, ELL, SIGMA = 4, 2, 0.3
 SWEEP_PARTITIONS = ((0, 0), (0, 2), (2, 0), (1, 1), (2, 3))
@@ -84,6 +92,11 @@ def case_digests() -> list[tuple[str, str]]:
         generate_model,
         observe,
     )
+
+    def residuals_of(model, data) -> dict:
+        if not hasattr(model, "truth_gram"):  # a tree before sample_instance
+            return gram_residuals(model, data)
+        return gram_residuals(model.truth_gram(), model.sigma, data)
 
     def runs_for(p: PartitionSpec) -> dict:
         runs = {"naive_ls": naive_ls, "tls": est.tls_from_data,
@@ -129,7 +142,7 @@ def case_digests() -> list[tuple[str, str]]:
                 residuals |= ok and name in ("ctls_rowcol", "projection_mean")
                 lines.append(f"{name}: {line}")
             if residuals:
-                _, line = outcome(lambda d: gram_residuals(model, d), data)
+                _, line = outcome(lambda d: residuals_of(model, d), data)
                 lines.append(f"gram_residuals: {line}")
         return lines
 
@@ -170,7 +183,12 @@ def case_digests() -> list[tuple[str, str]]:
         config = SweepConfig(n=N, ell=ELL, j=j, k=k, m_values=(50, 500, 5000), trials=3,
                              sigma=SIGMA, estimators=tuple(names), base_seed=99)
         trace = run_sweep(config).to_json_dict()
+        cells = trace["records"] + [stats for per_m in trace["aggregates"].values()
+                                    for stats in per_m.values()]
+        residuals = [{key: cell.pop(key) for key in RESIDUAL_KEYS if key in cell}
+                     for cell in cells]
         cases.append((f"sweep/j{j}k{k}", [json.dumps(trace, sort_keys=True)]))
+        cases.append((f"sweep/j{j}k{k}/residuals", [json.dumps(residuals, sort_keys=True)]))
 
     # ``ctls estimate`` on CSV files in three layouts, below and above the
     # size at which the reader splits a file into spans.
@@ -242,7 +260,8 @@ def compare(base: str) -> int:
         return 1
     differ = [name for (name, x), (_, y) in zip(before, after) if x != y]
     if differ:
-        print(f"{len(differ)} of {len(after)} cases differ from {base}; first: {differ[0]}")
+        print(f"{len(differ)} of {len(after)} cases differ from {base}:")
+        print("\n".join(f"  {name}" for name in differ))
         return 1
     print(f"all {len(after)} cases equal to {base}")
     return 0

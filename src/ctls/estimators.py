@@ -153,10 +153,11 @@ def split_blocks(data: ObservedData, noisy: np.ndarray) -> CBlocks:
     matrix, such as their R factor.
     """
     p = data.partition
-    j, k = p.j, p.k
+    k = p.k
+    a1, b1 = data.exact_rows
     return CBlocks(
-        c11=data.a[:j, :k].copy(),
-        c12=np.hstack([data.a[:j, k:], data.b[:j, :]]),
+        c11=a1[:, :k].copy(),
+        c12=np.hstack([a1[:, k:], b1]),
         c21=noisy[:, :k],
         c22=noisy[:, k:],
         partition=p,
@@ -164,7 +165,7 @@ def split_blocks(data: ObservedData, noisy: np.ndarray) -> CBlocks:
 
 
 def build_blocks(data: ObservedData) -> CBlocks:
-    """Slice the observed data into the four partition blocks."""
+    """Slice the observed rows (a row-built ``data``) into the four partition blocks."""
     j = data.partition.j
     return split_blocks(data, np.hstack([data.a[j:, :], data.b[j:, :]]))
 
@@ -347,7 +348,8 @@ def precondition_rowcol(blocks: CBlocks) -> tuple[CBlocks, PreconditionRecord]:
     rows determine their coefficients a posteriori, so they are dropped,
     leaving a problem whose exact corner is identically zero.  Without a
     corner (``j = 0`` or ``k = 0``) or with a zero one, the record is the
-    identity: rank 0, ``u = I_j``, ``v = I_k`` and no SVD.
+    identity: rank 0, ``u = I_j``, ``v = I_k``, no SVD, and ``blocks``
+    come back as they are.
     """
     p = blocks.partition
     if blocks.c11.any():
@@ -368,7 +370,7 @@ def precondition_rowcol(blocks: CBlocks) -> tuple[CBlocks, PreconditionRecord]:
             j=p.j - r, k=p.k - r, n=p.n - r, ell=p.ell, m=p.m - r
         ),
     )
-    return record.transform_blocks(blocks), record
+    return (record.transform_blocks(blocks) if r else blocks), record
 
 
 def _exact_row_basis(rows: np.ndarray, max_rows: int) -> np.ndarray:
@@ -394,8 +396,8 @@ def _exact_rows_error(j: int, max_rows: int) -> RankDeficientUpperRowsError:
 
 def _constraint_residual(data: ObservedData, x_hat: np.ndarray) -> float | None:
     """``|A1 @ x_hat - B1|_F`` over the exact rows; None without exact rows."""
-    j = data.partition.j
-    return float(np.linalg.norm(data.a[:j] @ x_hat - data.b[:j], "fro")) if j > 0 else None
+    a1, b1 = data.exact_rows
+    return float(np.linalg.norm(a1 @ x_hat - b1, "fro")) if len(a1) else None
 
 
 @instance_stage
@@ -408,13 +410,13 @@ def reduced_factor(
     Returns the reduced blocks, the record that undoes the elimination, the
     re-triangularised R factor of the blocks' noisy columns and the
     null-space basis ``P`` of the remaining exact rows (``I`` when none
-    remain).  With no pivot eliminated the factor is ``data.r_noisy`` bit
-    for bit: QR hands an upper-triangular matrix back unchanged.  Raises
-    RankDeficientUpperRowsError as :func:`_exact_row_basis` does.
+    remain).  With no pivot eliminated the blocks and the factor are those
+    of ``data.r_noisy`` itself.  Raises RankDeficientUpperRowsError as
+    :func:`_exact_row_basis` does.
     """
     blocks, record = precondition_rowcol(split_blocks(data, data.r_noisy))
     basis = _exact_row_basis(blocks.c12, data.partition.n_free)
-    return blocks, record, noisy_factor(blocks), basis
+    return blocks, record, noisy_factor(blocks) if record.rank else data.r_noisy, basis
 
 
 def ctls_rowcol(data: ObservedData) -> EstimateResult:
@@ -444,7 +446,7 @@ def ctls_rowcol(data: ObservedData) -> EstimateResult:
     p = data.partition
     p.require_overdetermined()
     # j < n: the exact rows of A must be independent on their own.
-    if p.j and (p.j >= p.n or matrix_rank(data.a[: p.j]) != p.j):
+    if p.j and (p.j >= p.n or matrix_rank(data.exact_rows[0]) != p.j):
         raise _exact_rows_error(p.j, p.n - 1)
     blocks, record, r, basis = reduced_factor(data)
     rp = blocks.partition
@@ -456,7 +458,7 @@ def ctls_rowcol(data: ObservedData) -> EstimateResult:
             f"fixed-corner rank {record.rank} eliminated (j {p.j}->{rp.j}, "
             f"k {p.k}->{k})"
         )
-    # With no pivot eliminated, r is data.r_noisy bit for bit.
+    # With no pivot eliminated, r is data.r_noisy.
     sv = fixed_sv(data) if k > 0 and record.rank == 0 else None
     cond21 = gram_condition(r[:k, :k], sv) if k > 0 else None
     x_lower, ritz, gap, z_min, flags = _normalize_subspace(
@@ -554,10 +556,10 @@ def projection_estimator(data: ObservedData, mu_rule: str = "mean") -> EstimateR
         raise ValueError(f"mu_rule must be one of {MU_RULES}, got {mu_rule!r}")
     p = data.partition
     p.require_overdetermined()
-    m, n, ell, j, k = p.m, p.n, p.ell, p.j, p.k
+    m, n, ell, k = p.m, p.n, p.ell, p.k
 
     # j < n, so the exact rows never fill the n + ell columns.
-    basis = _exact_row_basis(np.hstack([data.a[:j], data.b[:j]]), n - 1)
+    basis = _exact_row_basis(np.hstack(data.exact_rows), n - 1)
     cond21 = gram_condition(data.r_noisy[:k, :k], fixed_sv(data)) if k > 0 else None
     g_eigs, mu, f = shifted_gram(data, mu_rule)
     x_hat, ritz, gap, z_min, flags = _normalize_subspace(

@@ -48,15 +48,7 @@ from .estimators import (
     tls_from_data,
 )
 from .linalg import gram_condition, solve_upper_triangular, sym_eigen
-from .model import (
-    DesignKind,
-    NoiseKind,
-    ObservedData,
-    PartitionSpec,
-    RegressionModel,
-    generate_model,
-    observe,
-)
+from .model import DesignKind, NoiseKind, ObservedData, PartitionSpec, sample_instance
 from .parallel import run_tasks
 
 #: Flat-file column order for trace CSV output (stable public interface).
@@ -335,47 +327,39 @@ class ConvergenceTrace:
         return "\n".join(lines)
 
 
-def gram_residuals(model: RegressionModel, data: ObservedData) -> dict:
+def gram_residuals(gram_bar: np.ndarray, sigma: float, data: ObservedData) -> dict:
     """Structural residuals comparing data Gram matrices with ground truth.
 
-    Needs the ground truth, so this is harness-internal.  Returns max-norm
-    residuals for the shifted Gram matrix of the projection pipeline and for
-    the row-projected column-eliminated Gram matrix, plus the smallest
-    eigenvalue of ``C21.T @ C21 / m`` as a positive-definiteness diagnostic
-    (reported, never enforced).
-
-    The data side reads the stages the estimators cache on ``data`` and runs
-    any that none has run yet, so no decomposition of the data runs twice.
-    The ground truth enters only through the Gram matrix ``G`` of its noisy
-    rows, formed block by block; the projected residual runs the estimators'
-    corner elimination on a square root ``F.T @ F = G`` (``G`` has rank
-    ``n``, so its eigenvalues are clipped at zero), so no O(m) factor of
-    the ground truth is taken, and projects both sides with the null-space
-    basis that :func:`~ctls.estimators.reduced_factor` returns.
-
-    Raises RankDeficientUpperRowsError where the row-and-column estimator
-    does (:func:`~ctls.estimators.reduced_factor`).
+    Returns max-norm residuals for the shifted Gram matrix of the projection
+    pipeline and for the row-projected column-eliminated Gram matrix, plus
+    the smallest eigenvalue of ``C21.T @ C21 / m`` as a positive-definiteness
+    diagnostic (reported, never enforced).  The data side reads the stages
+    the estimators cache on ``data``, so no decomposition of it runs twice.
+    The ground truth enters through its noise level ``sigma`` and the Gram
+    matrix ``gram_bar = G`` of its rows ``j:`` (from
+    :func:`~ctls.model.sample_instance`); the projected residual runs the
+    corner elimination on a square root ``F.T @ F = G`` (eigenvalues clipped
+    at zero, as ``G`` has rank ``n``) and projects both sides with the basis
+    of :func:`~ctls.estimators.reduced_factor`, whose
+    RankDeficientUpperRowsError it raises.
     """
     p = data.partition
-    m, j, k = p.m, p.j, p.k
-    a_bar, b_bar = model.a_bar[j:], model.b_bar[j:]
-    ab = a_bar.T @ b_bar
-    g_bar = np.block([[a_bar.T @ a_bar, ab], [ab.T, b_bar.T @ b_bar]])
+    m, k = p.m, p.k
 
     # Shifted-Gram residual (projection pipeline, mean shift).
     _, _, f_data = shifted_gram(data)
-    shifted_resid = float(np.max(np.abs(f_data - g_bar))) / m
+    shifted_resid = float(np.max(np.abs(f_data - gram_bar))) / m
 
     # Row-projected residual in the zero-corner frame.  The exact rows of
     # the data and of the ground truth are the same numbers.
-    eig = sym_eigen(g_bar)
+    eig = sym_eigen(gram_bar)
     f_bar = np.sqrt(np.maximum(eig.values, 0.0))[:, None] * eig.vectors.T
     work, record, r_work, basis = reduced_factor(data)
     r_work_bar = noisy_factor(record.transform_blocks(split_blocks(data, f_bar)))
     kw = work.partition.k
     lhs, rhs = r_work[kw:, kw:] @ basis, r_work_bar[kw:, kw:] @ basis
     lhs, rhs = lhs.T @ lhs, rhs.T @ rhs
-    target = rhs / m + model.sigma**2 * np.eye(lhs.shape[0])
+    target = rhs / m + sigma**2 * np.eye(lhs.shape[0])
     projected_resid = float(np.max(np.abs(lhs / m - target)))
 
     c21_eig = float(fixed_sv(data)[-1]) ** 2 / m if k > 0 else None
@@ -396,10 +380,10 @@ def run_sweep(config: SweepConfig) -> ConvergenceTrace:
     def run_instance(m: int, trial: int) -> list[TrialRecord]:
         model_seed = trial_seed(config.base_seed, "model", m, trial)
         noise_seed = trial_seed(config.base_seed, "noise", m, trial)
-        model = generate_model(
-            config.partition_for(m), config.sigma, model_seed, config.design
+        x_true, data, gram_bar = sample_instance(
+            config.partition_for(m), config.sigma, model_seed, noise_seed,
+            config.design, config.noise,
         )
-        data = observe(model, noise_seed, config.noise)
         # Computed once, by the first estimator record that reports it; a
         # failure counts against that record like an estimator failure.
         residuals: dict = {}
@@ -411,8 +395,8 @@ def run_sweep(config: SweepConfig) -> ConvergenceTrace:
             try:
                 result = _run_estimator(name, data)
                 if name in ("projection", "ctls_rowcol") and not residuals:
-                    residuals.update(gram_residuals(model, data))
-                err = float(np.linalg.norm(result.x_hat - model.x_true, "fro"))
+                    residuals.update(gram_residuals(gram_bar, config.sigma, data))
+                err = float(np.linalg.norm(result.x_hat - x_true, "fro"))
                 s2 = result.sigma2_hat
                 flags = list(result.diagnostics.flags)
                 constraint = result.diagnostics.constraint_residual

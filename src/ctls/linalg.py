@@ -4,9 +4,10 @@
   through batched QRs and the stacked triangles through one more (one
   level of TSQR), giving a square ``R`` with ``R.T @ R = C.T @ C``.  The
   estimators see their O(m) data only through such factors.
-  ``tall_r_pair`` runs the first level over the column blocks of ``C``,
-  ``CHUNK_ROWS`` rows at a time, and shares it between the factors of all
-  rows and of the rows below an offset.
+  ``tall_r_chunks`` runs the first level ``CHUNK_ROWS`` rows at a time
+  over a chunk source, which ``tall_r_pair`` feeds from the column blocks
+  of ``C`` and a sweep instance from its generator, and shares it between
+  the factors of all rows and of the rows below an offset.
 * ``gram_eigen`` takes the eigenpairs of ``R.T @ R`` from the SVD of ``R``.
   Forming the Gram matrix first would square the condition number and lose
   the relative accuracy of the small eigenvalues that the TLS solutions are
@@ -61,8 +62,8 @@ SOLVE_COND_TOL = 1e-12
 #: Rows per block in the first level of :func:`tall_r`.
 BLOCK_ROWS = 256
 
-#: Rows per chunk (64 blocks) in which :func:`tall_r_pair` assembles and
-#: factors the blocks and ``ctls.model.observe`` draws its noise.
+#: Rows per chunk (64 blocks) in which :func:`tall_r_chunks` factors the
+#: blocks and ``ctls.model`` draws its rows and noise.
 CHUNK_ROWS = 64 * BLOCK_ROWS
 
 
@@ -214,52 +215,51 @@ def _read_only(r: np.ndarray) -> np.ndarray:
 
 
 def tall_r_pair(blocks, j: int) -> TallRPair:
-    """The first TSQR level of ``C = np.hstack(blocks)`` and of its rows ``j:``.
+    """:func:`tall_r_chunks` of ``C = np.hstack(blocks)``, fed from its column
+    blocks (for example ``(A, B)``) one chunk at a time, so the pass copies
+    no more of ``C`` than a chunk (except where ``C`` is factored flat).
 
-    ``blocks`` are the column blocks of ``C``, for example ``(A, B)``.  The
-    blocks of ``BLOCK_ROWS`` rows are assembled and factored ``CHUNK_ROWS``
-    rows at a time, so beyond its inputs the pass holds one chunk of ``C``
-    and the block triangles, never a copy of ``C`` (except below two full
-    blocks or with ``BLOCK_ROWS`` or more columns, where ``C`` is factored
-    flat).  The per-block QRs are independent, so the triangles do not
-    depend on the chunking.
-    ``r_all`` is bit-identical to ``tall_r(C)``.  ``r_low`` stacks the same
-    triangles with those of the blocks above row ``j`` dropped and the
-    triangle of the block rows from ``j`` on in their place (TSQR, Demmel,
-    Grigori, Hoemmen & Langou 2012), so it equals ``tall_r(C[j:])`` up to
-    roundoff and row signs.  Below two full blocks both are flat QRs.
-
-    Raises
-    ------
-    ShapeError
-        If a block is not 2-D, the blocks differ in rows, ``C`` has a zero
-        dimension or ``j`` is not in ``[0, rows)``.
-    NonFiniteError
-        If any entry is NaN or infinite.
+    Raises ShapeError if a block is not 2-D, the blocks differ in rows, ``C``
+    has a zero dimension or ``j`` is not in ``[0, rows)``, and NonFiniteError
+    if any entry is NaN or infinite.
     """
     parts = [np.asarray(x, dtype=float) for x in blocks]
     if any(x.ndim != 2 for x in parts) or len({x.shape[0] for x in parts}) != 1:
         raise ShapeError(
             f"column blocks of C must be 2-D with equal rows, got {[x.shape for x in parts]}"
         )
-    rows = parts[0].shape[0]
-    cols = sum(x.shape[1] for x in parts)
+    rows, cols = parts[0].shape[0], sum(x.shape[1] for x in parts)
+    return tall_r_chunks(lambda lo, hi: np.hstack([x[lo:hi] for x in parts]), rows, cols, j)
+
+
+def tall_r_chunks(chunk_of, rows: int, cols: int, j: int) -> TallRPair:
+    """The first TSQR level of a ``rows x cols`` matrix ``C`` and of its rows ``j:``.
+
+    ``chunk_of(lo, hi)`` returns the rows ``lo:hi`` of ``C``.  It is called on
+    consecutive ranges from row 0 to ``rows``, of ``CHUNK_ROWS`` rows with
+    the leftover below the last full block in the last, so it may build each
+    chunk when asked.  Below two full blocks of ``BLOCK_ROWS``, or with
+    ``BLOCK_ROWS`` or more columns, the one range is all of ``C``, factored
+    flat.  The per-block QRs are independent, so the triangles do not depend
+    on the chunking.  ``r_low`` stacks the same triangles with those above
+    row ``j`` replaced by the triangle of the block rows from ``j`` on (TSQR,
+    Demmel, Grigori, Hoemmen & Langou 2012), so it equals ``tall_r(C[j:])``
+    up to roundoff and row signs.  Raises ShapeError if ``C`` has a zero
+    dimension or ``j`` is not in ``[0, rows)``, NonFiniteError on a NaN or
+    infinite entry.
+    """
     if not 0 <= j < rows:
         raise ShapeError(f"row offset j={j} is outside [0, {rows})")
-
-    def rows_of(lo: int, hi: int) -> np.ndarray:
-        return as_matrix(np.hstack([x[lo:hi] for x in parts]), "C")
-
     full = rows // BLOCK_ROWS
     if full < 2 or cols >= BLOCK_ROWS:
-        return TallRPair(stack=rows_of(0, rows), skip=j, head=None)
+        return TallRPair(stack=as_matrix(chunk_of(0, rows), "C"), skip=j, head=None)
     stack = np.empty((full * cols + rows - full * BLOCK_ROWS, cols))
     triangles = stack[: full * cols].reshape(full, cols, cols)
     block, offset = divmod(j, BLOCK_ROWS)
     head = None
     for lo in range(0, full * BLOCK_ROWS, CHUNK_ROWS):
         hi = min(lo + CHUNK_ROWS, full * BLOCK_ROWS)
-        chunk = rows_of(lo, hi if hi < full * BLOCK_ROWS else rows)
+        chunk = as_matrix(chunk_of(lo, hi if hi < full * BLOCK_ROWS else rows), "C")
         triangles[lo // BLOCK_ROWS : hi // BLOCK_ROWS] = _lapack(
             np.linalg.qr, chunk[: hi - lo].reshape(-1, BLOCK_ROWS, cols), mode="r"
         )

@@ -6,6 +6,12 @@ the observed data are noise free.  ``observe`` injects i.i.d. noise into the
 unconstrained blocks only, and ``whiten`` reduces a general noise covariance
 to the scalar case via its Cholesky factor.
 
+``generate_model`` then ``observe`` return rows (``ObservedData(a=, b=,
+partition=)``).  ``sample_instance``, which sweeps use, draws the same numbers
+with the same helpers ``CHUNK_ROWS`` rows at a time and factors each chunk as
+it goes (``ObservedData.from_factor``), so a sweep instance holds no array of
+its ``m`` rows; the estimates of both paths are bit-identical.
+
 Every stochastic operation takes an explicit seed and draws from
 ``numpy.random.Generator`` (PCG64), so regenerating an instance with the same
 seed is bit-identical within one environment.
@@ -29,6 +35,7 @@ from .linalg import (
     solve_linear,
     solve_lower_triangular,
     solve_upper_triangular,
+    tall_r_chunks,
     tall_r_pair,
 )
 
@@ -110,22 +117,31 @@ class RegressionModel:
     sigma: float
     partition: PartitionSpec
 
+    def truth_gram(self) -> np.ndarray:
+        """The Gram matrix of the rows ``j:`` of ``[a_bar | b_bar]`` from
+        whole-column products (:func:`sample_instance` sums it by chunks)."""
+        a_bar, b_bar = self.a_bar[self.partition.j :], self.b_bar[self.partition.j :]
+        ab = a_bar.T @ b_bar
+        return np.block([[a_bar.T @ a_bar, ab], [ab.T, b_bar.T @ b_bar]])
+
 
 @dataclass(frozen=True)
 class ObservedData:
-    """What an estimator sees: noisy ``(a, b)`` plus the block structure.
+    """What an estimator sees: noisy ``[a | b]`` through its exact rows
+    ``exact_rows = (a[:j], b[:j])`` and its R factors ``r_all`` (all rows)
+    and ``r_noisy`` (rows ``j:``), plus the block structure.
 
-    ``r_all`` and ``r_noisy`` are the R factors of ``[a | b]`` over all rows
-    and over the noisy rows ``j:``.  The first read of either runs the one
-    O(m) pass, :func:`~ctls.linalg.tall_r_pair` over the column blocks
-    ``(a, b)``, which never copies ``[a | b]`` whole; each factor's small
-    second level runs on its own first read, so a caller that reads only
-    ``r_noisy`` never factors all rows.  Both are cached read-only, and the
-    estimators run on one instance share them.  ``r_all`` is bit-identical
-    to ``tall_r(np.hstack([a, b]))``; with ``j = 0``, ``r_noisy is r_all``.
-    The small decompositions of these factors that several estimators share
-    are cached on the instance too (:func:`instance_stage`).
-    Do not modify ``a`` or ``b`` after reading either factor.
+    ``ObservedData(a=, b=, partition=)`` holds the rows; the first read of a
+    factor runs the one O(m) pass, :func:`~ctls.linalg.tall_r_pair` over the
+    column blocks ``(a, b)``.  Do not modify ``a`` or ``b`` after that.
+    :meth:`from_factor` holds the exact rows and that pass's first TSQR
+    level, and no array of the ``m`` rows (``a`` and ``b`` are None).
+    Each factor's small second level runs on its own first read, so a
+    caller that reads only ``r_noisy`` never factors all rows.  Both are
+    cached read-only and shared by the estimators run on one instance, as
+    are the small decompositions of :func:`instance_stage`.  ``r_all`` is
+    bit-identical to ``tall_r(np.hstack([a, b]))``; with ``j = 0``,
+    ``r_noisy is r_all``.
 
     Raises ShapeError unless ``a`` is ``m x n`` and ``b`` is ``m x ell``.
     """
@@ -146,6 +162,23 @@ class ObservedData:
                 f"A {a_shape} and B {b_shape} do not match the partition "
                 f"(m={p.m}, n={p.n}, ell={p.ell})"
             )
+
+    @classmethod
+    def from_factor(cls, exact_a, exact_b, pair: TallRPair, partition: PartitionSpec):
+        """An instance from its exact rows ``a[:j]`` and ``b[:j]`` and the first
+        TSQR level ``pair`` of all its rows.  Raises ShapeError unless the
+        exact rows are ``j x n`` and ``j x ell``."""
+        p, shapes = partition, (np.shape(exact_a), np.shape(exact_b))
+        if shapes != ((p.j, p.n), (p.j, p.ell)):
+            raise ShapeError(f"exact rows {shapes} do not match the partition {p}")
+        data = object.__new__(cls)  # set past the frozen __setattr__, as cached_property does
+        data.__dict__.update(a=None, b=None, partition=p, exact_rows=(exact_a, exact_b), _pair=pair)
+        return data
+
+    @cached_property
+    def exact_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(a[:j], b[:j])``: the noise-free rows."""
+        return self.a[: self.partition.j], self.b[: self.partition.j]
 
     @cached_property
     def _pair(self) -> TallRPair:
@@ -194,26 +227,10 @@ def generate_model(
         on the noise-free rows (essentially impossible for the Gaussian
         design).
     """
-    partition.require_overdetermined()
-    if not (np.isfinite(sigma) and sigma >= 0.0):
-        raise InvalidPartitionError(f"sigma must be finite and nonnegative, got {sigma}")
-    rng = np.random.default_rng(seed)
-    n, ell, m = partition.n, partition.ell, partition.m
-    x_true = rng.uniform(-2.0, 2.0, size=(n, ell))
-    if design is DesignKind.IID_ROWS:
-        a_bar = rng.standard_normal((m, n))
-    elif design is DesignKind.FIXED_GRID:
-        t = np.linspace(-1.0, 1.0, m)
-        a_bar = np.column_stack([t**p for p in range(n)])
-    else:
-        raise InvalidPartitionError(f"unknown design kind: {design!r}")
+    rng, x_true = _start(partition, sigma, seed)
+    a_bar = _design_rows(rng, design, partition, 0, partition.m)
     b_bar = a_bar @ x_true
-    if partition.j > 0:
-        upper = np.hstack([a_bar[: partition.j], b_bar[: partition.j]])
-        if matrix_rank(upper) != partition.j:
-            raise InvalidPartitionError(
-                "noise-free rows of the generated instance are rank deficient"
-            )
+    _check_exact_rows(np.hstack([a_bar[: partition.j], b_bar[: partition.j]]))
     return RegressionModel(
         a_bar=a_bar, b_bar=b_bar, x_true=x_true, sigma=float(sigma), partition=partition
     )
@@ -245,6 +262,47 @@ def observe(
     return ObservedData(a=a, b=b, partition=p)
 
 
+def sample_instance(
+    partition: PartitionSpec,
+    sigma: float,
+    model_seed: int,
+    noise_seed: int,
+    design: DesignKind = DesignKind.IID_ROWS,
+    noise: NoiseKind = NoiseKind.GAUSS,
+) -> tuple[np.ndarray, ObservedData, np.ndarray]:
+    """``observe(generate_model(...), ...)`` in one pass that keeps no array
+    of the ``m`` rows: ``(x_true, data, gram)``, ``data`` factor-built and
+    ``gram`` the Gram matrix of the ground truth's rows ``j:``.
+
+    Each chunk of :func:`~ctls.linalg.tall_r_chunks` is drawn with the same
+    ``Generator`` calls as the two-step path, its ``b_bar`` formed, its Gram
+    products summed and its noise added.  So ``x_true``, the exact rows and
+    both factors are bit-identical to the two-step path's, and ``gram``
+    equals :meth:`RegressionModel.truth_gram` to roundoff.  Raises
+    InvalidPartitionError as :func:`generate_model` does.
+    """
+    p = partition
+    rng, x_true = _start(p, sigma, model_seed)
+    noise_rng = np.random.default_rng(noise_seed) if sigma > 0.0 else None
+    gram = np.zeros((p.n + p.ell, p.n + p.ell))
+    exact = []
+
+    def chunk_of(lo: int, hi: int) -> np.ndarray:
+        a_bar = _design_rows(rng, design, p, lo, hi)
+        c = np.hstack([a_bar, a_bar @ x_true])
+        if lo == 0:
+            _check_exact_rows(c[: p.j])
+            exact.extend((c[: p.j, : p.n].copy(), c[: p.j, p.n :].copy()))
+        noisy = c[max(p.j - lo, 0) :]
+        gram[:] += noisy.T @ noisy
+        if noise_rng is not None:
+            _add_noise(noise_rng, noise, sigma, noisy[:, p.k : p.n], noisy[:, p.n :])
+        return c
+
+    pair = tall_r_chunks(chunk_of, p.m, p.n + p.ell, p.j)
+    return x_true, ObservedData.from_factor(*exact, pair, p), gram
+
+
 def _add_noise(rng, noise: NoiseKind, sigma: float, a_free, b_rows) -> None:
     """Add noise entries with mean 0 and variance ``sigma^2`` to ``a_free``
     and ``b_rows`` in place, drawn row by row across both."""
@@ -264,6 +322,34 @@ def _add_noise(rng, noise: NoiseKind, sigma: float, a_free, b_rows) -> None:
     # Column by column: 2-D adds of strided slices loop over a few columns per row.
     for i, col in enumerate([*a_free.T, *b_rows.T]):
         col += e[:, i]
+
+
+def _start(partition: PartitionSpec, sigma: float, seed: int):
+    """Check the instance parameters; the model ``Generator`` and ``x_true``."""
+    partition.require_overdetermined()
+    if not (np.isfinite(sigma) and sigma >= 0.0):
+        raise InvalidPartitionError(f"sigma must be finite and nonnegative, got {sigma}")
+    rng = np.random.default_rng(seed)
+    return rng, rng.uniform(-2.0, 2.0, size=(partition.n, partition.ell))
+
+
+def _design_rows(rng, design: DesignKind, p: PartitionSpec, lo: int, hi: int) -> np.ndarray:
+    """The rows ``lo:hi`` of ``a_bar``, drawn after the rows above them."""
+    if design is DesignKind.IID_ROWS:
+        return rng.standard_normal((hi - lo, p.n))
+    if design is DesignKind.FIXED_GRID:
+        # np.linspace(-1.0, 1.0, m)[lo:hi], bit for bit.
+        t = np.arange(lo, hi) * (2.0 / (p.m - 1)) - 1.0
+        if hi == p.m:
+            t[-1] = 1.0
+        return np.column_stack([t**q for q in range(p.n)])
+    raise InvalidPartitionError(f"unknown design kind: {design!r}")
+
+
+def _check_exact_rows(upper: np.ndarray) -> None:
+    """Raise InvalidPartitionError unless the exact rows ``upper`` have full rank."""
+    if len(upper) and matrix_rank(upper) != len(upper):
+        raise InvalidPartitionError("noise-free rows of the generated instance are rank deficient")
 
 
 def whiten(data: ObservedData, sigma_cov) -> tuple[ObservedData, np.ndarray]:

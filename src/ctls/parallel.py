@@ -3,10 +3,14 @@ in task order, so no output depends on the number of processes."""
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import threading
 import traceback
+
+#: Size asked for each result pipe: a child writes up to 1 MiB without waiting.
+PIPE_BYTES = 1 << 20
 
 
 def worker_count(tasks: int) -> int:
@@ -29,6 +33,9 @@ def run_tasks(run_task, tasks: list) -> list:
     try:
         for w in range(1, workers):
             read_fd, write_fd = os.pipe()
+            import fcntl  # POSIX, as os.fork is
+            with contextlib.suppress(AttributeError, OSError):  # F_SETPIPE_SZ: Linux only
+                fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
             if (pid := os.fork()) == 0:
                 # Leave only by os._exit: flush no inherited buffer, run no exit handler.
                 status = 1

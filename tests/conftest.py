@@ -4,6 +4,7 @@ import signal
 import numpy as np
 import pytest
 
+from ctls.errors import CtlsError
 from ctls.model import DesignKind, NoiseKind, PartitionSpec, generate_model, observe
 
 
@@ -29,6 +30,20 @@ def make_instance(
     model = generate_model(partition, sigma, model_seed, design)
     data = observe(model, noise_seed, noise)
     return model, data
+
+
+def fingerprint(fn, data):
+    """``fn(data)`` with its arrays as bytes and its other values by repr,
+    or the name of the CtlsError it raised."""
+    try:
+        result = fn(data)
+    except CtlsError as exc:
+        return type(exc).__name__
+    if isinstance(result, dict):
+        return repr(result)
+    values = {**vars(result), **vars(result.diagnostics)}
+    return {key: v.tobytes() if isinstance(v, np.ndarray) else repr(v)
+            for key, v in values.items() if key != "diagnostics"}
 
 
 def seeded_symmetric(seed: int, dim: int) -> np.ndarray:

@@ -237,7 +237,7 @@ def test_c08_projected_gram_residual_decreases():
                 j=1, k=1, n=3, ell=1, m=m, sigma=sigma,
                 model_seed=5000 + t, noise_seed=5500 + t,
             )
-            vals.append(gram_residuals(model, data)["projected_gram_residual"])
+            vals.append(gram_residuals(model.truth_gram(), model.sigma, data)["projected_gram_residual"])
         medians.append(float(np.median(vals)))
     assert medians[0] > medians[1] > medians[2]
     ok("C08 projected-Gram convergence surrogate")

@@ -9,7 +9,7 @@ import pytest
 
 import ctls.harness as harness
 from ctls.errors import CtlsError, IncompatibleConfigError, LapackError, NearSingularError
-from ctls import cli, estimators, linalg, model as model_mod
+from ctls import cli, estimators, linalg, parallel, model as model_mod
 from ctls.harness import (
     CSV_COLUMNS,
     SweepConfig,
@@ -18,9 +18,10 @@ from ctls.harness import (
     run_sweep,
     trial_seed,
 )
+from ctls.linalg import CHUNK_ROWS
 from ctls.model import DesignKind, ObservedData, generate_model, observe
 
-from conftest import assert_reaped, make_instance, set_cpus
+from conftest import assert_reaped, fingerprint, make_instance, set_cpus
 
 
 def small_config(**overrides):
@@ -278,6 +279,58 @@ def test_sweep_worker_failure_raises_and_reaps(monkeypatch, forked, where):
     assert_reaped(forked)
 
 
+def test_pool_result_pipe_is_enlarged(monkeypatch, forked):
+    """Each child's result pipe is asked for ``PIPE_BYTES`` before the
+    fork, and results larger than the pipe still come back whole."""
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_GETPIPE_SZ"):
+        pytest.skip("no F_GETPIPE_SZ")
+    probe = os.pipe()
+    try:
+        fcntl.fcntl(probe[1], fcntl.F_SETPIPE_SZ, parallel.PIPE_BYTES)
+    except OSError:
+        pytest.skip("this system refuses a pipe of PIPE_BYTES")
+    finally:
+        for fd in probe:
+            os.close(fd)
+    pipes, sizes = [], []
+    real_pipe, counting_fork = os.pipe, os.fork
+
+    def pipe():
+        pipes.append(real_pipe())
+        return pipes[-1]
+
+    def fork():
+        sizes.append(fcntl.fcntl(pipes[-1][1], fcntl.F_GETPIPE_SZ))
+        return counting_fork()
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    set_cpus(monkeypatch, 3)
+    big = 3 * parallel.PIPE_BYTES
+    results = parallel.run_tasks(lambda i: bytes([i]) * big, [(0,), (1,), (2,)])
+    assert results == [bytes([i]) * big for i in range(3)]
+    assert sizes == [parallel.PIPE_BYTES] * 2
+    assert_reaped(forked)
+
+
+def test_pool_ignores_a_refused_pipe_size(monkeypatch, forked):
+    """An OSError from enlarging the pipe leaves the default size and the
+    same results."""
+    fcntl = pytest.importorskip("fcntl")
+
+    def refuse(*args):
+        raise PermissionError("pipe size refused")
+
+    monkeypatch.setattr(fcntl, "fcntl", refuse)
+    set_cpus(monkeypatch, 2)
+    assert parallel.run_tasks(lambda i: [i] * 100_000, [(0,), (1,)]) == [
+        [0] * 100_000, [1] * 100_000
+    ]
+    assert len(forked) == 1
+    assert_reaped(forked)
+
+
 def test_trace_serialization_shapes():
     trace = run_sweep(small_config(trials=2))
     payload = trace.to_json_dict()
@@ -300,7 +353,7 @@ def test_trace_serialization_shapes():
 
 def test_gram_residuals_zero_noise_reports_sampling_error():
     model, data = make_instance(j=1, k=1, n=3, ell=1, m=200, sigma=0.0)
-    res = gram_residuals(model, data)
+    res = gram_residuals(model.truth_gram(), model.sigma, data)
     assert res["shifted_gram_residual"] >= 0.0
     assert res["projected_gram_residual"] >= 0.0
     assert res["c21_gram_smallest_eig"] > 0.0
@@ -336,7 +389,7 @@ def factor_residuals(model, data):
 def test_gram_residuals_match_factor_formula(design, j, k, m):
     model, data = make_instance(j=j, k=k, n=4, ell=2, m=m, sigma=0.1,
                                 model_seed=m + j, noise_seed=m + k, design=design)
-    res = gram_residuals(model, data)
+    res = gram_residuals(model.truth_gram(), model.sigma, data)
     shifted, projected = factor_residuals(model, data)
     assert res["shifted_gram_residual"] == pytest.approx(shifted, rel=1e-9)
     assert res["projected_gram_residual"] == pytest.approx(projected, rel=1e-9)
@@ -351,7 +404,7 @@ def test_gram_residuals_shrink_with_m():
                 j=1, k=1, n=3, ell=1, m=m, sigma=0.3,
                 model_seed=100 + t, noise_seed=200 + t,
             )
-            vals.append(gram_residuals(model, data)["projected_gram_residual"])
+            vals.append(gram_residuals(model.truth_gram(), model.sigma, data)["projected_gram_residual"])
         meds.append(float(np.median(vals)))
     assert meds[0] > meds[1] > meds[2]
 
@@ -440,47 +493,83 @@ def test_sweep_errors_match_public_estimators_bit_for_bit(j, k, names):
         assert float(np.linalg.norm(x_hat - inst.x_true, "fro")) == rec.err
 
 
+RESIDUAL_FIELDS = ("shifted_gram_residual", "projected_gram_residual",
+                   "median_shifted_gram", "median_projected_gram")
+
+
+@pytest.mark.parametrize("j,k,noise", [(2, 3, "gauss"), (1, 1, "uniform"), (2, 0, "rademacher")])
+def test_sweep_trace_matches_row_path(monkeypatch, j, k, noise):
+    """A sweep of fused instances gives the trace that generate_model +
+    observe give in every field but the Gram residuals.  Those are
+    differences of Gram entries of size |G| / m, and the fused pass sums G
+    by chunks, so they agree to 1e-12 relative to that scale; relative to
+    themselves they drift more as they shrink with m."""
+    cfg = SweepConfig.from_dict(dict(
+        n=4, ell=2, j=j, k=k, m_values=[20, 700, CHUNK_ROWS + 300], trials=2, sigma=0.2,
+        estimators=[name for name in harness.ESTIMATOR_NAMES
+                    if harness._compatible(name, j, k, 4)],
+        base_seed=31, design="iid", noise=noise,
+    ))
+    fused = run_sweep(cfg).to_json_dict()
+
+    def row_path(partition, sigma, model_seed, noise_seed, design, noise):
+        model = generate_model(partition, sigma, model_seed, design)
+        return model.x_true, observe(model, noise_seed, noise), model.truth_gram()
+
+    monkeypatch.setattr(harness, "sample_instance", row_path)
+    rows = run_sweep(cfg).to_json_dict()
+    scale = max(
+        np.max(np.abs(generate_model(cfg.partition_for(r["m"]), cfg.sigma,
+                                     r["model_seed"]).truth_gram())) / r["m"]
+        for r in rows["records"]
+    )
+    pairs = list(zip(fused["records"], rows["records"]))
+    pairs += [(fused["aggregates"][e][m], rows["aggregates"][e][m])
+              for e in rows["aggregates"] for m in rows["aggregates"][e]]
+    assert len(fused["records"]) == len(rows["records"]) == 3 * 2 * len(cfg.estimators)
+    residuals = 0
+    for got, want in pairs:
+        assert got.keys() == want.keys()
+        for key in RESIDUAL_FIELDS:
+            if want.get(key) is not None:
+                assert abs(got[key] - want[key]) <= 1e-12 * scale, key
+                residuals += 1
+        assert ({key: v for key, v in got.items() if key not in RESIDUAL_FIELDS}
+                == {key: v for key, v in want.items() if key not in RESIDUAL_FIELDS})
+    assert residuals > 0
+    assert fused["config"] == rows["config"]
+
+
 def test_sweep_factors_each_row_set_once(monkeypatch):
     """One sweep instance makes one O(m) factor pass: both row sets come
-    from one ``tall_r_pair`` call over the column blocks ``(A, B)``, and the
-    ground truth is not factored; every other factor re-triangularises
-    n + ell rows."""
+    from one ``tall_r_chunks`` call over the chunks the instance is drawn
+    in, and the ground truth is not factored; every other factor
+    re-triangularises n + ell rows."""
     m = 300
     tall_calls = []
-    real_r, real_pair = linalg.tall_r, linalg.tall_r_pair
+    real_r, real_pair, real_chunks = linalg.tall_r, linalg.tall_r_pair, linalg.tall_r_chunks
 
-    def counting(real, blocks_of):
-        def wrapped(c, *args):
-            shapes = tuple(np.shape(x) for x in blocks_of(c))
+    def counting(real, shapes_of):
+        def wrapped(*args):
+            shapes = shapes_of(*args)
             if shapes[0][0] > 10:
-                tall_calls.append((real.__name__, shapes) + args)
-            return real(c, *args)
+                tall_calls.append((real.__name__, shapes) + args[-1:])
+            return real(*args)
 
         return wrapped
 
     for module in (linalg, model_mod, estimators, harness):
-        for name, real, blocks_of in (("tall_r", real_r, lambda c: [c]),
-                                      ("tall_r_pair", real_pair, list)):
+        for name, real, shapes_of in (
+            ("tall_r", real_r, lambda c: (np.shape(c),)),
+            ("tall_r_pair", real_pair, lambda c, j: tuple(np.shape(x) for x in c)),
+            ("tall_r_chunks", real_chunks, lambda chunk_of, rows, cols, j: ((rows, cols),)),
+        ):
             if hasattr(module, name):
-                monkeypatch.setattr(module, name, counting(real, blocks_of))
+                monkeypatch.setattr(module, name, counting(real, shapes_of))
     cfg = small_config(m_values=(m,), trials=1,
                        estimators=("naive_ls", "tls", "ctls_rowcol", "projection"))
     run_sweep(cfg)
-    assert tall_calls == [("tall_r_pair", ((m, 3), (m, 1)), 1)]
-
-
-def fingerprint(fn, data):
-    """``fn(data)`` with its arrays as bytes and its other values by repr,
-    or the name of the CtlsError it raised."""
-    try:
-        result = fn(data)
-    except CtlsError as exc:
-        return type(exc).__name__
-    if isinstance(result, dict):
-        return repr(result)
-    values = {**vars(result), **vars(result.diagnostics)}
-    return {key: v.tobytes() if isinstance(v, np.ndarray) else repr(v)
-            for key, v in values.items() if key != "diagnostics"}
+    assert tall_calls == [("tall_r_chunks", ((m, 4),), 1)]
 
 
 @pytest.mark.parametrize("j,k", [(0, 0), (0, 2), (2, 0), (1, 1), (2, 3)])
@@ -496,7 +585,7 @@ def test_stages_shared_on_an_instance_do_not_depend_on_order(j, k, m):
     runs = dict(harness.ESTIMATORS)
     for rule in estimators.MU_RULES:
         runs[f"projection_{rule}"] = partial(estimators.projection_estimator, mu_rule=rule)
-    runs["gram_residuals"] = partial(gram_residuals, model)
+    runs["gram_residuals"] = partial(gram_residuals, model.truth_gram(), model.sigma)
     fresh = {name: fingerprint(fn, instance()[1]) for name, fn in runs.items()}
     for order in (list(runs), list(reversed(runs))):
         data = instance()[1]
@@ -558,7 +647,7 @@ def test_lapack_failure_is_a_counted_trial(monkeypatch):
 
 
 def test_gram_residual_failure_is_a_counted_trial(monkeypatch):
-    def broken(model, data):
+    def broken(gram_bar, sigma, data):
         raise LapackError("eigensolver did not converge")
 
     monkeypatch.setattr(harness, "gram_residuals", broken)

@@ -1,13 +1,17 @@
 """Model generation, noise injection and covariance whitening."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+import ctls.model as model_mod
+from ctls import estimators
 from ctls.errors import InvalidPartitionError, NotPositiveDefiniteError, ShapeError
 from ctls.estimators import ctls_rowcol, projection_estimator, tls_solve
-from ctls.linalg import BLOCK_ROWS, CHUNK_ROWS, tall_r
+from ctls.harness import naive_ls
+from ctls.linalg import BLOCK_ROWS, CHUNK_ROWS, tall_r, tall_r_pair
 from ctls.model import (
     DesignKind,
     NoiseKind,
@@ -15,11 +19,12 @@ from ctls.model import (
     PartitionSpec,
     generate_model,
     observe,
+    sample_instance,
     unwhiten_estimate,
     whiten,
 )
 
-from conftest import make_instance
+from conftest import fingerprint, make_instance
 
 
 # --- PartitionSpec -----------------------------------------------------------
@@ -416,3 +421,116 @@ def test_o_m_pass_holds_no_full_size_temporaries():
         factor_peaks.append(traced_peak(lambda: (data.r_all, data.r_noisy)))
     assert factor_peaks[0] < 8 * MB
     assert factor_peaks[1] < factor_peaks[0] + 1 * MB
+
+
+# --- fused sweep instances ------------------------------------------------------------
+
+
+def estimator_outcomes(data):
+    """The :func:`fingerprint` of every estimator that accepts ``data``'s
+    partition, by name."""
+    p = data.partition
+    runs = {"naive_ls": naive_ls, "tls": estimators.tls_from_data,
+            "ctls_rowcol": ctls_rowcol}
+    if p.j == 0 and 0 < p.k < p.n:
+        runs["ctls_columns"] = estimators.ctls_columns
+    if p.k == 0 and p.j > 0:
+        runs["ctls_rows"] = estimators.ctls_rows
+    for rule in estimators.MU_RULES:
+        runs[f"projection_{rule}"] = lambda d, rule=rule: projection_estimator(d, rule)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return {name: fingerprint(fn, data) for name, fn in runs.items()}
+
+
+@pytest.mark.parametrize("design", list(DesignKind))
+@pytest.mark.parametrize("noise", list(NoiseKind))
+@pytest.mark.parametrize("j,k", [(0, 0), (0, 2), (2, 0), (1, 1), (2, 3)])
+@pytest.mark.parametrize("m", [7, 511, 512, CHUNK_ROWS, CHUNK_ROWS + 1, 123_457])
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+def test_sample_instance_matches_row_path(design, noise, j, k, m, sigma):
+    """The fused pass gives the coefficients, exact rows, factors and every
+    estimator output of generate_model + observe bit for bit (m = 7 is
+    n + ell + 1), and their ground-truth Gram matrix to roundoff."""
+    p = PartitionSpec(j=j, k=k, n=4, ell=2, m=m)
+    model = generate_model(p, sigma, m + j, design)
+    rows = observe(model, m + k, noise)
+    x_true, fused, gram = sample_instance(p, sigma, m + j, m + k, design, noise)
+    assert fused.a is None and fused.b is None and fused.partition == p
+    assert np.array_equal(x_true, model.x_true)
+    for got, want in zip(fused.exact_rows, rows.exact_rows):
+        assert np.array_equal(got, want) and got.flags.c_contiguous
+    assert np.array_equal(fused.r_noisy, rows.r_noisy)
+    assert np.array_equal(fused.r_all, rows.r_all)
+    assert estimator_outcomes(fused) == estimator_outcomes(rows)
+    want = model.truth_gram()
+    assert np.max(np.abs(gram - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_grid_design_chunks_match_linspace():
+    """The grid design's chunked rows are those of np.linspace bit for bit;
+    at m = 50 and 99, (m - 1) * step - 1 rounds away from the endpoint 1."""
+    for m in (7, 50, 99, 100, 511, 4097, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 5):
+        p = PartitionSpec(j=0, k=0, n=3, ell=1, m=m)
+        t = np.linspace(-1.0, 1.0, m)
+        for lo, hi in ((0, m), (0, min(m, 300)), (m // 3, m)):
+            rows = model_mod._design_rows(None, DesignKind.FIXED_GRID, p, lo, hi)
+            assert np.array_equal(rows, np.column_stack([t[lo:hi] ** q for q in range(3)]))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (PartitionSpec(j=1, k=1, n=3, ell=1, m=4), 0.1),
+        (PartitionSpec(j=1, k=1, n=3, ell=1, m=40), -0.1),
+        (PartitionSpec(j=1, k=1, n=3, ell=1, m=40), float("nan")),
+    ],
+)
+def test_sample_instance_rejects_what_generate_model_rejects(args):
+    with pytest.raises(InvalidPartitionError) as rows:
+        generate_model(*args, seed=1)
+    with pytest.raises(InvalidPartitionError) as fused:
+        sample_instance(*args, 1, 2)
+    assert str(fused.value) == str(rows.value)
+
+
+@pytest.mark.parametrize("m", [40, 2 * CHUNK_ROWS])
+def test_sample_instance_rank_deficient_exact_rows(monkeypatch, m):
+    """Both paths check the exact rows of [a_bar | b_bar] with the same
+    rank decision and raise the same InvalidPartitionError."""
+    seen = []
+
+    def deficient(rows):
+        seen.append(rows.copy())
+        return len(rows) - 1
+
+    monkeypatch.setattr(model_mod, "matrix_rank", deficient)
+    p = PartitionSpec(j=2, k=1, n=4, ell=2, m=m)
+    with pytest.raises(InvalidPartitionError) as rows:
+        generate_model(p, 0.1, 9)
+    with pytest.raises(InvalidPartitionError) as fused:
+        sample_instance(p, 0.1, 9, 10)
+    assert str(fused.value) == str(rows.value)
+    assert len(seen) == 2 and np.array_equal(seen[0], seen[1])
+    assert seen[0].shape == (2, 6)
+
+
+def test_from_factor_rejects_exact_rows_of_other_shapes():
+    p = PartitionSpec(j=2, k=1, n=3, ell=1, m=40)
+    g = np.random.default_rng(4)
+    c = g.standard_normal((40, 4))
+    pair = tall_r_pair((c,), 2)
+    with pytest.raises(ShapeError, match="exact rows"):
+        ObservedData.from_factor(c[:2, :3], c[:1, 3:], pair, p)
+    with pytest.raises(ShapeError, match="exact rows"):
+        ObservedData.from_factor(c[:2, :2], c[:2, 3:], pair, p)
+    data = ObservedData.from_factor(c[:2, :3], c[:2, 3:], pair, p)
+    assert np.array_equal(data.r_all, tall_r(c))
+
+
+def test_sample_instance_holds_no_row_array():
+    """A 1e6-row instance, its factors read, peaks under 16 MB: the rows of
+    [A | B] alone would take 96 MB."""
+    p = PartitionSpec(j=2, k=3, n=10, ell=2, m=1_000_000)
+    peak = traced_peak(lambda: sample_instance(p, 0.1, 1, 2)[1].r_all)
+    assert peak < 16 * MB
