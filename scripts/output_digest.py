@@ -22,6 +22,10 @@ LF, with CRLF and with blank lines, both below and above the size at which
 the reader splits a file.  A sweep trace is two cases: ``sweep/jXkY``
 without and ``sweep/jXkY/residuals`` with only the Gram-residual fields of
 its records and their medians, whose ground truth a sweep sums by chunks.
+Two noise-free grid-design sweeps gate how a stacked sweep handles each
+slice: in ``sweep/grid-n18-failed`` every ``naive_ls`` record fails with
+NearSingularError, in ``sweep/grid-n16-flagged`` every other record carries
+the ``eig_gap_degenerate`` flag.
 
 ``--base REV`` writes the ``src/`` files of ``REV`` into a temporary
 directory with ``git show``, runs this script on them and on the working tree
@@ -62,6 +66,8 @@ RESIDUAL_KEYS = ("shifted_gram_residual", "projected_gram_residual",
 M_VALUES = (30, 300, 2000, 16641)
 N, ELL, SIGMA = 4, 2, 0.3
 SWEEP_PARTITIONS = ((0, 0), (0, 2), (2, 0), (1, 1), (2, 3))
+#: Noise-free grid-design sweeps: (case, n, ell, j, k).
+GRID_SWEEPS = (("sweep/grid-n18-failed", 18, 1, 0, 0), ("sweep/grid-n16-flagged", 16, 2, 1, 1))
 #: ``ctls estimate`` row counts: B.csv is about 40 kB and 1.2 MB, A.csv twice
 #: that, so both larger files split into spans on a machine with 2 or more CPUs.
 ESTIMATE_ROWS = (1000, 30000)
@@ -78,10 +84,12 @@ CSV_LAYOUTS = {
 
 def case_digests() -> list[tuple[str, str]]:
     """``(case, sha256)`` for every case, in a fixed order."""
+    import warnings
+
     import numpy as np
 
     from ctls import estimators as est
-    from ctls.errors import CtlsError
+    from ctls.errors import CtlsError, EstimatorWarning
     from ctls.fileio import format_csv
     from ctls.harness import SweepConfig, gram_residuals, naive_ls, run_sweep
     from ctls.model import (
@@ -189,6 +197,15 @@ def case_digests() -> list[tuple[str, str]]:
                      for cell in cells]
         cases.append((f"sweep/j{j}k{k}", [json.dumps(trace, sort_keys=True)]))
         cases.append((f"sweep/j{j}k{k}/residuals", [json.dumps(residuals, sort_keys=True)]))
+
+    for name, n, ell, j, k in GRID_SWEEPS:
+        config = SweepConfig(n=n, ell=ell, j=j, k=k, m_values=(50, 500), trials=3, sigma=0.0,
+                             estimators=("naive_ls", "tls", "ctls_rowcol", "projection"),
+                             base_seed=7, design=DesignKind.FIXED_GRID)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EstimatorWarning)
+            trace = run_sweep(config).to_json_dict()
+        cases.append((name, [json.dumps(trace, sort_keys=True)]))
 
     # ``ctls estimate`` on CSV files in three layouts, below and above the
     # size at which the reader splits a file into spans.

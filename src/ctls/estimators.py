@@ -38,41 +38,55 @@ Every matrix inverse is realized as a linear solve, and the conditioning of
 each solve is surfaced in the returned diagnostics.
 
 The stages that several estimators and the sweep's residuals take of one
-instance run once on it, whichever caller comes first
+stack run once on it, whichever caller comes first
 (:func:`ctls.model.instance_stage`): :func:`reduced_factor` (the reduced
 blocks, the elimination record, the re-triangularised factor and ``P``),
 :func:`noisy_gram` (before any shift ``mu``) and :func:`fixed_sv`.
+
+Stacks: every stage runs on a stack of instances of one partition
+(:meth:`ObservedData.stacked`), and each slice of a result is bit for bit
+what the instance alone gives.  Through :func:`per_slice`, an estimator
+returns for a stack one entry per slice, its result or the ``CtlsError``
+its own call raises, and for one instance (a stack of one) its result or
+its error.  A check that fails some slices (``SplitStack``) keeps their
+errors and runs the stack again without them; corners of different rank
+run as sub-stacks; any other ``CtlsError`` runs the slices one by one.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import wraps
 
 import numpy as np
 
 from .errors import (
+    CtlsError,
     EstimatorWarning,
     InvalidPartitionError,
     LowerBlockSingularError,
-    NearSingularError,
     RankDeficientFixedColumnsError,
     RankDeficientUpperRowsError,
+    SplitStack,
 )
 from .linalg import (
     RANK_TOL,
     SymEigenResult,
+    _flat_r,
     as_matrix,
+    check_slices,
     gram_condition,
     gram_eigen,
     matrix_rank,
     null_space_basis,
+    rank_of,
+    same_rank,
     singular_values,
     solve_linear,
     solve_upper_triangular,
     svd,
     sym_eigen,
-    tall_r,
 )
 from .model import ObservedData, PartitionSpec, instance_stage
 
@@ -146,6 +160,69 @@ class CBlocks:
         return np.block([[self.c11, self.c12], [self.c21, self.c22]])
 
 
+def per_slice(run, data: ObservedData, *sliced):
+    """``run(stack, *sliced)``, a list with an entry per slice of the stack
+    and of each array of ``sliced``: each slice's entry or the ``CtlsError``
+    its own call raises.  On one instance, its entry or its error raised."""
+    if data.stack_size is not None:
+        return _slices(run, data, *sliced)
+    (out,) = _slices(run, data.stack, *(x[None] for x in sliced))
+    if isinstance(out, CtlsError):
+        raise out
+    return out
+
+
+def _slices(run, stack: ObservedData, *sliced) -> list:
+    try:
+        return run(stack, *sliced)
+    except SplitStack as split:
+        groups, out = split.groups, dict(split.errors)
+    except CtlsError as exc:
+        if stack.stack_size == 1:
+            return [exc]
+        groups, out = [[i] for i in range(stack.stack_size)], {}
+    for group in groups:
+        if len(group):
+            out.update(zip(group, _slices(run, stack.take(group), *(x[group] for x in sliced))))
+    return [out[i] for i in range(stack.stack_size)]
+
+
+def stacked(run):
+    """``run(stack, *args, **kwargs)`` as a function of one instance or of a
+    stack, through :func:`per_slice`."""
+
+    @wraps(run)
+    def call(data: ObservedData, *args, **kwargs):
+        return per_slice(lambda stack: run(stack, *args, **kwargs), data)
+
+    return call
+
+
+def slice_estimates(x_hat, sigma2_hat, smallest_eigs, mu=None, **diagnostics) -> list[EstimateResult]:
+    """One EstimateResult per slice, from values with one entry per slice
+    (None for none); EstimatorWarning fires once for each flagged one."""
+    size = len(x_hat)
+    sigma2_hat, mu, *columns = (  # one Python value or array per slice
+        [None] * size if v is None else v.tolist() if isinstance(v, np.ndarray) and v.ndim == 1 else v
+        for v in (sigma2_hat, mu, *diagnostics.values())
+    )
+    results = [
+        EstimateResult(x_hat[s], sigma2_hat[s], smallest_eigs[s],
+                       Diagnostics(**{key: col[s] for key, col in zip(diagnostics, columns)}),
+                       mu[s])
+        for s in range(size)
+    ]
+    for result in results:
+        if result.diagnostics.flags:
+            warnings.warn(
+                f"eigenvalue gap {result.diagnostics.eig_gap:.3e} below {EIG_GAP_TOL:.0e} * |F|; "
+                "the solution subspace is not numerically unique",
+                EstimatorWarning,
+                stacklevel=7,  # the caller of the estimator
+            )
+    return results
+
+
 def split_blocks(data: ObservedData, noisy: np.ndarray) -> CBlocks:
     """Exact-row blocks of ``data`` plus the noisy columns ``noisy = [c21 | c22]``.
 
@@ -156,23 +233,26 @@ def split_blocks(data: ObservedData, noisy: np.ndarray) -> CBlocks:
     k = p.k
     a1, b1 = data.exact_rows
     return CBlocks(
-        c11=a1[:, :k].copy(),
-        c12=np.hstack([a1[:, k:], b1]),
-        c21=noisy[:, :k],
-        c22=noisy[:, k:],
+        c11=a1[..., :k].copy(),
+        c12=np.concatenate([a1[..., k:], b1], axis=-1),
+        c21=noisy[..., :k],
+        c22=noisy[..., k:],
         partition=p,
     )
 
 
 def build_blocks(data: ObservedData) -> CBlocks:
-    """Slice the observed rows (a row-built ``data``) into the four partition blocks."""
+    """Slice the observed rows into the four partition blocks.  Raises
+    ShapeError unless ``data`` is row-built."""
+    a, b = data.rows
     j = data.partition.j
-    return split_blocks(data, np.hstack([data.a[j:, :], data.b[j:, :]]))
+    return split_blocks(data, np.hstack([a[j:, :], b[j:, :]]))
 
 
 def noisy_factor(blocks: CBlocks) -> np.ndarray:
-    """Square R factor of the noisy columns ``[c21 | c22]`` of ``blocks``."""
-    return tall_r(np.hstack([blocks.c21, blocks.c22]))
+    """Square R factor of the noisy columns ``[c21 | c22]`` of the factor
+    blocks ``blocks`` (at most ``n + ell`` rows)."""
+    return _flat_r(np.concatenate([blocks.c21, blocks.c22], axis=-1))
 
 
 def _normalize_subspace(
@@ -180,43 +260,40 @@ def _normalize_subspace(
     basis: np.ndarray,
     n_upper: int,
     ell: int,
-) -> tuple[np.ndarray, np.ndarray, float | None, float, list[str]]:
-    """Lift the ``ell`` smallest eigenvectors of ``eig`` through ``basis``
-    and normalize the trailing block to ``-I``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray, list[list[str]]]:
+    """Lift the ``ell`` smallest eigenvectors of each slice of ``eig`` through
+    ``basis`` and normalize the trailing block to ``-I``.
 
-    Returns ``(x, smallest_values, gap, z_lower_min_sv, flags)``.
+    Returns ``(x, smallest_values, gap, z_lower_min_sv, flags)``, with one
+    entry per slice.
     """
     values = eig.values
-    flags: list[str] = []
-    gap: float | None = None
-    if values.size > ell:
-        gap = float(values[ell] - values[ell - 1])
-        # The Frobenius norm of the decomposed symmetric matrix.
-        scale = float(np.linalg.norm(values))
-        if gap < EIG_GAP_TOL * scale:
-            flags.append("eig_gap_degenerate")
-            warnings.warn(
-                f"eigenvalue gap {gap:.3e} below {EIG_GAP_TOL:.0e} * |F|; "
-                "the solution subspace is not numerically unique",
-                EstimatorWarning,
-                stacklevel=3,
-            )
-    z = basis @ eig.vectors[:, :ell]
-    z_upper = z[:n_upper, :]
-    z_lower = z[n_upper:, :]
+    flags: list[list[str]] = [[] for _ in range(len(values))]
+    gap = None
+    if values.shape[-1] > ell:
+        gap = values[:, ell] - values[:, ell - 1]
+        # The Frobenius norm of the decomposed symmetric matrix, a dot
+        # product as np.linalg.norm takes it.
+        scale = np.sqrt(values[:, None, :] @ values[:, :, None])[:, 0, 0]
+        for s in (gap < EIG_GAP_TOL * scale).nonzero()[0]:
+            flags[s].append("eig_gap_degenerate")
+    z = basis @ eig.vectors[..., :ell]
+    z_upper = z[..., :n_upper, :]
+    z_lower = z[..., n_upper:, :]
     sv_low = singular_values(z_lower)
-    if sv_low[-1] <= LOWER_BLOCK_TOL:
-        raise LowerBlockSingularError(
-            f"trailing {ell}x{ell} eigenvector block is singular "
-            f"(smallest singular value {sv_low[-1]:.3e})"
-        )
+    check_slices(sv_low[:, -1] <= LOWER_BLOCK_TOL, lambda i: LowerBlockSingularError(
+        f"trailing {ell}x{ell} eigenvector block is singular "
+        f"(smallest singular value {sv_low[i, -1]:.3e})"
+    ))
     try:
-        x = solve_linear(z_lower.T, -z_upper.T, sv=sv_low).T
-    except NearSingularError as exc:
-        raise LowerBlockSingularError(str(exc)) from exc
-    return x, values[:ell].copy(), gap, float(sv_low[-1]), flags
+        x = solve_linear(z_lower.swapaxes(-1, -2), -z_upper.swapaxes(-1, -2), sv=sv_low)
+    except SplitStack as split:  # its NearSingularErrors
+        split.errors = {i: LowerBlockSingularError(str(exc)) for i, exc in split.errors.items()}
+        raise
+    return x.swapaxes(-1, -2), values[:, :ell], gap, sv_low[:, -1], flags
 
 
+@stacked
 def tls_from_data(data: ObservedData) -> EstimateResult:
     """Classical TLS on all of ``[A | B]``, ignoring the partition.
 
@@ -227,9 +304,8 @@ def tls_from_data(data: ObservedData) -> EstimateResult:
     x, eigs, gap, z_min, flags = _normalize_subspace(
         gram_eigen(data.r_all), np.eye(p.n + p.ell), p.n, p.ell
     )
-    diag = Diagnostics(z_lower_smallest_sv=z_min, eig_gap=gap, flags=flags)
-    sigma2 = max(0.0, float(np.mean(eigs))) / p.m
-    return EstimateResult(x_hat=x, sigma2_hat=sigma2, smallest_eigs=eigs, diagnostics=diag)
+    sigma2 = np.maximum(0.0, np.mean(eigs, axis=-1)) / p.m
+    return slice_estimates(x, sigma2, eigs, z_lower_smallest_sv=z_min, eig_gap=gap, flags=flags)
 
 
 def tls_solve(a, b) -> EstimateResult:
@@ -252,6 +328,7 @@ def tls_solve(a, b) -> EstimateResult:
     return tls_from_data(ObservedData(a=a, b=b, partition=partition))
 
 
+@stacked
 def ctls_columns(data: ObservedData) -> EstimateResult:
     """Constrained TLS with exactly-known leading columns (j = 0, 0 < k < n).
 
@@ -275,10 +352,10 @@ def ctls_columns(data: ObservedData) -> EstimateResult:
         )
     p.require_overdetermined()
     sv = fixed_sv(data)
-    if sv[0] == 0.0 or sv[-1] <= RANK_TOL * sv[0]:
-        raise RankDeficientFixedColumnsError(
-            f"fixed columns have singular values {sv}; full column rank required"
-        )
+    check_slices((sv[:, 0] == 0.0) | (sv[:, -1] <= RANK_TOL * sv[:, 0]),
+                 lambda i: RankDeficientFixedColumnsError(
+                     f"fixed columns have singular values {sv[i]}; full column rank required"
+                 ))
     return ctls_rowcol(data)
 
 
@@ -312,15 +389,15 @@ class PreconditionRecord:
         :func:`reduced_factor` as well.
         """
         r = self.rank
-        c12t = self.u.T @ blocks.c12
+        c12t = self.u.swapaxes(-1, -2) @ blocks.c12
         c21t = blocks.c21 @ self.v
-        mult = c21t[:, :r] / self.sigma_r
+        mult = c21t[..., :r] / self.sigma_r[..., None, :]
         rp = self.reduced_partition
         return CBlocks(
-            c11=np.zeros((rp.j, rp.k)),
-            c12=c12t[r:, :].copy(),
-            c21=c21t[:, r:].copy(),
-            c22=blocks.c22 - mult @ c12t[:r, :],
+            c11=np.zeros(blocks.c11.shape[:-2] + (rp.j, rp.k)),
+            c12=c12t[..., r:, :].copy(),
+            c21=c21t[..., r:].copy(),
+            c22=blocks.c22 - mult @ c12t[..., :r, :],
             partition=rp,
         )
 
@@ -331,12 +408,12 @@ class PreconditionRecord:
             # No corner: a copy of x_reduced would change the memory layout
             # that the constraint residual's product with one row rounds by.
             return x_reduced
-        x_free = x_reduced[k - self.rank :, :]
-        pivot_a = self.pivot_c12[:, :n_free]
-        pivot_b = self.pivot_c12[:, n_free:]
-        x_pivot = (pivot_b - pivot_a @ x_free) / self.sigma_r[:, None]
-        x_prime = np.vstack([x_pivot, x_reduced])
-        return np.vstack([self.v @ x_prime[:k, :], x_prime[k:, :]])
+        x_free = x_reduced[..., k - self.rank :, :]
+        pivot_a = self.pivot_c12[..., :n_free]
+        pivot_b = self.pivot_c12[..., n_free:]
+        x_pivot = (pivot_b - pivot_a @ x_free) / self.sigma_r[..., :, None]
+        x_prime = np.concatenate([x_pivot, x_reduced], axis=-2)
+        return np.concatenate([self.v @ x_prime[..., :k, :], x_prime[..., k:, :]], axis=-2)
 
 
 def precondition_rowcol(blocks: CBlocks) -> tuple[CBlocks, PreconditionRecord]:
@@ -349,14 +426,19 @@ def precondition_rowcol(blocks: CBlocks) -> tuple[CBlocks, PreconditionRecord]:
     leaving a problem whose exact corner is identically zero.  Without a
     corner (``j = 0`` or ``k = 0``) or with a zero one, the record is the
     identity: rank 0, ``u = I_j``, ``v = I_k``, no SVD, and ``blocks``
-    come back as they are.
+    come back as they are.  A stack whose corners differ in rank raises
+    SplitStack into groups of equal rank.
     """
     p = blocks.partition
-    if blocks.c11.any():
+    nonzero = blocks.c11.any(axis=(-2, -1))
+    same_rank(nonzero)
+    if nonzero.any():
         dec = svd(blocks.c11)
         sv = dec.singular_values
-        r = int(np.count_nonzero(sv > RANK_TOL * sv[0]))
-        u, v, sigma_r = dec.u, dec.v, sv[:r].copy()
+        ranks = rank_of(sv)
+        same_rank(ranks)
+        r = int(ranks.flat[0])
+        u, v, sigma_r = dec.u, dec.v, sv[..., :r].copy()
     else:
         r, u, v, sigma_r = 0, np.eye(p.j), np.eye(p.k), np.zeros(0)
     record = PreconditionRecord(
@@ -364,7 +446,7 @@ def precondition_rowcol(blocks: CBlocks) -> tuple[CBlocks, PreconditionRecord]:
         v=v,
         rank=r,
         sigma_r=sigma_r,
-        pivot_c12=(u.T @ blocks.c12)[:r, :].copy(),
+        pivot_c12=(u.swapaxes(-1, -2) @ blocks.c12)[..., :r, :].copy(),
         partition=p,
         reduced_partition=PartitionSpec(
             j=p.j - r, k=p.k - r, n=p.n - r, ell=p.ell, m=p.m - r
@@ -380,10 +462,10 @@ def _exact_row_basis(rows: np.ndarray, max_rows: int) -> np.ndarray:
     empty and its size gives the rank.  Raises RankDeficientUpperRowsError
     if the rows are rank deficient or more than ``max_rows``.
     """
-    j, cols = rows.shape
+    j, cols = rows.shape[-2:]
     if j == 0:
         return np.eye(cols)
-    if j > max_rows or cols - (basis := null_space_basis(rows)).shape[1] != j:
+    if j > max_rows or cols - (basis := null_space_basis(rows)).shape[-1] != j:
         raise _exact_rows_error(j, max_rows)
     return basis
 
@@ -394,10 +476,15 @@ def _exact_rows_error(j: int, max_rows: int) -> RankDeficientUpperRowsError:
     )
 
 
-def _constraint_residual(data: ObservedData, x_hat: np.ndarray) -> float | None:
-    """``|A1 @ x_hat - B1|_F`` over the exact rows; None without exact rows."""
+def _constraint_residual(data: ObservedData, x_hat: np.ndarray) -> np.ndarray | None:
+    """``|A1 @ x_hat - B1|_F`` per slice over the exact rows; None without
+    exact rows.  The sum of squares is a dot product of the flat residual,
+    as ``np.linalg.norm`` takes it."""
     a1, b1 = data.exact_rows
-    return float(np.linalg.norm(a1 @ x_hat - b1, "fro")) if len(a1) else None
+    if not a1.shape[-2]:
+        return None
+    flat = (a1 @ x_hat - b1).reshape(len(a1), 1, -1)
+    return np.sqrt(flat @ flat.swapaxes(-1, -2))[:, 0, 0]
 
 
 @instance_stage
@@ -419,6 +506,7 @@ def reduced_factor(
     return blocks, record, noisy_factor(blocks) if record.rank else data.r_noisy, basis
 
 
+@stacked
 def ctls_rowcol(data: ObservedData) -> EstimateResult:
     """Constrained TLS with exact leading rows and columns.
 
@@ -446,8 +534,9 @@ def ctls_rowcol(data: ObservedData) -> EstimateResult:
     p = data.partition
     p.require_overdetermined()
     # j < n: the exact rows of A must be independent on their own.
-    if p.j and (p.j >= p.n or matrix_rank(data.exact_rows[0]) != p.j):
-        raise _exact_rows_error(p.j, p.n - 1)
+    if p.j:
+        check_slices(matrix_rank(data.exact_rows[0]) != p.j,
+                     lambda i: _exact_rows_error(p.j, p.n - 1))
     blocks, record, r, basis = reduced_factor(data)
     rp = blocks.partition
     k = rp.k
@@ -460,32 +549,33 @@ def ctls_rowcol(data: ObservedData) -> EstimateResult:
         )
     # With no pivot eliminated, r is data.r_noisy.
     sv = fixed_sv(data) if k > 0 and record.rank == 0 else None
-    cond21 = gram_condition(r[:k, :k], sv) if k > 0 else None
+    cond21 = gram_condition(r[..., :k, :k], sv) if k > 0 else None
     x_lower, ritz, gap, z_min, flags = _normalize_subspace(
-        gram_eigen(r[k:, k:] @ basis), basis, p.n_free, p.ell
+        gram_eigen(r[..., k:, k:] @ basis), basis, p.n_free, p.ell
     )
     # Without exact columns left, x_lower itself, not a copy: recover's
     # products round by its memory layout.
     x_reduced = x_lower
     if k > 0:
-        y = np.vstack([-x_lower, np.eye(p.ell)])
-        x_top = solve_upper_triangular(r[:k, :k], r[:k, k:] @ y)
-        x_reduced = np.vstack([x_top, x_lower])
+        eye = np.broadcast_to(np.eye(p.ell), x_lower.shape[:-2] + (p.ell, p.ell))
+        y = np.concatenate([-x_lower, eye], axis=-2)
+        x_top = solve_upper_triangular(r[..., :k, :k], r[..., :k, k:] @ y)
+        x_reduced = np.concatenate([x_top, x_lower], axis=-2)
     x_hat = record.recover(x_reduced)
-    diag = Diagnostics(
+    return slice_estimates(
+        x_hat,
+        np.maximum(0.0, np.mean(ritz, axis=-1)) / p.m,
+        ritz,
         z_lower_smallest_sv=z_min,
         c21_gram_condition=cond21,
         eig_gap=gap,
         constraint_residual=_constraint_residual(data, x_hat),
         flags=flags,
-        rank_notes=notes,
-    )
-    sigma2 = max(0.0, float(np.mean(ritz))) / p.m
-    return EstimateResult(
-        x_hat=x_hat, sigma2_hat=sigma2, smallest_eigs=ritz, diagnostics=diag
+        rank_notes=[list(notes) for _ in flags],
     )
 
 
+@stacked
 def ctls_rows(data: ObservedData) -> EstimateResult:
     """Constrained TLS with exactly-known leading rows (k = 0, 0 < j < n).
 
@@ -504,14 +594,14 @@ def ctls_rows(data: ObservedData) -> EstimateResult:
 def fixed_sv(data: ObservedData) -> np.ndarray:
     """Singular values of ``R11``, the exact-column corner of ``data.r_noisy`` (k > 0)."""
     k = data.partition.k
-    return singular_values(data.r_noisy[:k, :k])
+    return singular_values(data.r_noisy[..., :k, :k])
 
 
 @instance_stage
 def noisy_gram(data: ObservedData) -> tuple[np.ndarray, np.ndarray]:
     """The eigenvalues of ``R22.T @ R22`` and ``R.T @ R`` for ``R = data.r_noisy``."""
     r, k = data.r_noisy, data.partition.k
-    return gram_eigen(r[k:, k:]).values, r.T @ r
+    return gram_eigen(r[..., k:, k:]).values, r.swapaxes(-1, -2) @ r
 
 
 def shifted_gram(
@@ -527,18 +617,19 @@ def shifted_gram(
     """
     k = data.partition.k
     eigs, gram = noisy_gram(data)
-    g_eigs = eigs[: data.partition.ell]
+    g_eigs = eigs[..., : data.partition.ell]
     if mu_rule == "min":
-        mu = float(g_eigs[0])
+        mu = g_eigs[..., 0]
     elif mu_rule == "max":
-        mu = float(g_eigs[-1])
+        mu = g_eigs[..., -1]
     else:
-        mu = float(np.mean(g_eigs))
+        mu = np.mean(g_eigs, axis=-1)
     f = gram.copy()
-    f[k:, k:] -= mu * np.eye(f.shape[0] - k)
+    f[..., k:, k:] -= np.multiply.outer(mu, np.eye(f.shape[-1] - k))
     return g_eigs, mu, f
 
 
+@stacked
 def projection_estimator(data: ObservedData, mu_rule: str = "mean") -> EstimateResult:
     """Orthogonal-projection estimator with a noise-variance shift.
 
@@ -559,26 +650,22 @@ def projection_estimator(data: ObservedData, mu_rule: str = "mean") -> EstimateR
     m, n, ell, k = p.m, p.n, p.ell, p.k
 
     # j < n, so the exact rows never fill the n + ell columns.
-    basis = _exact_row_basis(np.hstack(data.exact_rows), n - 1)
-    cond21 = gram_condition(data.r_noisy[:k, :k], fixed_sv(data)) if k > 0 else None
+    basis = _exact_row_basis(np.concatenate(data.exact_rows, axis=-1), n - 1)
+    cond21 = gram_condition(data.r_noisy[..., :k, :k], fixed_sv(data)) if k > 0 else None
     g_eigs, mu, f = shifted_gram(data, mu_rule)
     x_hat, ritz, gap, z_min, flags = _normalize_subspace(
-        sym_eigen(basis.T @ f @ basis), basis, n, ell
+        sym_eigen(basis.swapaxes(-1, -2) @ f @ basis), basis, n, ell
     )
-
-    diag = Diagnostics(
+    return slice_estimates(
+        x_hat,
+        np.maximum(0.0, mu) / m,
+        ritz,
+        mu=mu,
         z_lower_smallest_sv=z_min,
         c21_gram_condition=cond21,
         eig_gap=gap,
         constraint_residual=_constraint_residual(data, x_hat),
         g_smallest_eigs=g_eigs.copy(),
         flags=flags,
-    )
-    return EstimateResult(
-        x_hat=x_hat,
-        sigma2_hat=max(0.0, mu) / m,
-        smallest_eigs=ritz,
-        diagnostics=diag,
-        mu=mu,
     )
 

@@ -20,11 +20,15 @@ Trials derive their seeds from the base seed and the cell coordinates alone
 instances and any single cell can be reproduced in isolation.  Instances
 run on the fork pool of :mod:`ctls.parallel`, keyed by task, so the output is
 byte-identical whatever the process count (``taskset -c 0`` runs serially).
+A worker keeps the exact rows, factors and ground-truth Gram matrices of its
+instances of one ``m`` and runs each estimator and :func:`gram_residuals`
+once on their stack (:func:`ctls.estimators.per_slice`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -34,22 +38,24 @@ import numpy as np
 
 from .errors import CtlsError, IncompatibleConfigError, InvalidPartitionError
 from .estimators import (
-    Diagnostics,
     EstimateResult,
     ctls_columns,
     ctls_rowcol,
     ctls_rows,
     fixed_sv,
     noisy_factor,
+    per_slice,
     projection_estimator,
     reduced_factor,
     shifted_gram,
+    slice_estimates,
     split_blocks,
+    stacked,
     tls_from_data,
 )
 from .linalg import gram_condition, solve_upper_triangular, sym_eigen
 from .model import DesignKind, NoiseKind, ObservedData, PartitionSpec, sample_instance
-from .parallel import run_tasks
+from .parallel import run_shares
 
 #: Flat-file column order for trace CSV output (stable public interface).
 CSV_COLUMNS = (
@@ -65,6 +71,7 @@ CSV_COLUMNS = (
 )
 
 
+@stacked
 def naive_ls(data: ObservedData) -> EstimateResult:
     """Ordinary least squares from the cached factor of ``[A | B]``.
 
@@ -79,18 +86,13 @@ def naive_ls(data: ObservedData) -> EstimateResult:
     p = data.partition
     m, n, ell = p.m, p.n, p.ell
     r = data.r_all
-    gram_condition(r[:n, :n])
-    x = solve_upper_triangular(r[:n, :n], r[:n, n:])
-    sigma2 = float(np.sum(r[n:, n:] ** 2)) / (m * ell)
-    return EstimateResult(
-        x_hat=x,
-        sigma2_hat=sigma2,
-        smallest_eigs=np.zeros(0),
-        diagnostics=Diagnostics(),
-    )
+    gram_condition(r[:, :n, :n])
+    x = solve_upper_triangular(r[:, :n, :n], r[:, :n, n:])
+    sigma2 = np.sum((r[:, n:, n:] ** 2).reshape(len(r), -1), axis=-1) / (m * ell)
+    return slice_estimates(x, sigma2, np.zeros((len(r), 0)))
 
 
-#: Sweep estimator name -> the function that runs it on one instance.
+#: Sweep estimator name -> the function that runs it on an instance or a stack.
 ESTIMATORS = {
     "naive_ls": naive_ls,
     "tls": tls_from_data,
@@ -101,6 +103,12 @@ ESTIMATORS = {
 }
 
 ESTIMATOR_NAMES = tuple(ESTIMATORS)
+
+#: The estimators that read ``data.r_all``, the factor of all rows.
+ALL_ROWS = ("naive_ls", "tls")
+
+#: The estimators whose records carry a Gram residual.
+WITH_RESIDUALS = ("projection", "ctls_rowcol")
 
 
 @dataclass(frozen=True)
@@ -341,33 +349,76 @@ def gram_residuals(gram_bar: np.ndarray, sigma: float, data: ObservedData) -> di
     corner elimination on a square root ``F.T @ F = G`` (eigenvalues clipped
     at zero, as ``G`` has rank ``n``) and projects both sides with the basis
     of :func:`~ctls.estimators.reduced_factor`, whose
-    RankDeficientUpperRowsError it raises.
+    RankDeficientUpperRowsError it raises.  On a stack ``data`` and
+    ``gram_bar`` (one matrix per slice), returns a list per slice
+    (:func:`~ctls.estimators.per_slice`).
     """
+    return per_slice(lambda stack, grams: _gram_residuals(grams, sigma, stack), data, gram_bar)
+
+
+def _gram_residuals(gram_bar: np.ndarray, sigma: float, data: ObservedData) -> list[dict]:
     p = data.partition
     m, k = p.m, p.k
 
     # Shifted-Gram residual (projection pipeline, mean shift).
     _, _, f_data = shifted_gram(data)
-    shifted_resid = float(np.max(np.abs(f_data - gram_bar))) / m
+    shifted_resid = np.max(np.abs(f_data - gram_bar), axis=(-2, -1)) / m
 
     # Row-projected residual in the zero-corner frame.  The exact rows of
     # the data and of the ground truth are the same numbers.
     eig = sym_eigen(gram_bar)
-    f_bar = np.sqrt(np.maximum(eig.values, 0.0))[:, None] * eig.vectors.T
+    f_bar = np.sqrt(np.maximum(eig.values, 0.0))[..., None] * eig.vectors.swapaxes(-1, -2)
     work, record, r_work, basis = reduced_factor(data)
     r_work_bar = noisy_factor(record.transform_blocks(split_blocks(data, f_bar)))
     kw = work.partition.k
-    lhs, rhs = r_work[kw:, kw:] @ basis, r_work_bar[kw:, kw:] @ basis
-    lhs, rhs = lhs.T @ lhs, rhs.T @ rhs
-    target = rhs / m + sigma**2 * np.eye(lhs.shape[0])
-    projected_resid = float(np.max(np.abs(lhs / m - target)))
+    lhs, rhs = r_work[..., kw:, kw:] @ basis, r_work_bar[..., kw:, kw:] @ basis
+    lhs, rhs = lhs.swapaxes(-1, -2) @ lhs, rhs.swapaxes(-1, -2) @ rhs
+    target = rhs / m + sigma**2 * np.eye(lhs.shape[-1])
+    projected_resid = np.max(np.abs(lhs / m - target), axis=(-2, -1))
 
-    c21_eig = float(fixed_sv(data)[-1]) ** 2 / m if k > 0 else None
-    return {
-        "shifted_gram_residual": shifted_resid,
-        "projected_gram_residual": projected_resid,
-        "c21_gram_smallest_eig": c21_eig,
-    }
+    c21_eig = fixed_sv(data)[:, -1] ** 2 / m if k > 0 else None
+    return [
+        {
+            "shifted_gram_residual": float(shifted_resid[s]),
+            "projected_gram_residual": float(projected_resid[s]),
+            "c21_gram_smallest_eig": None if c21_eig is None else float(c21_eig[s]),
+        }
+        for s in range(len(gram_bar))
+    ]
+
+
+def _stack_call(size: int, fn, *args) -> list:
+    """``fn(*args)`` for a stack of ``size``; a CtlsError of the whole call
+    counts against every slice."""
+    try:
+        return fn(*args)
+    except CtlsError as exc:
+        return [exc] * size
+
+
+def _record(name: str, m: int, trial: int, seeds, x_true, result, residuals) -> TrialRecord:
+    """The record of one estimator on one instance: ``result`` is its
+    EstimateResult or CtlsError, ``residuals`` the instance's Gram
+    residuals or their CtlsError, which counts against the records that
+    report them like an estimator failure."""
+    if name in WITH_RESIDUALS and not isinstance(result, CtlsError):
+        result = residuals if isinstance(residuals, CtlsError) else result
+    if isinstance(result, CtlsError):
+        return TrialRecord(name, m, trial, *seeds, None, None, None, None, None,
+                           type(result).__name__)
+    projection = name == "projection"
+    return TrialRecord(
+        name, m, trial, *seeds,
+        err=float(np.linalg.norm(result.x_hat - x_true, "fro")),
+        sigma2_hat=result.sigma2_hat,
+        mu_over_m=result.mu / m if projection else None,
+        shifted_gram_residual=residuals["shifted_gram_residual"] if projection else None,
+        projected_gram_residual=(residuals["projected_gram_residual"]
+                                 if name == "ctls_rowcol" else None),
+        status="ok",
+        constraint_residual=result.diagnostics.constraint_residual,
+        flags=list(result.diagnostics.flags),
+    )
 
 
 def run_sweep(config: SweepConfig) -> ConvergenceTrace:
@@ -377,57 +428,40 @@ def run_sweep(config: SweepConfig) -> ConvergenceTrace:
     out of the aggregates, never dropped silently.
     """
 
-    def run_instance(m: int, trial: int) -> list[TrialRecord]:
-        model_seed = trial_seed(config.base_seed, "model", m, trial)
-        noise_seed = trial_seed(config.base_seed, "noise", m, trial)
-        x_true, data, gram_bar = sample_instance(
-            config.partition_for(m), config.sigma, model_seed, noise_seed,
-            config.design, config.noise,
-        )
-        # Computed once, by the first estimator record that reports it; a
-        # failure counts against that record like an estimator failure.
-        residuals: dict = {}
-        records = []
-        for name in config.estimators:
-            err = s2 = mu_m = res_shifted = res_projected = constraint = None
-            flags: list[str] = []
-            status = "ok"
-            try:
-                result = _run_estimator(name, data)
-                if name in ("projection", "ctls_rowcol") and not residuals:
-                    residuals.update(gram_residuals(gram_bar, config.sigma, data))
-                err = float(np.linalg.norm(result.x_hat - x_true, "fro"))
-                s2 = result.sigma2_hat
-                flags = list(result.diagnostics.flags)
-                constraint = result.diagnostics.constraint_residual
-                if name == "projection":
-                    mu_m = result.mu / m
-                    res_shifted = residuals["shifted_gram_residual"]
-                if name == "ctls_rowcol":
-                    res_projected = residuals["projected_gram_residual"]
-            except CtlsError as exc:
-                status = type(exc).__name__
-            records.append(
-                TrialRecord(
-                    estimator=name,
-                    m=m,
-                    trial=trial,
-                    model_seed=model_seed,
-                    noise_seed=noise_seed,
-                    err=err,
-                    sigma2_hat=s2,
-                    mu_over_m=mu_m,
-                    shifted_gram_residual=res_shifted,
-                    projected_gram_residual=res_projected,
-                    status=status,
-                    constraint_residual=constraint,
-                    flags=flags,
-                )
-            )
-        return records
+    def run_share(share: list) -> list[list[TrialRecord]]:
+        return [recs for m, cell in itertools.groupby(share, key=lambda task: task[0])
+                for recs in run_cell(m, [trial for _, trial in cell])]
 
+    def run_cell(m: int, trials: list[int]) -> list[list[TrialRecord]]:
+        """The records of each trial of one ``m``, from one stack of its instances."""
+        seeds = [(trial_seed(config.base_seed, "model", m, t),
+                  trial_seed(config.base_seed, "noise", m, t)) for t in trials]
+        parts = []
+        for model_seed, noise_seed in seeds:
+            x_true, data, gram_bar = sample_instance(
+                config.partition_for(m), config.sigma, model_seed, noise_seed,
+                config.design, config.noise,
+            )
+            parts.append((x_true, gram_bar, *data.exact_rows, data.r_noisy,
+                          *([data.r_all] if all_rows else [])))
+            del data  # drops the first TSQR level of the instance
+        x_true, grams, exact_a, exact_b, r_noisy, *r_all = map(np.stack, zip(*parts))
+        stack = ObservedData.stacked(exact_a, exact_b, config.partition_for(m), r_noisy, *r_all)
+        results = {name: _stack_call(len(trials), _run_estimator, name, stack)
+                   for name in config.estimators}
+        residuals = [{}] * len(trials)
+        if any(not isinstance(out, CtlsError)
+               for name in WITH_RESIDUALS for out in results.get(name, ())):
+            residuals = _stack_call(len(trials), gram_residuals, grams, config.sigma, stack)
+        return [
+            [_record(name, m, trial, seeds[s], x_true[s], results[name][s], residuals[s])
+             for name in config.estimators]
+            for s, trial in enumerate(trials)
+        ]
+
+    all_rows = any(name in ALL_ROWS for name in config.estimators)
     tasks = [(m, t) for m in config.m_values for t in range(config.trials)]
-    records = [rec for recs in run_tasks(run_instance, tasks) for rec in recs]
+    records = [rec for recs in run_shares(run_share, tasks) for rec in recs]
 
     aggregates: dict[str, dict[int, dict[str, float]]] = {}
     for name in config.estimators:

@@ -26,6 +26,13 @@ factors have a nonnegative diagonal, inputs must be finite and nonempty
 failure (``numpy.linalg.LinAlgError``) surfaces as :class:`LapackError`, so
 callers that count ``CtlsError`` count it too.
 
+Stacks: the wrappers and solves also take a stack of matrices (one leading
+axis), as ``numpy.linalg`` does, and each slice of a result is bit for bit
+the result for that slice alone.  A check that fails on some slices raises
+:class:`~ctls.errors.SplitStack` (:func:`check_slices`) with each failed
+slice's own error; slices whose null spaces differ in rank split into
+groups.  A failed LAPACK call or a bad input raises for the whole stack.
+
 Every function is a pure function of its inputs and never mutates them.
 Identical inputs give bit-identical outputs for one numpy/BLAS build and one
 BLAS thread count.
@@ -46,6 +53,7 @@ from .errors import (
     NonSquareError,
     NotPositiveDefiniteError,
     ShapeError,
+    SplitStack,
     WideMatrixError,
 )
 
@@ -67,20 +75,21 @@ BLOCK_ROWS = 256
 CHUNK_ROWS = 64 * BLOCK_ROWS
 
 
-def as_matrix(obj, name: str = "matrix") -> np.ndarray:
-    """Validate and return ``obj`` as a 2-D float array with finite entries.
+def as_matrix(obj, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Validate and return ``obj`` as a 2-D float array with finite entries;
+    with ``stack``, a stack of them (one leading axis) is accepted too.
 
     Raises
     ------
     ShapeError
-        If the input is not 2-D or has a zero dimension.
+        If the input is not 2-D (or a stack) or a matrix has a zero dimension.
     NonFiniteError
         If any entry is NaN or infinite.
     """
     arr = np.asarray(obj, dtype=float)
-    if arr.ndim != 2:
+    if arr.ndim not in ((2, 3) if stack else (2,)):
         raise ShapeError(f"{name} must be 2-D, got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
+    if arr.shape[-2] < 1 or arr.shape[-1] < 1:
         raise ShapeError(f"{name} has a zero dimension {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{name} contains non-finite entries")
@@ -135,24 +144,42 @@ def _lapack(fn, *args, **kwargs):
         raise LapackError(f"numpy.linalg.{fn.__name__}: {exc}") from exc
 
 
+def check_slices(bad, error_of) -> None:
+    """Raise ``error_of(i)`` for each ``i`` where ``bad[i]``: for one matrix
+    (``bad`` 0-d, ``i = ()``) the error itself, for a stack a
+    :class:`SplitStack` of the failed slices and the rest."""
+    if not np.count_nonzero(bad):
+        return
+    if bad.ndim == 0:
+        raise error_of(())
+    raise SplitStack([np.flatnonzero(~bad)], {i: error_of(i) for i in np.flatnonzero(bad)})
+
+
+def same_rank(ranks) -> None:
+    """Raise :class:`SplitStack` into groups of equal rank unless all ``ranks`` agree."""
+    if ranks.size > 1 and np.count_nonzero(ranks != ranks.flat[0]):
+        raise SplitStack([np.flatnonzero(ranks == r) for r in np.unique(ranks)], {})
+
+
 def _sign_flips(vectors: np.ndarray) -> np.ndarray:
-    """Per column, -1 where the first entry above ``SIGN_TOL`` is negative, else 1."""
+    """Per column, -1 where the first entry above ``SIGN_TOL`` is negative, else 1
+    (shape ``(..., 1, cols)``)."""
     above = np.abs(vectors) > SIGN_TOL
-    lead = vectors[np.argmax(above, axis=0), np.arange(vectors.shape[1])]
-    return np.where(above.any(axis=0) & (lead < 0.0), -1.0, 1.0)
+    first = above & (above.cumsum(axis=-2) == 1)
+    return np.where(np.logical_or.reduce(first & (vectors < 0.0), axis=-2, keepdims=True), -1.0, 1.0)
 
 
 def _square(a: np.ndarray, what: str) -> None:
-    if a.shape[0] != a.shape[1]:
+    if a.shape[-2] != a.shape[-1]:
         raise NonSquareError(f"{what} needs a square matrix, got {a.shape}")
 
 
 def _flat_r(a: np.ndarray) -> np.ndarray:
     """One QR of ``a`` (``mode="r"``), padded with zero rows to a square."""
     r = _lapack(np.linalg.qr, a, mode="r")
-    cols = a.shape[1]
-    if r.shape[0] < cols:
-        r = np.vstack([r, np.zeros((cols - r.shape[0], cols))])
+    rows, cols = r.shape[-2:]
+    if rows < cols:
+        r = np.concatenate([r, np.zeros(r.shape[:-2] + (cols - rows, cols))], axis=-2)
     return r
 
 
@@ -281,10 +308,11 @@ def gram_eigen(r) -> SymEigenResult:
     has fewer rows than columns), so they keep the relative accuracy of the
     SVD; vectors carry the sign convention.
     """
-    a = as_matrix(r, "R")
+    a = as_matrix(r, "R", stack=True)
     _, sv, vt = _lapack(np.linalg.svd, a)
-    values = np.concatenate([np.zeros(a.shape[1] - sv.size), (sv * sv)[::-1]])
-    vectors = vt[::-1].T
+    zeros = np.zeros(sv.shape[:-1] + (a.shape[-1] - sv.shape[-1],))
+    values = np.concatenate([zeros, (sv * sv)[..., ::-1]], axis=-1)
+    vectors = vt[..., ::-1, :].swapaxes(-1, -2)
     return SymEigenResult(values=values, vectors=vectors * _sign_flips(vectors))
 
 
@@ -300,9 +328,9 @@ def sym_eigen(s) -> SymEigenResult:
     NonSquareError
         If the matrix is not square.
     """
-    a = as_matrix(s, "S")
+    a = as_matrix(s, "S", stack=True)
     _square(a, "sym_eigen")
-    values, vectors = _lapack(np.linalg.eigh, 0.5 * (a + a.T))
+    values, vectors = _lapack(np.linalg.eigh, 0.5 * (a + a.swapaxes(-1, -2)))
     return SymEigenResult(values=values, vectors=vectors * _sign_flips(vectors))
 
 
@@ -348,23 +376,30 @@ def svd(m) -> SvdResult:
     left vector flips with it.  Singular values keep high relative accuracy,
     making the ``1e-10`` rank threshold meaningful.
     """
-    a = as_matrix(m, "M")
+    a = as_matrix(m, "M", stack=True)
     u, sv, vt = _lapack(np.linalg.svd, a)
-    v = vt.T
+    v = vt.swapaxes(-1, -2)
     flips = _sign_flips(v)
-    u[:, : sv.size] *= flips[: sv.size]
+    u[..., : sv.shape[-1]] *= flips[..., : sv.shape[-1]]
     return SvdResult(u=u, singular_values=sv, v=v * flips)
 
 
 def singular_values(m) -> np.ndarray:
     """Nonincreasing singular values of ``m``."""
-    return _lapack(np.linalg.svd, as_matrix(m, "M"), compute_uv=False)
+    return _lapack(np.linalg.svd, as_matrix(m, "M", stack=True), compute_uv=False)
 
 
-def matrix_rank(m, rank_tol: float = RANK_TOL) -> int:
-    """Rank by counting singular values above ``rank_tol * sigma_max``."""
-    sv = singular_values(m)
-    return int(np.count_nonzero(sv > rank_tol * sv[0]))
+def rank_of(sv: np.ndarray, rank_tol: float = RANK_TOL):
+    """The number of singular values in ``sv`` (nonincreasing, last axis)
+    above ``rank_tol * sigma_max``."""
+    return (sv > rank_tol * sv[..., :1]).sum(axis=-1)
+
+
+def matrix_rank(m, rank_tol: float = RANK_TOL):
+    """Rank by counting singular values above ``rank_tol * sigma_max``
+    (an int, or an integer array for a stack)."""
+    rank = rank_of(singular_values(m), rank_tol)
+    return rank if rank.ndim else int(rank)
 
 
 def null_space_basis(m, rank_tol: float = RANK_TOL) -> np.ndarray:
@@ -378,19 +413,24 @@ def null_space_basis(m, rank_tol: float = RANK_TOL) -> np.ndarray:
     ------
     FullRankError
         If the null space is empty; callers decide whether that is fatal.
+    SplitStack
+        On a stack whose slices differ in rank, into groups of equal rank.
     """
     if rank_tol <= 0.0:
         raise ValueError("rank_tol must be positive")
-    a = as_matrix(m, "M")
+    a = as_matrix(m, "M", stack=True)
     _, sv, vt = _lapack(np.linalg.svd, a)
-    rank = int(np.count_nonzero(sv > rank_tol * sv[0]))
-    if rank == a.shape[1]:
+    ranks = rank_of(sv, rank_tol)
+    same_rank(ranks)
+    rank = int(ranks.flat[0])
+    if rank == a.shape[-1]:
         raise FullRankError(f"matrix of shape {a.shape} has an empty null space")
-    basis = vt[rank:].T
+    basis = vt[..., rank:, :].swapaxes(-1, -2)
     return basis * _sign_flips(basis)
 
 
-def _near_singular(cond: float, what: str) -> NearSingularError:
+def _near_singular(cond, what: str) -> NearSingularError:
+    cond = float(cond)
     return NearSingularError(
         f"{what} is singular to working precision (condition ~ {cond:.3e})",
         condition=cond,
@@ -413,18 +453,24 @@ def solve_linear(a, b, sv=None) -> np.ndarray:
     NearSingularError
         If the condition estimate exceeds the threshold; carries the estimate.
     """
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
+    a = as_matrix(a, "A", stack=True)
+    b = as_matrix(b, "B", stack=True)
     _square(a, "solve_linear")
-    if b.shape[0] != a.shape[0]:
-        raise ShapeError(f"right-hand side has {b.shape[0]} rows, expected {a.shape[0]}")
+    if b.shape[-2] != a.shape[-2]:
+        raise ShapeError(f"right-hand side has {b.shape[-2]} rows, expected {a.shape[-2]}")
     if sv is None:
         sv = singular_values(a)
-    if sv[0] == 0.0 or sv[-1] <= SOLVE_COND_TOL * sv[0]:
-        raise _near_singular(
-            float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1]), "matrix"
-        )
+    check_slices(
+        (sv[..., 0] == 0.0) | (sv[..., -1] <= SOLVE_COND_TOL * sv[..., 0]),
+        lambda i: _near_singular(_ratio(sv[i]), "matrix"),
+    )
     return _lapack(np.linalg.solve, a, b)
+
+
+def _ratio(sv: np.ndarray):
+    """``sv[..., 0] / sv[..., -1]``, infinite where the last is zero."""
+    last = sv[..., -1]
+    return np.divide(sv[..., 0], last, out=np.full(last.shape, np.inf), where=last != 0.0)
 
 
 def gram_condition(r, sv=None) -> float:
@@ -434,13 +480,13 @@ def gram_condition(r, sv=None) -> float:
     Gram matrix itself (condition at or above ``1 / SOLVE_COND_TOL``), so a
     triangular solve with ``r`` can stand in for a solve with its Gram
     matrix without forming it.  A caller that already holds the singular
-    values of ``r`` passes them as ``sv`` to skip the SVD.
+    values of ``r`` passes them as ``sv`` to skip the SVD.  Returns a float,
+    or an array for a stack.
     """
     sv = singular_values(r) if sv is None else sv
-    cond = float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1]) ** 2
-    if cond * SOLVE_COND_TOL >= 1.0:
-        raise _near_singular(cond, "Gram matrix")
-    return cond
+    cond = _ratio(sv) ** 2
+    check_slices(cond * SOLVE_COND_TOL >= 1.0, lambda i: _near_singular(cond[i], "Gram matrix"))
+    return cond if cond.ndim else float(cond)
 
 
 def cholesky_lower(a) -> np.ndarray:

@@ -138,10 +138,15 @@ class ObservedData:
     level, and no array of the ``m`` rows (``a`` and ``b`` are None).
     Each factor's small second level runs on its own first read, so a
     caller that reads only ``r_noisy`` never factors all rows.  Both are
-    cached read-only and shared by the estimators run on one instance, as
-    are the small decompositions of :func:`instance_stage`.  ``r_all`` is
-    bit-identical to ``tall_r(np.hstack([a, b]))``; with ``j = 0``,
-    ``r_noisy is r_all``.
+    cached read-only and shared by the estimators run on one instance.
+    ``r_all`` is bit-identical to ``tall_r(np.hstack([a, b]))``; with
+    ``j = 0``, ``r_noisy is r_all``.
+
+    :meth:`stacked` holds ``stack_size`` instances of one partition, as their
+    exact rows and factors with a leading stack axis; ``stack`` is an
+    instance as a stack of one that shares its factors.  The estimators run
+    on stacks, and the small decompositions of :func:`instance_stage` are
+    cached on the stack, so the estimators run on one stack share them.
 
     Raises ShapeError unless ``a`` is ``m x n`` and ``b`` is ``m x ell``.
     """
@@ -149,6 +154,8 @@ class ObservedData:
     a: np.ndarray
     b: np.ndarray
     partition: PartitionSpec
+    #: The number of instances of a stack; None for a single instance.
+    stack_size = None
 
     def __post_init__(self):
         p = self.partition
@@ -171,26 +178,64 @@ class ObservedData:
         p, shapes = partition, (np.shape(exact_a), np.shape(exact_b))
         if shapes != ((p.j, p.n), (p.j, p.ell)):
             raise ShapeError(f"exact rows {shapes} do not match the partition {p}")
+        return cls._built(partition=p, exact_rows=(exact_a, exact_b), _pair=pair)
+
+    @classmethod
+    def stacked(cls, exact_a, exact_b, partition: PartitionSpec, r_noisy, r_all=None):
+        """A stack of instances of ``partition`` from their exact rows
+        ``(S, j, n)`` and ``(S, j, ell)`` and their factors ``(S, d, d)``;
+        without ``r_all``, reading it raises ShapeError."""
+        factors = {"r_noisy": r_noisy} if r_all is None else {"r_noisy": r_noisy, "r_all": r_all}
+        return cls._built(partition=partition, exact_rows=(exact_a, exact_b),
+                          stack_size=len(r_noisy), **factors)
+
+    @classmethod
+    def _built(cls, **attrs):
         data = object.__new__(cls)  # set past the frozen __setattr__, as cached_property does
-        data.__dict__.update(a=None, b=None, partition=p, exact_rows=(exact_a, exact_b), _pair=pair)
+        data.__dict__.update(a=None, b=None, **attrs)
         return data
+
+    def take(self, index) -> ObservedData:
+        """The stack of the slices ``index`` of this stack."""
+        r_all = self.__dict__.get("r_all")
+        return ObservedData.stacked(*(x[index] for x in self.exact_rows), self.partition,
+                                    self.r_noisy[index], None if r_all is None else r_all[index])
+
+    @property
+    def stack(self) -> ObservedData:
+        """This instance as a stack of one that reads its factors on first
+        use; a stack itself.  Not cached: a cached view would form a
+        reference cycle that keeps the rows alive until a garbage collection."""
+        if self.stack_size is not None:
+            return self
+        return self._built(partition=self.partition, stack_size=1, _single=self,
+                           exact_rows=tuple(x[None] for x in self.exact_rows))
+
+    @property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(a, b)``; ShapeError on an instance built from factors."""
+        if self.a is None:
+            raise ShapeError("this call needs a row-built instance, ObservedData(a=, b=, partition=)")
+        return self.a, self.b
 
     @cached_property
     def exact_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """``(a[:j], b[:j])``: the noise-free rows."""
-        return self.a[: self.partition.j], self.b[: self.partition.j]
+        return tuple(x[: self.partition.j] for x in self.rows)
 
     @cached_property
     def _pair(self) -> TallRPair:
-        return tall_r_pair((self.a, self.b), self.partition.j)
+        return tall_r_pair(self.rows, self.partition.j)
 
-    @property
+    @cached_property
     def r_all(self) -> np.ndarray:
-        return self._pair.r_all
+        single = self.__dict__.get("_single")
+        return self._pair.r_all if single is None else single.r_all[None]
 
-    @property
+    @cached_property
     def r_noisy(self) -> np.ndarray:
-        return self._pair.r_low
+        single = self.__dict__.get("_single")
+        return self._pair.r_low if single is None else single.r_noisy[None]
 
 
 def instance_stage(build):
@@ -364,20 +409,22 @@ def whiten(data: ObservedData, sigma_cov) -> tuple[ObservedData, np.ndarray]:
     Raises
     ------
     ShapeError
-        If ``sigma_cov`` is not ``noisy_cols x noisy_cols``.
+        If ``data`` is built from factors or ``sigma_cov`` is not
+        ``noisy_cols x noisy_cols``.
     NotPositiveDefiniteError
         If ``sigma_cov`` is not positive definite.
     """
     p = data.partition
+    a, b = data.rows
     cov = as_matrix(sigma_cov, "sigma_cov")
     w = p.noisy_cols
     if cov.shape != (w, w):
         raise ShapeError(f"sigma_cov must be {w}x{w}, got {cov.shape}")
     lower = cholesky_lower(0.5 * (cov + cov.T))
-    noisy = np.hstack([data.a[:, p.k :], data.b])
+    noisy = np.hstack([a[:, p.k :], b])
     # noisy @ inv(L).T computed column-block-wise as solve(L, noisy.T).T
     white = solve_lower_triangular(lower, noisy.T).T
-    a = data.a.copy()
+    a = a.copy()
     a[:, p.k :] = white[:, : p.n_free]
     b = white[:, p.n_free :].copy()
     return ObservedData(a=a, b=b, partition=p), lower

@@ -23,9 +23,15 @@ def worker_count(tasks: int) -> int:
 
 
 def run_tasks(run_task, tasks: list) -> list:
-    """``run_task(*task)`` for every task, in task order.  Worker ``w`` of
-    :func:`worker_count` runs ``tasks[w::workers]``: worker 0 here, the others
-    in children forked first and pinned to CPU ``w`` of the mask."""
+    """``run_task(*task)`` for every task, in task order, on :func:`run_shares`."""
+    return run_shares(lambda share: [run_task(*task) for task in share], tasks)
+
+
+def run_shares(run_share, tasks: list) -> list:
+    """The results of every task, in task order, where ``run_share(share)``
+    returns those of the tasks of ``share`` in its order.  Worker ``w`` of
+    :func:`worker_count` runs the share ``tasks[w::workers]``: worker 0 here,
+    the others in children forked first and pinned to CPU ``w`` of the mask."""
     mask = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     workers = worker_count(len(tasks))
     shares = [range(w, len(tasks), workers) for w in range(workers)]
@@ -44,7 +50,7 @@ def run_tasks(run_task, tasks: list) -> list:
                     try:
                         if mask:  # else the scheduler may leave a new child on this CPU
                             os.sched_setaffinity(0, {mask[w]})
-                        payload, status = {i: run_task(*tasks[i]) for i in shares[w]}, 0
+                        payload, status = _results(run_share, tasks, shares[w]), 0
                     except BaseException:
                         payload = traceback.format_exc()
                     with os.fdopen(write_fd, "wb") as pipe:
@@ -53,7 +59,7 @@ def run_tasks(run_task, tasks: list) -> list:
                     os._exit(status)
             os.close(write_fd)
             children[pid] = read_fd
-        results = {i: run_task(*tasks[i]) for i in shares[0]}
+        results = _results(run_share, tasks, shares[0])
         for w, (pid, fd) in enumerate(list(children.items()), start=1):
             data = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
             os.close(fd)
@@ -72,3 +78,7 @@ def run_tasks(run_task, tasks: list) -> list:
             os.kill(pid, 9)  # SIGKILL; the signal module is not loaded
             os.waitpid(pid, 0)
     return [results[i] for i in range(len(tasks))]
+
+
+def _results(run_share, tasks: list, share: range) -> dict:
+    return dict(zip(share, run_share([tasks[i] for i in share]), strict=True))

@@ -528,6 +528,19 @@ def test_from_factor_rejects_exact_rows_of_other_shapes():
     assert np.array_equal(data.r_all, tall_r(c))
 
 
+def test_row_readers_reject_a_factor_built_instance():
+    """whiten and build_blocks read the rows, which a factor-built instance
+    does not hold: a ShapeError says so, not a TypeError on None."""
+    data = sample_instance(PartitionSpec(j=1, k=1, n=3, ell=1, m=50), 0.1, 1, 2)[1]
+    for call in (lambda: whiten(data, np.eye(3)), lambda: estimators.build_blocks(data)):
+        with pytest.raises(ShapeError, match="needs a row-built instance"):
+            call()
+    stack = ObservedData.stacked(*(x[None] for x in data.exact_rows), data.partition,
+                                 data.r_noisy[None])
+    with pytest.raises(ShapeError, match="needs a row-built instance"):
+        stack.r_all
+
+
 def test_sample_instance_holds_no_row_array():
     """A 1e6-row instance, its factors read, peaks under 16 MB: the rows of
     [A | B] alone would take 96 MB."""
