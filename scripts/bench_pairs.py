@@ -1,18 +1,23 @@
 """Compare a base revision with the working tree in alternating benchmark pairs.
 
     python3 scripts/bench_pairs.py --workload sweep-readme --base HEAD --pairs 10
+    python3 scripts/bench_pairs.py --workload sweep-readme sweep-wide estimate-csv
 
 Writes the files of the base revision into a temporary directory with
-``git archive``, then runs ``perfbench/run.py --trace 0`` from that tree and from
-the working tree (uncommitted changes included) in turn, ``--pairs`` times.
-Pair ``i`` gives both sides the seed ``--seed + i`` and swaps which side runs
-first on every other pair, so a slow phase of a shared machine lands on both
-sides.  For each end-to-end metric of the working tree's ``BENCHMARK.json``
-it prints the median and quartiles on each side and the pairs the working
-tree won, then whether the output digests of each pair were equal and the
-CPUs each side could use (``provenance.nproc``), with a warning for every
-pair whose sides differ: ``ctls sweep`` runs one process per available CPU,
-so its gain scales with them.  The temporary directory is removed at the end.
+``git archive``, then, for each ``--workload`` in turn, runs
+``perfbench/run.py --trace 0`` from that tree and from the working tree
+(uncommitted changes included) in turn, ``--pairs`` times.  Pair ``i`` gives
+both sides the seed ``--seed + i`` and swaps which side runs first on every
+other pair, so a slow phase of a shared machine lands on both sides.  For
+each workload and each end-to-end metric of the working tree's
+``BENCHMARK.json`` it prints the median and quartiles on each side, the pairs
+the working tree won and a verdict: a gain holds when the working tree wins
+at least nine tenths of the pairs and the medians differ in its favour by
+more than the base's interquartile range.  Then it prints whether the output
+digests of each pair were equal and the CPUs each side could use
+(``provenance.nproc``), with a warning for every pair whose sides differ:
+``ctls sweep`` runs one process per available CPU, so its gain scales with
+them.  The temporary directory is removed at the end.
 """
 
 from __future__ import annotations
@@ -63,9 +68,43 @@ def spread(values: list[float]) -> tuple[float, float, float]:
     return median, q1, q3
 
 
+def report(workload: str, runs: dict[str, list[dict]], spec: list[dict]) -> None:
+    """The table of one workload's pairs, with a verdict line per metric."""
+    pairs = len(runs["base"])
+    print(f"\n{workload}, {pairs} pairs: median [q1, q3] base -> change, "
+          "pairs the change won")
+    for metric in spec:
+        name, higher = metric["name"], metric["better"] == "higher"
+        base = [r["metrics"][name] for r in runs["base"]]
+        change = [r["metrics"][name] for r in runs["change"]]
+        wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
+        (bm, b1, b3), (cm, c1, c3) = spread(base), spread(change)
+        ratio = f"{cm / bm - 1:+.1%}" if bm else "n/a"
+        print(f"  {name:12} {bm:.4g} [{b1:.4g}, {b3:.4g}] -> {cm:.4g} [{c1:.4g}, {c3:.4g}] "
+              f"{metric['unit']}  {ratio}  wins {wins}/{pairs}")
+        # A gain: nine tenths of the pairs won, ties counting for neither side,
+        # and a median gap in the change's favour wider than the base's IQR.
+        gain = (cm - bm) if higher else (bm - cm)
+        held = 10 * wins >= 9 * pairs and gain > b3 - b1
+        print(f"  {'':12} {'gain' if held else 'no gain'}: {wins}/{pairs} wins, "
+              f"{-(-9 * pairs // 10)} needed; median gain {gain:.4g} "
+              f"{'>' if gain > b3 - b1 else '<='} base IQR {b3 - b1:.4g}")
+    same = sum(b["digest"] == c["digest"] for b, c in zip(runs["base"], runs["change"]))
+    correct = sum(r["correct"] for side in runs.values() for r in side)
+    print(f"output digests equal in {same}/{pairs} pairs; "
+          f"correct in {correct}/{2 * pairs} runs")
+    print(f"nproc base {sorted({r['nproc'] for r in runs['base']})}, "
+          f"change {sorted({r['nproc'] for r in runs['change']})}")
+    for i, (b, c) in enumerate(zip(runs["base"], runs["change"]), start=1):
+        if b["nproc"] != c["nproc"]:
+            print(f"warning: pair {i} ran on {b['nproc']} CPUs for the base and "
+                  f"{c['nproc']} for the change; sweep times scale with the CPUs")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="extend", nargs="+",
+                        help="one or more workloads, run one after another")
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=32.0)
@@ -80,7 +119,7 @@ def main() -> int:
 
     scratch = tempfile.mkdtemp(prefix="bench-pairs-")
     base_tree = os.path.join(scratch, "base")
-    runs: dict[str, list[dict]] = {"base": [], "change": []}
+    runs = {workload: {"base": [], "change": []} for workload in args.workload}
     try:
         revision = git(here, "rev-parse", "--short", args.base)
         os.makedirs(base_tree)
@@ -88,41 +127,23 @@ def main() -> int:
                                  check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", base_tree], input=archive, check=True)
         print(f"base {args.base} ({revision}) against the working tree {here}")
-        for i in range(args.pairs):
-            seed = args.seed + i
-            order = [("base", base_tree), ("change", here)]
-            if i % 2:
-                order.reverse()
-            for side, tree in order:
-                runs[side].append(run_once(tree, args.workload, seed, args.seconds))
-            base, change = runs["base"][-1], runs["change"][-1]
-            print(f"pair {i + 1}/{args.pairs} seed {seed} {order[0][0]} first: "
-                  f"op_p50_s {base['metrics']['op_p50_s']:.4g} -> "
-                  f"{change['metrics']['op_p50_s']:.4g}", flush=True)
+        for workload, sides in runs.items():
+            for i in range(args.pairs):
+                seed = args.seed + i
+                order = [("base", base_tree), ("change", here)]
+                if i % 2:
+                    order.reverse()
+                for side, tree in order:
+                    sides[side].append(run_once(tree, workload, seed, args.seconds))
+                base, change = sides["base"][-1], sides["change"][-1]
+                print(f"{workload} pair {i + 1}/{args.pairs} seed {seed} {order[0][0]} first: "
+                      f"op_p50_s {base['metrics']['op_p50_s']:.4g} -> "
+                      f"{change['metrics']['op_p50_s']:.4g}", flush=True)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
-    print(f"\n{args.workload}, {args.pairs} pairs: median [q1, q3] base -> change, "
-          "pairs the change won")
-    for metric in spec:
-        name, higher = metric["name"], metric["better"] == "higher"
-        base = [r["metrics"][name] for r in runs["base"]]
-        change = [r["metrics"][name] for r in runs["change"]]
-        wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
-        (bm, b1, b3), (cm, c1, c3) = spread(base), spread(change)
-        ratio = f"{cm / bm - 1:+.1%}" if bm else "n/a"
-        print(f"  {name:12} {bm:.4g} [{b1:.4g}, {b3:.4g}] -> {cm:.4g} [{c1:.4g}, {c3:.4g}] "
-              f"{metric['unit']}  {ratio}  wins {wins}/{args.pairs}")
-    same = sum(b["digest"] == c["digest"] for b, c in zip(runs["base"], runs["change"]))
-    correct = sum(r["correct"] for side in runs.values() for r in side)
-    print(f"output digests equal in {same}/{args.pairs} pairs; "
-          f"correct in {correct}/{2 * args.pairs} runs")
-    print(f"nproc base {sorted({r['nproc'] for r in runs['base']})}, "
-          f"change {sorted({r['nproc'] for r in runs['change']})}")
-    for i, (b, c) in enumerate(zip(runs["base"], runs["change"]), start=1):
-        if b["nproc"] != c["nproc"]:
-            print(f"warning: pair {i} ran on {b['nproc']} CPUs for the base and "
-                  f"{c['nproc']} for the change; sweep times scale with the CPUs")
+    for workload, sides in runs.items():
+        report(workload, sides, spec)
     return 0
 
 

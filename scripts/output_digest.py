@@ -19,7 +19,8 @@ with rank-deficient exact rows and with a zero exact corner, the
 ``run_sweep`` traces of five partitions, and the exit code, stdout, stderr
 and X file of ``ctls estimate`` for every method on CSV files written with
 LF, with CRLF and with blank lines, both below and above the size at which
-the reader splits a file.  A sweep trace is two cases: ``sweep/jXkY``
+the reader splits a file, and on a B malformed in its second half, a missing
+B, a B one row short and with a CSV ``--sigma-cov``.  A sweep trace is two cases: ``sweep/jXkY``
 without and ``sweep/jXkY/residuals`` with only the Gram-residual fields of
 its records and their medians, whose ground truth a sweep sums by chunks.
 Two noise-free grid-design sweeps gate how a stacked sweep handles each
@@ -219,14 +220,30 @@ def case_digests() -> list[tuple[str, str]]:
                     with open(os.path.join(tmp, name), "w", encoding="utf-8", newline="") as fh:
                         fh.write(relayout(format_csv(mat)))
                 cases.append((f"estimate/{layout}/m{m}", estimate_lines(tmp)))
+        # Error paths and a CSV --sigma-cov; the cov fits the methods with k = 2.
+        b_lines = format_csv(data.b).splitlines(keepends=True)
+        bad_b = b_lines[:]
+        bad_b[3 * m // 4] = "0.5,oops\n"
+        cov = 0.09 * np.eye(4) + 0.01
+        variants = {"bad-b": {"B.csv": "".join(bad_b)}, "missing-b": {},
+                    "short-b": {"B.csv": "".join(b_lines[:-1])},
+                    "sigma-cov": {"B.csv": "".join(b_lines), "cov.csv": format_csv(cov)}}
+        for name, files in variants.items():
+            with tempfile.TemporaryDirectory() as tmp:
+                for fname, text in {"A.csv": format_csv(data.a), **files}.items():
+                    with open(os.path.join(tmp, fname), "w", encoding="utf-8") as fh:
+                        fh.write(text)
+                extra = ("--sigma-cov", "cov.csv") if "cov.csv" in files else ()
+                cases.append((f"estimate/{name}/m{m}", estimate_lines(tmp, extra)))
 
     return [(name, hashlib.sha256("\n".join(lines).encode()).hexdigest())
             for name, lines in cases]
 
 
-def estimate_lines(workdir: str) -> list[str]:
+def estimate_lines(workdir: str, extra: tuple = ()) -> list[str]:
     """Exit code, stdout, stderr and X file of ``ctls estimate`` on
-    ``workdir``'s A.csv and B.csv, for every method, run in-process."""
+    ``workdir``'s A.csv and B.csv, with the arguments ``extra``, for every
+    method, run in-process."""
     from ctls.cli import main
 
     lines, cwd = [], os.getcwd()
@@ -236,7 +253,7 @@ def estimate_lines(workdir: str) -> list[str]:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(["estimate", "--a", "A.csv", "--b", "B.csv", "--j", str(j),
-                             "--k", str(k), "--method", method, "--out", "X.csv"])
+                             "--k", str(k), "--method", method, "--out", "X.csv", *extra])
             x_file = None
             if os.path.exists("X.csv"):
                 with open("X.csv", "rb") as fh:

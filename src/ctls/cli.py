@@ -21,7 +21,7 @@ from .estimators import (
     projection_estimator,
     tls_solve,
 )
-from .fileio import format_csv, read_matrix, write_matrix
+from .fileio import format_csv, read_matrices, write_matrix
 from .harness import SweepConfig, run_sweep
 from .model import (
     DesignKind,
@@ -87,9 +87,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_estimate(args) -> int:
     try:
-        a = read_matrix(args.a)
-        b = read_matrix(args.b)
-        cov = read_matrix(args.sigma_cov) if args.sigma_cov else None
+        a, b, *cov = read_matrices([args.a, args.b] + ([args.sigma_cov] if args.sigma_cov else []))
         partition = PartitionSpec(
             j=args.j, k=args.k, n=a.shape[1], ell=b.shape[1], m=a.shape[0]
         )
@@ -100,8 +98,8 @@ def _cmd_estimate(args) -> int:
 
     try:
         transform = None
-        if cov is not None:
-            data, transform = whiten(data, cov)
+        if cov:
+            data, transform = whiten(data, cov[0])
         if args.method == "tls":
             result = tls_solve(data.a, data.b)
         elif args.method == "ctls-cols":

@@ -13,9 +13,12 @@ An empty first line, a token that is not a number, a non-finite entry
 (``nan``, ``inf``, or a literal that overflows) and a ragged row are
 rejected with a ``path:line:col`` (or ``path:line``) :class:`MatrixFileError`.
 The common case is cut after LFs into spans, parsed by one :func:`numpy.loadtxt`
-call each on the fork pool of :mod:`ctls.parallel`; only input a span rejects
+call each on the fork pool of :mod:`ctls.parallel`; only a file a span rejects
 goes through the whole-file per-token scanner, which locates the error or
 parses the spellings only ``float`` knows (``1_0``, non-ASCII digits).
+:func:`read_matrices` reads several files, as one ``ctls estimate`` does, in
+one pool call: the CSV files are laid end to end and the total is cut, so a
+small file shares the CPUs with a large one instead of parsing after it.
 
 The JSON container is ``{"rows": r, "cols": c, "data": [row-major floats]}``.
 Floats are written with 17 significant digits, so write-then-read
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -99,18 +103,30 @@ def _scan_csv(lines: list[str], path: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def _spans(path: str) -> list[tuple[str, int, int]]:
-    """``(path, start, stop)`` byte ranges of about equal size, cut after an LF."""
-    size = os.path.getsize(path)
-    spans = worker_count(size // MIN_SPAN_BYTES)
-    cuts = [0]
-    with open(path, "rb") as fh:
-        for w in range(1, spans):
-            fh.seek(max(w * size // spans, cuts[-1]))
-            fh.readline()  # in binary mode, up to and including b"\n" only
-            if cuts[-1] < fh.tell() < size:
-                cuts.append(fh.tell())
-    return [(path, start, stop) for start, stop in zip(cuts, cuts[1:] + [size])]
+def _spans(paths: list[str]) -> list[list[tuple[str, int, int]]]:
+    """One task per worker: the ``(path, start, stop)`` pieces of one of the
+    byte ranges of about equal size that the files, laid end to end, are cut
+    into.  Each cut moves to just after the next LF in its file, so a piece
+    never crosses a file; an empty file is one empty piece."""
+    sizes = [os.path.getsize(path) for path in paths]
+    total = sum(sizes)
+    ranges = worker_count(total // MIN_SPAN_BYTES)
+    tasks, offset, w = [[]], 0, 1
+    for path, size in zip(paths, sizes):
+        start = 0
+        with open(path, "rb") as fh:
+            while w < ranges and w * total // ranges < offset + size:
+                fh.seek(w * total // ranges - offset)
+                fh.readline()  # in binary mode, up to and including b"\n" only
+                w += 1
+                if start < fh.tell() and offset + fh.tell() < total:
+                    tasks[-1].append((path, start, fh.tell()))
+                    tasks.append([])
+                    start = fh.tell()
+        if start < size or not size:
+            tasks[-1].append((path, start, size))
+        offset += size
+    return tasks
 
 
 def _parse_span(path: str, start: int, stop: int) -> np.ndarray | None:
@@ -130,15 +146,42 @@ def _parse_span(path: str, start: int, stop: int) -> np.ndarray | None:
     return arr if np.isfinite(arr).all() else None
 
 
+def _parse_pieces(*pieces: tuple[str, int, int]) -> list[np.ndarray | None]:
+    """:func:`_parse_span` of each piece, None where it raises ValueError."""
+    parts = []
+    for piece in pieces:
+        try:
+            parts.append(_parse_span(*piece))
+        except ValueError:  # a bad token, a ragged line or undecodable bytes
+            parts.append(None)
+    return parts
+
+
+def _read_csvs(paths: list[str]) -> Iterator[np.ndarray]:
+    """Each file's matrix, in order, from one pool call over all of them: a
+    file whose pieces all parse, with one column count, is its pieces stacked;
+    any other goes through the scanner, which raises its error."""
+    files: list[list[np.ndarray | None]] = []  # per file, the parts of its pieces
+    try:
+        tasks = _spans(paths)
+        for task, parts in zip(tasks, run_tasks(_parse_pieces, tasks)):
+            for (_, start, _), part in zip(task, parts):
+                if start == 0:  # a file's first piece
+                    files.append([])
+                files[-1].append(part)
+    except (OSError, ValueError, RuntimeError):  # RuntimeError: a child failed
+        files = [[None] for _ in paths]
+    for path, parts in zip(paths, files):
+        parts = [part for part in parts if part is None or part.size]
+        if all(part is not None for part in parts) and len({part.shape[1] for part in parts}) == 1:
+            yield np.concatenate(parts) if len(parts) > 1 else parts[0]
+        else:
+            yield _scan_csv(_split_lines(_read_text(path)), path)
+
+
 def read_matrix_csv(path: str) -> np.ndarray:
     """Read a headerless CSV matrix (grammar in the module docstring)."""
-    try:
-        parts = [part for part in run_tasks(_parse_span, _spans(path)) if part is None or part.size]
-    except (OSError, ValueError, RuntimeError):  # RuntimeError: a child failed
-        parts = [None]
-    if all(part is not None for part in parts) and len({part.shape[1] for part in parts}) == 1:
-        return np.concatenate(parts) if len(parts) > 1 else parts[0]
-    return _scan_csv(_split_lines(_read_text(path)), path)
+    return next(_read_csvs([path]))
 
 
 def read_matrix_mtxjson(path: str) -> np.ndarray:
@@ -180,6 +223,15 @@ def read_matrix(path: str, fmt: str | None = None) -> np.ndarray:
     if fmt == "mtxjson":
         return read_matrix_mtxjson(path)
     raise MatrixFileError(f"unknown matrix format {fmt!r}")
+
+
+def read_matrices(paths: list[str]) -> list[np.ndarray]:
+    """:func:`read_matrix` of each path, with every CSV among them parsed in
+    one pool call; the first bad file raises first."""
+    json_at = [os.path.splitext(path)[1].lower() == ".json" for path in paths]
+    csvs = _read_csvs([path for path, is_json in zip(paths, json_at) if not is_json])
+    return [read_matrix_mtxjson(path) if is_json else next(csvs)
+            for path, is_json in zip(paths, json_at)]
 
 
 def format_csv(matrix: np.ndarray) -> str:

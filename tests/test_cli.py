@@ -376,15 +376,19 @@ MASK = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 
 @pytest.mark.skipif(len(MASK) < 2, reason="needs an affinity mask of two or more CPUs")
 def test_outputs_equal_on_one_cpu_and_on_all(tmp_path):
     """``ctls estimate`` (all five methods, on an A file that splits into
-    spans) and a small ``ctls sweep``, each run as a real process pinned to
-    one CPU before exec and with the whole mask, write byte-identical stdout,
-    stderr, X files, traces and CSVs."""
+    spans, and once on a B malformed in its second half) and a small
+    ``ctls sweep``, each run as a real process pinned to one CPU before exec
+    and with the whole mask, write byte-identical exit codes, stdout, stderr,
+    X files, traces and CSVs."""
     g = np.random.default_rng(11)
     rows = 2 * fileio.MIN_SPAN_BYTES // (8 * 20)
     a = g.standard_normal((rows, 8))
     b = a[:, :2] @ g.standard_normal((2, 2)) + 0.1 * g.standard_normal((rows, 2))
     write_matrix(str(tmp_path / "A.csv"), a)
     write_matrix(str(tmp_path / "B.csv"), b)
+    lines = fileio.format_csv(b).splitlines(keepends=True)
+    lines[3 * rows // 4] = "0.5,oops\n"
+    (tmp_path / "Bbad.csv").write_text("".join(lines))
     assert (tmp_path / "A.csv").stat().st_size >= 2 * fileio.MIN_SPAN_BYTES
     (tmp_path / "cfg.json").write_text(json.dumps(sweep_config_dict(
         estimators=["projection", "ctls_rowcol"])))
@@ -399,6 +403,7 @@ def test_outputs_equal_on_one_cpu_and_on_all(tmp_path):
                     for method, j, k in ESTIMATE_RUNS]
         commands.append(["sweep", "--config", "../cfg.json",
                          "--out-trace", "trace.json", "--csv", "trace.csv"])
+        commands.append(["estimate", "--a", "../A.csv", "--b", "../Bbad.csv", "--method", "tls"])
         runs = [subprocess.run([sys.executable, "-m", "ctls.cli", *argv], cwd=workdir,
                                env=env, capture_output=True, timeout=300,
                                preexec_fn=lambda: os.sched_setaffinity(0, cpus))
@@ -407,6 +412,46 @@ def test_outputs_equal_on_one_cpu_and_on_all(tmp_path):
         return [(run.returncode, run.stdout, run.stderr) for run in runs] + [files]
 
     one, everything = outputs({MASK[0]}, "one"), outputs(set(MASK), "all")
-    assert all(code == 0 for code, _, _ in one[:-1])
+    assert all(code == 0 for code, _, _ in one[:-2])
+    assert one[-2][0] == 1
+    bad_line = 3 * rows // 4 + 1
+    assert one[-2][2] == f"error: ../Bbad.csv:{bad_line}:2: not a number: 'oops'\n".encode()
     assert len(one[-1]) == len(ESTIMATE_RUNS) + 2
     assert one == everything
+
+
+def test_outputs_equal_under_one_and_two_blas_threads(tmp_path):
+    """A small ``ctls sweep`` and ``ctls estimate`` (tls, ctls-rowcol and
+    projection on 20000-row A and B of 10 columns in all) write byte-identical
+    outputs under ``OPENBLAS_NUM_THREADS=1`` and ``=2``, as the README states
+    for numpy's bundled OpenBLAS."""
+    g = np.random.default_rng(12)
+    a = g.standard_normal((20000, 8))
+    b = a[:, :2] @ g.standard_normal((2, 2)) + 0.1 * g.standard_normal((20000, 2))
+    write_matrix(str(tmp_path / "A.csv"), a)
+    write_matrix(str(tmp_path / "B.csv"), b)
+    (tmp_path / "cfg.json").write_text(json.dumps(sweep_config_dict(
+        m_values=[100, 1000, 10000], trials=5)))
+    commands = [["estimate", "--a", "../A.csv", "--b", "../B.csv", "--j", "2", "--k", "2",
+                 "--method", method, "--out", f"{method}.csv"]
+                for method in ("tls", "ctls-rowcol", "projection")]
+    commands.append(["sweep", "--config", "../cfg.json",
+                     "--out-trace", "trace.json", "--csv", "trace.csv"])
+
+    def outputs(threads: str) -> list:
+        workdir = tmp_path / threads
+        workdir.mkdir()
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS")}
+        env.update(PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)),
+                   OPENBLAS_NUM_THREADS=threads)
+        runs = [subprocess.run([sys.executable, "-m", "ctls.cli", *argv], cwd=workdir,
+                               env=env, capture_output=True, timeout=300)
+                for argv in commands]
+        files = {path.name: path.read_bytes() for path in sorted(workdir.iterdir())}
+        return [(run.returncode, run.stdout, run.stderr) for run in runs] + [files]
+
+    one, two = outputs("1"), outputs("2")
+    assert all(code == 0 for code, _, _ in one[:-1])
+    assert len(one[-1]) == 5
+    assert one == two

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ctls import fileio, harness
+from ctls import cli, fileio, harness
 from ctls.errors import MatrixFileError
 from ctls.fileio import read_matrix, read_matrix_csv, write_matrix
 
@@ -187,7 +187,7 @@ def test_split_reader_line_endings(tmp_path, capfd, recwarn, cpus, name):
     path = tmp_path / f"{name}.csv"
     path.write_bytes(ENDING_FILES[name])
     splits = cpus == 3 and b"\n" in ENDING_FILES[name]
-    spans = fileio._spans(str(path))
+    spans = [piece for (piece,) in fileio._spans([str(path)])]
     assert len(spans) == (3 if splits else 1)
     assert all(ENDING_FILES[name][stop - 1:stop] == b"\n" for _, _, stop in spans[:-1])
     assert_reader_matches_scanner(path)
@@ -222,7 +222,7 @@ def test_split_reader_error_in_second_span(tmp_path, cpus, name):
     path = tmp_path / "bad.csv"
     path.write_bytes(data)
     if cpus == 3:
-        spans = fileio._spans(str(path))
+        spans = [piece for (piece,) in fileio._spans([str(path)])]
         bad = data.index(SECOND_SPAN_ERRORS[name])
         if name == "ragged_span":
             assert spans[2][1] == bad
@@ -313,6 +313,140 @@ def test_no_fork_while_another_thread_runs(tmp_path, monkeypatch):
     assert forks == []
     assert got.tobytes() == scanner_reference(path).tobytes()
     assert len(trace.records) == 4
+
+
+# --- CSV: all of one estimate's files in one pool call --------------------------------
+
+
+def joint_a(where: str, b_size: int) -> bytes:
+    """An A.csv that, laid before a B.csv of ``b_size`` bytes and cut in two,
+    is cut inside A, at its end (the A|B boundary) or inside B."""
+    if where == "in_a":
+        return b"1.5,2.5\n" * (b_size // 8 + 20)
+    if where == "boundary":  # the middle falls in A's long last line
+        return b"1.5,2.5\n0." + b"1" * (b_size + 8) + b",2\n"
+    return b"1.5,2.5\n"
+
+
+def read_each_alone(paths: list[Path]) -> list:
+    """The files read one at a time, as ``ctls estimate`` did: the arrays,
+    or the first error, after checking the reader against the scanner."""
+    for path in paths:
+        assert_reader_matches_scanner(path)
+    return outcome(lambda names: [read_matrix_csv(name) for name in names],
+                   [str(path) for path in paths])
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, MatrixFileError):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert [g.shape for g in got] == [w.shape for w in want]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3], indirect=True)
+@pytest.mark.parametrize("where", ["in_a", "boundary", "in_b"])
+@pytest.mark.parametrize("name", sorted(ENDING_FILES))
+def test_joint_reader_matches_each_file_alone(tmp_path, cpus, where, name):
+    """A and B laid end to end and cut over both give each file's own rows
+    bit for bit, or the error reading them one by one gives.  With 2 CPUs the
+    one cut lands where ``where`` says, when B has an LF there to cut after."""
+    a, b = tmp_path / "A.csv", tmp_path / "B.csv"
+    a.write_bytes(joint_a(where, len(ENDING_FILES[name])))
+    b.write_bytes(ENDING_FILES[name])
+    tasks = fileio._spans([str(a), str(b)])
+    assert [piece for task in tasks for piece in task][-1][2] == len(ENDING_FILES[name])
+    if cpus == 2 and (where != "in_b" or b"\n" in ENDING_FILES[name]) and name != "empty":
+        assert len(tasks) == 2
+        path, start, _ = tasks[1][0]
+        assert (path, start > 0) == {"in_a": (str(a), True), "boundary": (str(b), False),
+                                     "in_b": (str(b), True)}[where]
+        if where == "in_b" and name == "blank_tail":
+            assert fileio._parse_span(*tasks[1][0]).size == 0
+    got = outcome(fileio.read_matrices, [str(a), str(b)])
+    assert_same_outcome(got, read_each_alone([a, b]))
+
+
+@pytest.mark.parametrize("cpus", [1, 3], indirect=True)
+def test_joint_reader_reports_the_first_bad_file(tmp_path, monkeypatch, cpus):
+    """A bad A raises A's message whatever B holds; a good A and a B bad in
+    a later piece raise B's ``path:line:col`` message.  Only the bad file
+    goes through the scanner."""
+    real_scan, scans = fileio._scan_csv, []
+    monkeypatch.setattr(fileio, "_scan_csv", lambda lines, path: scans.append(path)
+                        or real_scan(lines, path))
+    a, b = tmp_path / "A.csv", tmp_path / "B.csv"
+    b.write_bytes(b"1.5\n" * 20 + b"oops\n" + b"2.5\n" * 4)
+    a.write_bytes(b"1.5,2.5\n" * 5 + b"1.5,nan\n")
+    with pytest.raises(MatrixFileError) as exc:
+        fileio.read_matrices([str(a), str(b)])
+    assert str(exc.value) == f"{a}:6:2: non-finite entry: 'nan'"
+    assert scans == [str(a)]
+    scans.clear()
+    a.write_bytes(b"1.5,2.5\n" * 25)
+    if cpus == 3:
+        pieces = [piece for task in fileio._spans([str(a), str(b)]) for piece in task]
+        assert pieces[-1][0] == str(b) and pieces[-1][1] <= 80 < pieces[-1][2]
+    with pytest.raises(MatrixFileError) as exc:
+        fileio.read_matrices([str(a), str(b)])
+    assert str(exc.value) == f"{b}:21:1: not a number: 'oops'"
+    assert scans == [str(b)]
+
+
+@pytest.mark.parametrize("cpus", [1, 3], indirect=True)
+def test_joint_reader_missing_file_gives_the_open_error(tmp_path, cpus):
+    a, b = tmp_path / "A.csv", tmp_path / "B.csv"
+    a.write_bytes(b"1.5,2.5\n" * 25)
+    with pytest.raises(FileNotFoundError) as want:
+        open(b, encoding="utf-8")
+    with pytest.raises(FileNotFoundError) as exc:
+        fileio.read_matrices([str(a), str(b)])
+    assert str(exc.value) == str(want.value)
+
+
+@pytest.mark.parametrize("cpus", [1, 3], indirect=True)
+def test_joint_reader_reads_json_in_its_place(tmp_path, cpus):
+    a, b, cov = tmp_path / "A.json", tmp_path / "B.csv", tmp_path / "cov.csv"
+    write_matrix(str(a), np.arange(6.0).reshape(3, 2) / 7, "mtxjson")
+    b.write_bytes(b"1.5\n2.5\n3.5\n")
+    cov.write_bytes(b"2\n")
+    got = fileio.read_matrices([str(a), str(b), str(cov)])
+    want = [read_matrix(str(a)), read_matrix_csv(str(b)), read_matrix_csv(str(cov))]
+    assert_same_outcome(got, want)
+    a.write_text('{"rows": 1}')
+    with pytest.raises(MatrixFileError, match="missing key 'cols'"):
+        fileio.read_matrices([str(a), str(tmp_path / "missing.csv")])
+
+
+@pytest.mark.parametrize(
+    "cpus,rows,forks",
+    [(3, 14, 1), (3, 40, 2), (3, 5, 0), (1, 40, 0), (2, 40, 1)],
+    ids=["b-joins-a", "cpus", "below-threshold", "one-cpu", "two-cpus"],
+)
+def test_estimate_forks_once_for_all_its_files(
+    tmp_path, monkeypatch, capsys, forked, cpus, rows, forks
+):
+    """One ``ctls estimate`` makes one pool call for A and B together, which
+    forks ``min(CPUs, total // MIN_SPAN_BYTES) - 1`` children.  In
+    ``b-joins-a`` neither file alone reaches two spans."""
+    set_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(fileio, "MIN_SPAN_BYTES", 120)
+    calls, real = [], fileio.run_tasks
+    monkeypatch.setattr(fileio, "run_tasks", lambda *args: calls.append(1) or real(*args))
+    g = np.random.default_rng(3)
+    a = 1 + g.random((rows, 2))
+    b = 3 + a @ [0.5, -1.0] + 0.01 * g.standard_normal(rows)
+    (tmp_path / "A.csv").write_text("".join("%.3f,%.3f\n" % tuple(row) for row in a))
+    (tmp_path / "B.csv").write_text("".join("%.3f\n" % value for value in b))
+    total = sum((tmp_path / name).stat().st_size for name in ("A.csv", "B.csv"))
+    assert total == 18 * rows and forks == max(1, min(cpus, total // 120)) - 1
+    code = cli.main(["estimate", "--a", str(tmp_path / "A.csv"), "--b",
+                     str(tmp_path / "B.csv"), "--method", "tls"])
+    assert code == 0, capsys.readouterr().err
+    assert calls == [1]
+    assert len(forked) == forks
+    assert_reaped(forked)
 
 
 # --- round trips ---------------------------------------------------------------------
