@@ -26,12 +26,19 @@ its records and their medians, whose ground truth a sweep sums by chunks.
 Two noise-free grid-design sweeps gate how a stacked sweep handles each
 slice: in ``sweep/grid-n18-failed`` every ``naive_ls`` record fails with
 NearSingularError, in ``sweep/grid-n16-flagged`` every other record carries
-the ``eig_gap_degenerate`` flag.
+the ``eig_gap_degenerate`` flag.  The ``stack/jXkY/<run>`` cases gate a
+stacked call with failing slices: a stack of healthy instances interleaved
+with ones that fail at different stages (the mixed stacks of
+``tests/test_stacks.py``), run once by every sweep estimator that takes the
+partition, by the projection estimator under each ``mu_rule`` and by
+``gram_residuals``; each slice's result, or its error type and message, is
+hashed.
 
 ``--base REV`` writes the ``src/`` files of ``REV`` into a temporary
 directory with ``git show``, runs this script on them and on the working tree
 (uncommitted changes included) and names every case whose digest differs.
-It exits 1 if any case differs.  ``gram_residuals`` took the model, not its
+It prints the line count of both trees' ``src/`` Python files and exits 1
+if any case differs.  ``gram_residuals`` took the model, not its
 Gram matrix, in trees without ``RegressionModel.truth_gram``; both forms run.
 
 Digests depend on the numpy and BLAS build, so they are compared between
@@ -72,6 +79,14 @@ GRID_SWEEPS = (("sweep/grid-n18-failed", 18, 1, 0, 0), ("sweep/grid-n16-flagged"
 #: ``ctls estimate`` row counts: B.csv is about 40 kB and 1.2 MB, A.csv twice
 #: that, so both larger files split into spans on a machine with 2 or more CPUs.
 ESTIMATE_ROWS = (1000, 30000)
+#: The failures mixed into the ``stack/*`` cases, by (j, k); each slice has
+#: n = 4, ell = 2, m = 80 and noise level ``STACK_SIGMA``.
+STACK_FAILURES = {
+    (2, 1): ("rankdef-rows", "zero-column", "zero-corner", "zero-fixed-column"),
+    (0, 1): ("zero-column", "zero-fixed-column"),
+    (2, 0): ("rankdef-rows", "zero-column"),
+}
+STACK_SIGMA = 0.2
 ESTIMATE_METHODS = (("tls", 0, 0), ("ctls-cols", 0, 2), ("ctls-rows", 2, 0),
                     ("ctls-rowcol", 2, 2), ("projection", 2, 2))
 #: CSV layouts: LF, CRLF, and a blank line after each row with a blank tail
@@ -90,6 +105,7 @@ def case_digests() -> list[tuple[str, str]]:
     import numpy as np
 
     from ctls import estimators as est
+    from ctls import harness
     from ctls.errors import CtlsError, EstimatorWarning
     from ctls.fileio import format_csv
     from ctls.harness import SweepConfig, gram_residuals, naive_ls, run_sweep
@@ -125,19 +141,38 @@ def case_digests() -> list[tuple[str, str]]:
         arr = np.asarray(value, dtype=float)
         return f"{arr.shape}:{np.ascontiguousarray(arr).tobytes().hex()}"
 
-    def outcome(fn, data) -> tuple[bool, str]:
-        try:
-            result = fn(data)
-        except CtlsError as exc:
-            return False, type(exc).__name__
+    def describe(result) -> str:
         if isinstance(result, dict):  # gram_residuals
-            return True, repr(sorted(result.items()))
+            return repr(sorted(result.items()))
         diag = result.diagnostics
         parts = [encode(result.x_hat), repr(result.sigma2_hat),
                  encode(result.smallest_eigs), repr(result.mu)]
         parts += [f"{f.name}={encode(getattr(diag, f.name))}"
                   for f in dataclasses.fields(diag)]
-        return True, "|".join(parts)
+        return "|".join(parts)
+
+    def outcome(fn, data) -> tuple[bool, str]:
+        try:
+            result = fn(data)
+        except CtlsError as exc:
+            return False, type(exc).__name__
+        return True, describe(result)
+
+    def mutated(j: int, k: int, name: str, seed: int):
+        """A row-built instance in which ``name`` fails, and its model's Gram matrix."""
+        p = PartitionSpec(j=j, k=k, n=N, ell=ELL, m=80)
+        model = generate_model(p, STACK_SIGMA, seed)
+        data = observe(model, seed + 50)
+        a, b = data.a.copy(), data.b.copy()
+        if name == "rankdef-rows":
+            a[1], b[1] = 3.0 * a[0], 3.0 * b[0]
+        elif name == "zero-column":
+            a[:, 3] = 0.0
+        elif name == "zero-fixed-column":
+            a[:, 0] = 0.0
+        elif name == "zero-corner":
+            a[:j, :k] = 0.0
+        return ObservedData(a=a, b=b, partition=p), model.truth_gram()
 
     def instance_lines(model, data_of) -> list[str]:
         """Every run on one fresh instance per call order."""
@@ -207,6 +242,24 @@ def case_digests() -> list[tuple[str, str]]:
             warnings.simplefilter("ignore", EstimatorWarning)
             trace = run_sweep(config).to_json_dict()
         cases.append((name, [json.dumps(trace, sort_keys=True)]))
+
+    for (j, k), failures in STACK_FAILURES.items():
+        names = ["healthy", *failures]
+        names = [name for pair in zip(names, ["healthy"] * len(names)) for name in pair]
+        datas, grams = zip(*(mutated(j, k, name, seed) for seed, name in enumerate(names)))
+        parts = [(*d.exact_rows, d.r_noisy, d.r_all) for d in datas]
+        exact_a, exact_b, r_noisy, r_all = (np.stack(x) for x in zip(*parts))
+        stack = ObservedData.stacked(exact_a, exact_b, datas[0].partition, r_noisy, r_all)
+        runs = {name: fn for name, fn in harness.ESTIMATORS.items()
+                if name != "projection" and harness._compatible(name, j, k, N)}
+        for rule in est.MU_RULES:
+            runs[f"projection_{rule}"] = (
+                lambda d, rule=rule: est.projection_estimator(d, mu_rule=rule))
+        runs["gram_residuals"] = lambda d: gram_residuals(np.stack(grams), STACK_SIGMA, d)
+        for name, run in runs.items():
+            lines = [f"{s}: {type(out).__name__}: {out}" if isinstance(out, CtlsError)
+                     else f"{s}: {describe(out)}" for s, out in enumerate(run(stack))]
+            cases.append((f"stack/j{j}k{k}/{name}", lines))
 
     # ``ctls estimate`` on CSV files in three layouts, below and above the
     # size at which the reader splits a file into spans.
@@ -280,6 +333,17 @@ def git(root: str, *args: str) -> bytes:
     return subprocess.run(["git", "-C", root, *args], check=True, capture_output=True).stdout
 
 
+def src_lines(src: str) -> int:
+    """The number of lines of the Python files under ``src``."""
+    total = 0
+    for folder, _, files in os.walk(src):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name), "rb") as fh:
+                    total += fh.read().count(b"\n")
+    return total
+
+
 def compare(base: str) -> int:
     root = git(HERE, "rev-parse", "--show-toplevel").decode().strip()
     with tempfile.TemporaryDirectory(prefix="output-digest-") as tmp:
@@ -288,7 +352,10 @@ def compare(base: str) -> int:
             with open(os.path.join(tmp, path), "wb") as fh:
                 fh.write(git(root, "show", f"{base}:{path}"))
         before = run_on(os.path.join(tmp, "src"))
+        lines_before = src_lines(os.path.join(tmp, "src"))
     after = run_on(os.path.join(root, "src"))
+    print(f"src/ lines: {lines_before} at {base}, {src_lines(os.path.join(root, 'src'))} "
+          "in the working tree")
     if [name for name, _ in before] != [name for name, _ in after]:
         print("the two trees produce different case lists")
         return 1

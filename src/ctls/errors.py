@@ -51,16 +51,6 @@ class LapackError(CtlsError):
     """A LAPACK routine failed, for example an SVD or eigensolver did not converge."""
 
 
-class SplitStack(CtlsError):
-    """A call on a stack of instances cannot go on with all of them:
-    ``errors`` maps each failed slice to the error its own call raises, and
-    ``groups`` lists the index arrays of the sub-stacks to run again."""
-
-    def __init__(self, groups: list, errors: dict):
-        super().__init__(f"stack splits into {len(groups)} groups, {len(errors)} slices failed")
-        self.groups, self.errors = groups, errors
-
-
 # --- model generation errors ------------------------------------------------
 
 

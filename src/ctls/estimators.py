@@ -48,9 +48,9 @@ Stacks: every stage runs on a stack of instances of one partition
 what the instance alone gives.  Through :func:`per_slice`, an estimator
 returns for a stack one entry per slice, its result or the ``CtlsError``
 its own call raises, and for one instance (a stack of one) its result or
-its error.  A check that fails some slices (``SplitStack``) keeps their
-errors and runs the stack again without them; corners of different rank
-run as sub-stacks; any other ``CtlsError`` runs the slices one by one.
+its error.  A stacked call that raises any ``CtlsError`` runs again one
+slice at a time, so a failing instance costs its stack what the instances
+cost alone.
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ from .errors import (
     EstimatorWarning,
     InvalidPartitionError,
     LowerBlockSingularError,
+    NearSingularError,
     RankDeficientFixedColumnsError,
     RankDeficientUpperRowsError,
-    SplitStack,
 )
 from .linalg import (
     RANK_TOL,
@@ -163,28 +163,36 @@ class CBlocks:
 def per_slice(run, data: ObservedData, *sliced):
     """``run(stack, *sliced)``, a list with an entry per slice of the stack
     and of each array of ``sliced``: each slice's entry or the ``CtlsError``
-    its own call raises.  On one instance, its entry or its error raised."""
-    if data.stack_size is not None:
-        return _slices(run, data, *sliced)
-    (out,) = _slices(run, data.stack, *(x[None] for x in sliced))
-    if isinstance(out, CtlsError):
-        raise out
-    return out
+    its own call raises.  On one instance, its entry or its error raised.
+    EstimatorWarning fires once per flagged estimate, at the caller of the
+    function that calls ``per_slice``, so a ``run`` calls other estimators
+    through their undecorated bodies (``__wrapped__``)."""
+    one = data.stack_size is None
+    if one:
+        data, sliced = data.stack, [x[None] for x in sliced]
+    outs = _slices(run, data, *sliced)
+    for out in outs:
+        if isinstance(out, EstimateResult) and out.diagnostics.flags:
+            warnings.warn(
+                f"eigenvalue gap {out.diagnostics.eig_gap:.3e} below {EIG_GAP_TOL:.0e} * |F|; "
+                "the solution subspace is not numerically unique",
+                EstimatorWarning,
+                stacklevel=3,
+            )
+    if one and isinstance(outs[0], CtlsError):
+        raise outs[0]
+    return outs[0] if one else outs
 
 
 def _slices(run, stack: ObservedData, *sliced) -> list:
+    """``run`` on the stack, or, if that raises, on each slice alone."""
     try:
         return run(stack, *sliced)
-    except SplitStack as split:
-        groups, out = split.groups, dict(split.errors)
     except CtlsError as exc:
         if stack.stack_size == 1:
             return [exc]
-        groups, out = [[i] for i in range(stack.stack_size)], {}
-    for group in groups:
-        if len(group):
-            out.update(zip(group, _slices(run, stack.take(group), *(x[group] for x in sliced))))
-    return [out[i] for i in range(stack.stack_size)]
+    return [out for i in range(stack.stack_size)
+            for out in _slices(run, stack.take([i]), *(x[[i]] for x in sliced))]
 
 
 def stacked(run):
@@ -200,27 +208,18 @@ def stacked(run):
 
 def slice_estimates(x_hat, sigma2_hat, smallest_eigs, mu=None, **diagnostics) -> list[EstimateResult]:
     """One EstimateResult per slice, from values with one entry per slice
-    (None for none); EstimatorWarning fires once for each flagged one."""
+    (None for none)."""
     size = len(x_hat)
     sigma2_hat, mu, *columns = (  # one Python value or array per slice
         [None] * size if v is None else v.tolist() if isinstance(v, np.ndarray) and v.ndim == 1 else v
         for v in (sigma2_hat, mu, *diagnostics.values())
     )
-    results = [
+    return [
         EstimateResult(x_hat[s], sigma2_hat[s], smallest_eigs[s],
                        Diagnostics(**{key: col[s] for key, col in zip(diagnostics, columns)}),
                        mu[s])
         for s in range(size)
     ]
-    for result in results:
-        if result.diagnostics.flags:
-            warnings.warn(
-                f"eigenvalue gap {result.diagnostics.eig_gap:.3e} below {EIG_GAP_TOL:.0e} * |F|; "
-                "the solution subspace is not numerically unique",
-                EstimatorWarning,
-                stacklevel=7,  # the caller of the estimator
-            )
-    return results
 
 
 def split_blocks(data: ObservedData, noisy: np.ndarray) -> CBlocks:
@@ -287,9 +286,8 @@ def _normalize_subspace(
     ))
     try:
         x = solve_linear(z_lower.swapaxes(-1, -2), -z_upper.swapaxes(-1, -2), sv=sv_low)
-    except SplitStack as split:  # its NearSingularErrors
-        split.errors = {i: LowerBlockSingularError(str(exc)) for i, exc in split.errors.items()}
-        raise
+    except NearSingularError as exc:
+        raise LowerBlockSingularError(str(exc)) from exc
     return x.swapaxes(-1, -2), values[:, :ell], gap, sv_low[:, -1], flags
 
 
@@ -325,7 +323,7 @@ def tls_solve(a, b) -> EstimateResult:
     b = as_matrix(b, "B")
     m, n = a.shape
     partition = PartitionSpec(j=0, k=0, n=n, ell=b.shape[1], m=m)
-    return tls_from_data(ObservedData(a=a, b=b, partition=partition))
+    return per_slice(tls_from_data.__wrapped__, ObservedData(a=a, b=b, partition=partition))
 
 
 @stacked
@@ -356,7 +354,7 @@ def ctls_columns(data: ObservedData) -> EstimateResult:
                  lambda i: RankDeficientFixedColumnsError(
                      f"fixed columns have singular values {sv[i]}; full column rank required"
                  ))
-    return ctls_rowcol(data)
+    return ctls_rowcol.__wrapped__(data)
 
 
 @dataclass(frozen=True)
@@ -427,17 +425,13 @@ def precondition_rowcol(blocks: CBlocks) -> tuple[CBlocks, PreconditionRecord]:
     corner (``j = 0`` or ``k = 0``) or with a zero one, the record is the
     identity: rank 0, ``u = I_j``, ``v = I_k``, no SVD, and ``blocks``
     come back as they are.  A stack whose corners differ in rank raises
-    SplitStack into groups of equal rank.
+    CtlsError.
     """
     p = blocks.partition
-    nonzero = blocks.c11.any(axis=(-2, -1))
-    same_rank(nonzero)
-    if nonzero.any():
+    if blocks.c11.any():  # a zero corner has rank 0, so same_rank rejects a mix
         dec = svd(blocks.c11)
         sv = dec.singular_values
-        ranks = rank_of(sv)
-        same_rank(ranks)
-        r = int(ranks.flat[0])
+        r = same_rank(rank_of(sv))
         u, v, sigma_r = dec.u, dec.v, sv[..., :r].copy()
     else:
         r, u, v, sigma_r = 0, np.eye(p.j), np.eye(p.k), np.zeros(0)
@@ -587,7 +581,7 @@ def ctls_rows(data: ObservedData) -> EstimateResult:
         raise InvalidPartitionError(
             f"ctls_rows needs k=0 and j>0, got j={p.j}, k={p.k}"
         )
-    return ctls_rowcol(data)
+    return ctls_rowcol.__wrapped__(data)
 
 
 @instance_stage

@@ -28,10 +28,9 @@ callers that count ``CtlsError`` count it too.
 
 Stacks: the wrappers and solves also take a stack of matrices (one leading
 axis), as ``numpy.linalg`` does, and each slice of a result is bit for bit
-the result for that slice alone.  A check that fails on some slices raises
-:class:`~ctls.errors.SplitStack` (:func:`check_slices`) with each failed
-slice's own error; slices whose null spaces differ in rank split into
-groups.  A failed LAPACK call or a bad input raises for the whole stack.
+the result for that slice alone.  A stack raises as one: a check raises
+the error of its first failing slice (:func:`check_slices`), and slices of
+different rank a plain :class:`~ctls.errors.CtlsError` (:func:`same_rank`).
 
 Every function is a pure function of its inputs and never mutates them.
 Identical inputs give bit-identical outputs for one numpy/BLAS build and one
@@ -46,6 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    CtlsError,
     FullRankError,
     LapackError,
     NearSingularError,
@@ -53,7 +53,6 @@ from .errors import (
     NonSquareError,
     NotPositiveDefiniteError,
     ShapeError,
-    SplitStack,
     WideMatrixError,
 )
 
@@ -145,20 +144,18 @@ def _lapack(fn, *args, **kwargs):
 
 
 def check_slices(bad, error_of) -> None:
-    """Raise ``error_of(i)`` for each ``i`` where ``bad[i]``: for one matrix
-    (``bad`` 0-d, ``i = ()``) the error itself, for a stack a
-    :class:`SplitStack` of the failed slices and the rest."""
-    if not np.count_nonzero(bad):
-        return
-    if bad.ndim == 0:
-        raise error_of(())
-    raise SplitStack([np.flatnonzero(~bad)], {i: error_of(i) for i in np.flatnonzero(bad)})
+    """Raise ``error_of(i)`` for the first ``i`` where ``bad[i]``: ``i = ()``
+    for one matrix (``bad`` 0-d), an integer for a stack."""
+    if np.count_nonzero(bad):
+        raise error_of(np.flatnonzero(bad)[0] if bad.ndim else ())
 
 
-def same_rank(ranks) -> None:
-    """Raise :class:`SplitStack` into groups of equal rank unless all ``ranks`` agree."""
+def same_rank(ranks) -> int:
+    """The rank that all ``ranks`` of a stack share; raises CtlsError unless
+    they agree."""
     if ranks.size > 1 and np.count_nonzero(ranks != ranks.flat[0]):
-        raise SplitStack([np.flatnonzero(ranks == r) for r in np.unique(ranks)], {})
+        raise CtlsError(f"the slices of a stack differ in rank: {np.unique(ranks).tolist()}")
+    return int(ranks.flat[0])
 
 
 def _sign_flips(vectors: np.ndarray) -> np.ndarray:
@@ -413,16 +410,14 @@ def null_space_basis(m, rank_tol: float = RANK_TOL) -> np.ndarray:
     ------
     FullRankError
         If the null space is empty; callers decide whether that is fatal.
-    SplitStack
-        On a stack whose slices differ in rank, into groups of equal rank.
+    CtlsError
+        On a stack whose slices differ in rank.
     """
     if rank_tol <= 0.0:
         raise ValueError("rank_tol must be positive")
     a = as_matrix(m, "M", stack=True)
     _, sv, vt = _lapack(np.linalg.svd, a)
-    ranks = rank_of(sv, rank_tol)
-    same_rank(ranks)
-    rank = int(ranks.flat[0])
+    rank = same_rank(rank_of(sv, rank_tol))
     if rank == a.shape[-1]:
         raise FullRankError(f"matrix of shape {a.shape} has an empty null space")
     basis = vt[..., rank:, :].swapaxes(-1, -2)

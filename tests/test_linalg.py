@@ -478,6 +478,31 @@ def test_gram_condition_matches_solve_linear_rule():
     assert exc.value.condition == pytest.approx(1e14)
 
 
+def test_stack_checks_raise_a_plain_error():
+    """A stack with bad slices raises the error that the first of them raises
+    alone, and a stack whose slices differ in rank a plain CtlsError."""
+    g = np.random.default_rng(43)
+    a = g.standard_normal((4, 3, 3))
+    a[1] = np.diag([1.0, 1.0, 1e-13])
+    a[3] = np.diag([1.0, 1.0, 1e-14])
+    b = g.standard_normal((4, 3, 2))
+    for call in (solve_linear, lambda x, _: gram_condition(x)):
+        with pytest.raises(NearSingularError) as stacked:
+            call(a, b)
+        with pytest.raises(NearSingularError) as alone:
+            call(a[1], b[1])
+        assert type(stacked.value) is NearSingularError
+        assert str(stacked.value) == str(alone.value)
+        assert stacked.value.condition == alone.value.condition
+    rows = g.standard_normal((3, 2, 5))
+    rows[1, 1] = 2.0 * rows[1, 0]
+    with pytest.raises(CtlsError) as mixed:
+        null_space_basis(rows)
+    assert type(mixed.value) is CtlsError
+    assert "differ in rank: [1, 2]" in str(mixed.value)
+    assert null_space_basis(rows[[0, 2]]).shape == (2, 5, 3)
+
+
 def test_lapack_failure_becomes_ctls_error(monkeypatch):
     def broken(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")

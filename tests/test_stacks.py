@@ -184,3 +184,35 @@ def test_every_flagged_slice_warns_once(monkeypatch):
     gaps = [w for w in caught if issubclass(w.category, EstimatorWarning)]
     assert len(gaps) == len(flagged)
     assert all("below 1e-10 * |F|" in str(w.message) for w in gaps)
+
+
+def flagged(j, k, seed=1):
+    """A noise-free grid-design instance whose solution subspace is flagged
+    eig_gap_degenerate."""
+    return make_instance(j=j, k=k, n=16, ell=2, m=50, sigma=0.0, model_seed=seed,
+                         noise_seed=seed + 1, design=DesignKind.FIXED_GRID)[1]
+
+
+def test_flagged_estimates_warn_at_their_caller():
+    """Every estimator warns once per flagged estimate, at the line that
+    called it, whether it calls another estimator and whether its stack
+    runs again one slice at a time."""
+    zero_row = flagged(1, 1, seed=3)
+    zero_row.a[0], zero_row.b[0] = 0.0, 0.0  # RankDeficientUpperRowsError
+    calls = {
+        "tls_solve": lambda: [estimators.tls_solve(*flagged(0, 0).rows)],
+        "ctls_columns": lambda: [estimators.ctls_columns(flagged(0, 1))],
+        "ctls_rows": lambda: [estimators.ctls_rows(flagged(1, 0))],
+        "ctls_rowcol": lambda: [estimators.ctls_rowcol(flagged(1, 1))],
+        "projection": lambda: [estimators.projection_estimator(flagged(1, 1))],
+        "rerun": lambda: estimators.ctls_rowcol(stack_of([flagged(1, 1), zero_row,
+                                                          flagged(1, 1, seed=5)])),
+    }
+    for name, call in calls.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = [r for r in call() if not isinstance(r, CtlsError)]
+        assert len(results) == 1 + (name == "rerun"), name
+        assert all(r.diagnostics.flags == ["eig_gap_degenerate"] for r in results), name
+        assert [w.category for w in caught] == [EstimatorWarning] * len(results), name
+        assert all(w.filename == __file__ for w in caught), name
