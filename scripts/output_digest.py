@@ -26,7 +26,10 @@ its records and their medians, whose ground truth a sweep sums by chunks.
 Two noise-free grid-design sweeps gate how a stacked sweep handles each
 slice: in ``sweep/grid-n18-failed`` every ``naive_ls`` record fails with
 NearSingularError, in ``sweep/grid-n16-flagged`` every other record carries
-the ``eig_gap_degenerate`` flag.  The ``stack/jXkY/<run>`` cases gate a
+the ``eig_gap_degenerate`` flag.  The ``sweep/large/<noise>`` cases are
+one-trial sweeps (n = 10, ell = 2, j = 2, k = 3) of ``2 * CHUNK_ROWS + 5``
+rows, whose instances are sampled in three chunks, on two CPUs where the
+affinity mask has them.  The ``stack/jXkY/<run>`` cases gate a
 stacked call with failing slices: a stack of healthy instances interleaved
 with ones that fail at different stages (the mixed stacks of
 ``tests/test_stacks.py``), run once by every sweep estimator that takes the
@@ -109,6 +112,7 @@ def case_digests() -> list[tuple[str, str]]:
     from ctls.errors import CtlsError, EstimatorWarning
     from ctls.fileio import format_csv
     from ctls.harness import SweepConfig, gram_residuals, naive_ls, run_sweep
+    from ctls.linalg import CHUNK_ROWS
     from ctls.model import (
         DesignKind,
         NoiseKind,
@@ -242,6 +246,13 @@ def case_digests() -> list[tuple[str, str]]:
             warnings.simplefilter("ignore", EstimatorWarning)
             trace = run_sweep(config).to_json_dict()
         cases.append((name, [json.dumps(trace, sort_keys=True)]))
+
+    for noise in NoiseKind:
+        config = SweepConfig(n=10, ell=2, j=2, k=3, m_values=(2 * CHUNK_ROWS + 5,), trials=1,
+                             sigma=SIGMA, estimators=("naive_ls", "tls", "ctls_rowcol", "projection"),
+                             base_seed=5, noise=noise)
+        trace = run_sweep(config).to_json_dict()
+        cases.append((f"sweep/large/{noise.value}", [json.dumps(trace, sort_keys=True)]))
 
     for (j, k), failures in STACK_FAILURES.items():
         names = ["healthy", *failures]

@@ -166,7 +166,7 @@ def per_slice(run, data: ObservedData, *sliced):
     its own call raises.  On one instance, its entry or its error raised.
     EstimatorWarning fires once per flagged estimate, at the caller of the
     function that calls ``per_slice``, so a ``run`` calls other estimators
-    through their undecorated bodies (``__wrapped__``)."""
+    through their undecorated bodies (``.body`` of :func:`stacked`)."""
     one = data.stack_size is None
     if one:
         data, sliced = data.stack, [x[None] for x in sliced]
@@ -197,12 +197,14 @@ def _slices(run, stack: ObservedData, *sliced) -> list:
 
 def stacked(run):
     """``run(stack, *args, **kwargs)`` as a function of one instance or of a
-    stack, through :func:`per_slice`."""
+    stack, through :func:`per_slice`; ``run`` is its ``body``, which a
+    ``functools.wraps`` wrapper carries too."""
 
     @wraps(run)
     def call(data: ObservedData, *args, **kwargs):
         return per_slice(lambda stack: run(stack, *args, **kwargs), data)
 
+    call.body = run
     return call
 
 
@@ -323,7 +325,7 @@ def tls_solve(a, b) -> EstimateResult:
     b = as_matrix(b, "B")
     m, n = a.shape
     partition = PartitionSpec(j=0, k=0, n=n, ell=b.shape[1], m=m)
-    return per_slice(tls_from_data.__wrapped__, ObservedData(a=a, b=b, partition=partition))
+    return per_slice(tls_from_data.body, ObservedData(a=a, b=b, partition=partition))
 
 
 @stacked
@@ -354,7 +356,7 @@ def ctls_columns(data: ObservedData) -> EstimateResult:
                  lambda i: RankDeficientFixedColumnsError(
                      f"fixed columns have singular values {sv[i]}; full column rank required"
                  ))
-    return ctls_rowcol.__wrapped__(data)
+    return ctls_rowcol.body(data)
 
 
 @dataclass(frozen=True)
@@ -581,7 +583,7 @@ def ctls_rows(data: ObservedData) -> EstimateResult:
         raise InvalidPartitionError(
             f"ctls_rows needs k=0 and j>0, got j={p.j}, k={p.k}"
         )
-    return ctls_rowcol.__wrapped__(data)
+    return ctls_rowcol.body(data)
 
 
 @instance_stage

@@ -387,15 +387,6 @@ def _gram_residuals(gram_bar: np.ndarray, sigma: float, data: ObservedData) -> l
     ]
 
 
-def _stack_call(size: int, fn, *args) -> list:
-    """``fn(*args)`` for a stack of ``size``; a CtlsError of the whole call
-    counts against every slice."""
-    try:
-        return fn(*args)
-    except CtlsError as exc:
-        return [exc] * size
-
-
 def _record(name: str, m: int, trial: int, seeds, x_true, result, residuals) -> TrialRecord:
     """The record of one estimator on one instance: ``result`` is its
     EstimateResult or CtlsError, ``residuals`` the instance's Gram
@@ -447,12 +438,11 @@ def run_sweep(config: SweepConfig) -> ConvergenceTrace:
             del data  # drops the first TSQR level of the instance
         x_true, grams, exact_a, exact_b, r_noisy, *r_all = map(np.stack, zip(*parts))
         stack = ObservedData.stacked(exact_a, exact_b, config.partition_for(m), r_noisy, *r_all)
-        results = {name: _stack_call(len(trials), _run_estimator, name, stack)
-                   for name in config.estimators}
+        results = {name: _run_estimator(name, stack) for name in config.estimators}
         residuals = [{}] * len(trials)
         if any(not isinstance(out, CtlsError)
                for name in WITH_RESIDUALS for out in results.get(name, ())):
-            residuals = _stack_call(len(trials), gram_residuals, grams, config.sigma, stack)
+            residuals = gram_residuals(grams, config.sigma, stack)
         return [
             [_record(name, m, trial, seeds[s], x_true[s], results[name][s], residuals[s])
              for name in config.estimators]

@@ -7,7 +7,8 @@
   ``tall_r_chunks`` runs the first level ``CHUNK_ROWS`` rows at a time
   over a chunk source, which ``tall_r_pair`` feeds from the column blocks
   of ``C`` and a sweep instance from its generator, and shares it between
-  the factors of all rows and of the rows below an offset.
+  the factors of all rows and of the rows below an offset; a sampling pass
+  hands each chunk's block QRs to a helper thread (``ctls.parallel.beside``).
 * ``gram_eigen`` takes the eigenpairs of ``R.T @ R`` from the SVD of ``R``.
   Forming the Gram matrix first would square the condition number and lose
   the relative accuracy of the small eigenvalues that the TLS solutions are
@@ -256,21 +257,40 @@ def tall_r_pair(blocks, j: int) -> TallRPair:
     return tall_r_chunks(lambda lo, hi: np.hstack([x[lo:hi] for x in parts]), rows, cols, j)
 
 
-def tall_r_chunks(chunk_of, rows: int, cols: int, j: int) -> TallRPair:
+def chunk_bounds(rows: int, cols: int) -> list[tuple[int, int]]:
+    """The row ranges ``(lo, hi)`` in which :func:`tall_r_chunks` asks for a
+    ``rows x cols`` matrix, in order: ``CHUNK_ROWS`` rows each, the leftover
+    below the last full block in the last; all rows below two full blocks
+    or with ``BLOCK_ROWS`` or more columns."""
+    full = rows // BLOCK_ROWS
+    if full < 2 or cols >= BLOCK_ROWS:
+        return [(0, rows)]
+    cuts = [*range(CHUNK_ROWS, full * BLOCK_ROWS, CHUNK_ROWS), rows]
+    return list(zip([0, *cuts[:-1]], cuts))
+
+
+def _at_once(fn, *args):
+    """Run ``fn(*args)`` now: the job returns its result."""
+    out = fn(*args)
+    return lambda: out
+
+
+def tall_r_chunks(chunk_of, rows: int, cols: int, j: int, run=_at_once) -> TallRPair:
     """The first TSQR level of a ``rows x cols`` matrix ``C`` and of its rows ``j:``.
 
     ``chunk_of(lo, hi)`` returns the rows ``lo:hi`` of ``C``.  It is called on
-    consecutive ranges from row 0 to ``rows``, of ``CHUNK_ROWS`` rows with
-    the leftover below the last full block in the last, so it may build each
-    chunk when asked.  Below two full blocks of ``BLOCK_ROWS``, or with
-    ``BLOCK_ROWS`` or more columns, the one range is all of ``C``, factored
-    flat.  The per-block QRs are independent, so the triangles do not depend
-    on the chunking.  ``r_low`` stacks the same triangles with those above
-    row ``j`` replaced by the triangle of the block rows from ``j`` on (TSQR,
-    Demmel, Grigori, Hoemmen & Langou 2012), so it equals ``tall_r(C[j:])``
-    up to roundoff and row signs.  Raises ShapeError if ``C`` has a zero
-    dimension or ``j`` is not in ``[0, rows)``, NonFiniteError on a NaN or
-    infinite entry.
+    the ranges of :func:`chunk_bounds` in order, so it may build each chunk
+    when asked; below two full blocks, or with ``BLOCK_ROWS`` or more
+    columns, ``C`` is factored flat.  Each chunk's batched block QR is a job
+    of the runner ``run`` (of :func:`ctls.parallel.beside`; by default it
+    runs at once, while the chunk is in cache), awaited once the next
+    chunk's is handed over, so at most two chunks are held.  The per-block QRs are independent, so the triangles
+    depend neither on the chunking nor on where they ran.  ``r_low`` stacks
+    the same triangles with those above row ``j`` replaced by the triangle
+    of the block rows from ``j`` on (TSQR, Demmel, Grigori, Hoemmen & Langou
+    2012), so it equals ``tall_r(C[j:])`` up to roundoff and row signs.
+    Raises ShapeError if ``C`` has a zero dimension or ``j`` is not in
+    ``[0, rows)``, NonFiniteError on a NaN or infinite entry.
     """
     if not 0 <= j < rows:
         raise ShapeError(f"row offset j={j} is outside [0, {rows})")
@@ -280,22 +300,29 @@ def tall_r_chunks(chunk_of, rows: int, cols: int, j: int) -> TallRPair:
     stack = np.empty((full * cols + rows - full * BLOCK_ROWS, cols))
     triangles = stack[: full * cols].reshape(full, cols, cols)
     block, offset = divmod(j, BLOCK_ROWS)
-    head = None
-    for lo in range(0, full * BLOCK_ROWS, CHUNK_ROWS):
-        hi = min(lo + CHUNK_ROWS, full * BLOCK_ROWS)
-        chunk = as_matrix(chunk_of(lo, hi if hi < full * BLOCK_ROWS else rows), "C")
-        triangles[lo // BLOCK_ROWS : hi // BLOCK_ROWS] = _lapack(
-            np.linalg.qr, chunk[: hi - lo].reshape(-1, BLOCK_ROWS, cols), mode="r"
-        )
+    head, jobs = None, []
+    for lo, end in chunk_bounds(rows, cols):
+        hi = min(end, full * BLOCK_ROWS)
+        chunk = as_matrix(chunk_of(lo, end), "C")
+        jobs.append(run(_block_triangles, chunk[: hi - lo],
+                        triangles[lo // BLOCK_ROWS : hi // BLOCK_ROWS]))
         if offset and lo <= j < hi:
             top = (block + 1) * BLOCK_ROWS - lo
             head = _lapack(np.linalg.qr, chunk[j - lo : top], mode="r")
+        if len(jobs) == 2:  # at most two chunks in flight
+            jobs.pop(0)()
     stack[full * cols :] = chunk[hi - lo :]
+    jobs.pop()()
     if block >= full:
         skip = full * cols + j - full * BLOCK_ROWS
     else:
         skip = (block + (head is not None)) * cols
     return TallRPair(stack=stack, skip=skip, head=head)
+
+
+def _block_triangles(rows: np.ndarray, out: np.ndarray) -> None:
+    """The triangles of the ``BLOCK_ROWS``-row blocks of ``rows``, into ``out``."""
+    out[:] = _lapack(np.linalg.qr, rows.reshape(-1, BLOCK_ROWS, rows.shape[1]), mode="r")
 
 
 def gram_eigen(r) -> SymEigenResult:

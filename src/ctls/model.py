@@ -30,6 +30,7 @@ from .linalg import (
     CHUNK_ROWS,
     TallRPair,
     as_matrix,
+    chunk_bounds,
     cholesky_lower,
     matrix_rank,
     solve_linear,
@@ -38,6 +39,7 @@ from .linalg import (
     tall_r_chunks,
     tall_r_pair,
 )
+from .parallel import beside
 
 
 class DesignKind(enum.Enum):
@@ -303,7 +305,8 @@ def observe(
         rng = np.random.default_rng(seed)
         for lo in range(p.j, p.m, CHUNK_ROWS):
             hi = min(lo + CHUNK_ROWS, p.m)
-            _add_noise(rng, noise, model.sigma, a[lo:hi, p.k :], b[lo:hi])
+            _add_noise(_draw_noise(rng, noise, model.sigma, (hi - lo, p.noisy_cols)),
+                       a[lo:hi, p.k :], b[lo:hi])
     return ObservedData(a=a, b=b, partition=p)
 
 
@@ -325,33 +328,47 @@ def sample_instance(
     both factors are bit-identical to the two-step path's, and ``gram``
     equals :meth:`RegressionModel.truth_gram` to roundoff.  Raises
     InvalidPartitionError as :func:`generate_model` does.
+
+    A pass of two or more chunks runs on two CPUs where the caller's
+    affinity mask has them (:func:`ctls.parallel.beside`): while this thread
+    draws a chunk's model rows, forms ``[a_bar | b_bar]``, sums the Gram
+    products and adds the noise, a helper thread draws the next chunk's
+    noise and factors the blocks of the chunk before, with the same numbers.
     """
     p = partition
     rng, x_true = _start(p, sigma, model_seed)
     noise_rng = np.random.default_rng(noise_seed) if sigma > 0.0 else None
     gram = np.zeros((p.n + p.ell, p.n + p.ell))
     exact = []
+    bounds = chunk_bounds(p.m, p.n + p.ell)
+    with beside(len(bounds) > 1) as run:
+        # Each chunk's draw is handed out once the one before is done, so the
+        # noise stream runs in chunk order wherever the draws run.
+        draws = (run(_draw_noise, noise_rng, noise, sigma, (hi - max(lo, p.j), p.noisy_cols))
+                 for lo, hi in bounds if noise_rng is not None)
+        draw = next(draws, None)
 
-    def chunk_of(lo: int, hi: int) -> np.ndarray:
-        a_bar = _design_rows(rng, design, p, lo, hi)
-        c = np.hstack([a_bar, a_bar @ x_true])
-        if lo == 0:
-            _check_exact_rows(c[: p.j])
-            exact.extend((c[: p.j, : p.n].copy(), c[: p.j, p.n :].copy()))
-        noisy = c[max(p.j - lo, 0) :]
-        gram[:] += noisy.T @ noisy
-        if noise_rng is not None:
-            _add_noise(noise_rng, noise, sigma, noisy[:, p.k : p.n], noisy[:, p.n :])
-        return c
+        def chunk_of(lo: int, hi: int) -> np.ndarray:
+            nonlocal draw
+            a_bar = _design_rows(rng, design, p, lo, hi)
+            c = np.hstack([a_bar, a_bar @ x_true])
+            if lo == 0:
+                _check_exact_rows(c[: p.j])
+                exact.extend((c[: p.j, : p.n].copy(), c[: p.j, p.n :].copy()))
+            noisy = c[max(p.j - lo, 0) :]
+            gram[:] += noisy.T @ noisy
+            if draw is not None:
+                e = draw()
+                draw = next(draws, None)
+                _add_noise(e, noisy[:, p.k : p.n], noisy[:, p.n :])
+            return c
 
-    pair = tall_r_chunks(chunk_of, p.m, p.n + p.ell, p.j)
+        pair = tall_r_chunks(chunk_of, p.m, p.n + p.ell, p.j, run)
     return x_true, ObservedData.from_factor(*exact, pair, p), gram
 
 
-def _add_noise(rng, noise: NoiseKind, sigma: float, a_free, b_rows) -> None:
-    """Add noise entries with mean 0 and variance ``sigma^2`` to ``a_free``
-    and ``b_rows`` in place, drawn row by row across both."""
-    shape = (a_free.shape[0], a_free.shape[1] + b_rows.shape[1])
+def _draw_noise(rng, noise: NoiseKind, sigma: float, shape: tuple[int, int]) -> np.ndarray:
+    """Noise entries with mean 0 and variance ``sigma^2``, drawn row by row."""
     if noise is NoiseKind.GAUSS:
         e = rng.standard_normal(shape)
         e *= sigma
@@ -364,6 +381,11 @@ def _add_noise(rng, noise: NoiseKind, sigma: float, a_free, b_rows) -> None:
         e *= sigma
     else:
         raise ValueError(f"unknown noise kind: {noise!r}")
+    return e
+
+
+def _add_noise(e: np.ndarray, a_free, b_rows) -> None:
+    """Add the columns of ``e`` to those of ``a_free``, then ``b_rows``, in place."""
     # Column by column: 2-D adds of strided slices loop over a few columns per row.
     for i, col in enumerate([*a_free.T, *b_rows.T]):
         col += e[:, i]

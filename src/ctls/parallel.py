@@ -1,9 +1,11 @@
 """One fork pool for Monte-Carlo sweeps and the CSV reader: results come back
-in task order, so no output depends on the number of processes."""
+in task order, so no output depends on the number of processes.  One pinned
+helper thread (:func:`beside`) for a long sampling pass."""
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import pickle
 import threading
@@ -82,3 +84,36 @@ def run_shares(run_share, tasks: list) -> list:
 
 def _results(run_share, tasks: list, share: range) -> dict:
     return dict(zip(share, run_share([tasks[i] for i in share]), strict=True))
+
+
+@contextlib.contextmanager
+def beside(wanted: bool):
+    """A runner for the block: ``run(fn, *args)`` returns a job, a function
+    of no arguments that returns ``fn(*args)``.
+
+    With ``wanted`` and two or more CPUs in the affinity mask, the caller is
+    pinned to the mask's first CPU and the jobs run in order on one helper
+    thread pinned to its second; a job not yet started when called runs on
+    the caller, so a starved helper never holds it up.  Otherwise each job
+    runs when called (``functools.partial``), where a one-thread pass would
+    run it.  On exit, however the block ends, the helper is joined and the
+    caller's mask restored, so :func:`worker_count` forks again.  Jobs call
+    no public ``ctls`` function: perfbench's tracer is not thread-safe.
+    """
+    mask = sorted(os.sched_getaffinity(0)) if wanted and hasattr(os, "sched_getaffinity") else []
+    if len(mask) < 2:
+        yield functools.partial
+        return
+    from concurrent.futures import ThreadPoolExecutor  # not at import: ctls loads without it
+
+    def run(fn, *args):
+        future = pool.submit(fn, *args)
+        return lambda: fn(*args) if future.cancel() else future.result()
+
+    pool = ThreadPoolExecutor(1, initializer=os.sched_setaffinity, initargs=(0, {mask[1]}))
+    os.sched_setaffinity(0, {mask[0]})
+    try:
+        yield run
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+        os.sched_setaffinity(0, set(mask))

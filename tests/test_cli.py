@@ -13,6 +13,7 @@ from ctls import fileio
 from ctls.errors import MatrixFileError
 from ctls.fileio import read_matrix, read_matrix_csv, write_matrix
 from ctls.harness import ConvergenceTrace
+from ctls.linalg import CHUNK_ROWS
 
 
 def run_cli(capsys, *argv):
@@ -377,7 +378,8 @@ MASK = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 
 def test_outputs_equal_on_one_cpu_and_on_all(tmp_path):
     """``ctls estimate`` (all five methods, on an A file that splits into
     spans, and once on a B malformed in its second half) and a small
-    ``ctls sweep``, each run as a real process pinned to one CPU before exec
+    ``ctls sweep`` (with a cell of three chunks, which samples on two CPUs
+    where it can), each run as a real process pinned to one CPU before exec
     and with the whole mask, write byte-identical exit codes, stdout, stderr,
     X files, traces and CSVs."""
     g = np.random.default_rng(11)
@@ -391,7 +393,7 @@ def test_outputs_equal_on_one_cpu_and_on_all(tmp_path):
     (tmp_path / "Bbad.csv").write_text("".join(lines))
     assert (tmp_path / "A.csv").stat().st_size >= 2 * fileio.MIN_SPAN_BYTES
     (tmp_path / "cfg.json").write_text(json.dumps(sweep_config_dict(
-        estimators=["projection", "ctls_rowcol"])))
+        m_values=[30, 60, 2 * CHUNK_ROWS + 5], estimators=["projection", "ctls_rowcol"])))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
@@ -421,17 +423,18 @@ def test_outputs_equal_on_one_cpu_and_on_all(tmp_path):
 
 
 def test_outputs_equal_under_one_and_two_blas_threads(tmp_path):
-    """A small ``ctls sweep`` and ``ctls estimate`` (tls, ctls-rowcol and
-    projection on 20000-row A and B of 10 columns in all) write byte-identical
-    outputs under ``OPENBLAS_NUM_THREADS=1`` and ``=2``, as the README states
-    for numpy's bundled OpenBLAS."""
+    """A small ``ctls sweep`` (with a cell of three chunks) and ``ctls
+    estimate`` (tls, ctls-rowcol and projection on 20000-row A and B of 10
+    columns in all) write byte-identical outputs under
+    ``OPENBLAS_NUM_THREADS=1`` and ``=2``, as the README states for numpy's
+    bundled OpenBLAS."""
     g = np.random.default_rng(12)
     a = g.standard_normal((20000, 8))
     b = a[:, :2] @ g.standard_normal((2, 2)) + 0.1 * g.standard_normal((20000, 2))
     write_matrix(str(tmp_path / "A.csv"), a)
     write_matrix(str(tmp_path / "B.csv"), b)
     (tmp_path / "cfg.json").write_text(json.dumps(sweep_config_dict(
-        m_values=[100, 1000, 10000], trials=5)))
+        m_values=[100, 1000, 10000, 2 * CHUNK_ROWS + 5], trials=5)))
     commands = [["estimate", "--a", "../A.csv", "--b", "../B.csv", "--j", "2", "--k", "2",
                  "--method", method, "--out", f"{method}.csv"]
                 for method in ("tls", "ctls-rowcol", "projection")]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import threading
 from functools import partial
 
 import numpy as np
@@ -159,15 +160,22 @@ def test_sweep_shares_instances_across_estimators():
         assert seeds[(r.m, r.trial)] == (r.model_seed, r.noise_seed)
 
 
-def test_sweep_records_failures_instead_of_dropping(monkeypatch):
-    real = harness._run_estimator
+def fail_tls_at(monkeypatch, m):
+    """Make ``tls`` raise a synthetic CtlsError inside its stacked call on
+    every instance of ``m`` rows, where any estimator's own failure arises."""
+    real = estimators.tls_from_data
 
-    def flaky(name, data):
-        if name == "tls" and data.partition.m == 60:
+    @estimators.stacked
+    def tls_from_data(data):
+        if data.partition.m == m:
             raise CtlsError("synthetic failure")
-        return real(name, data)
+        return real.body(data)
 
-    monkeypatch.setattr(harness, "_run_estimator", flaky)
+    monkeypatch.setattr(harness, "tls_from_data", tls_from_data)
+
+
+def test_sweep_records_failures_instead_of_dropping(monkeypatch):
+    fail_tls_at(monkeypatch, 60)
     trace = run_sweep(small_config(estimators=("tls", "projection")))
     failed = [r for r in trace.records if r.status != "ok"]
     assert len(failed) == 4  # every tls trial at m=60
@@ -182,16 +190,9 @@ def test_sweep_records_failures_instead_of_dropping(monkeypatch):
 def test_sweep_forked_matches_serial(monkeypatch, tmp_path, capsys, forked, fail):
     """Three workers (two forked) and one give equal records, aggregates and
     ``ctls sweep`` files and exit codes, with a synthetic CtlsError at m = 60
-    too: the forked children inherit the patched ``_run_estimator``."""
+    too: the forked children inherit the patched estimator."""
     if fail:
-        real = harness._run_estimator
-
-        def flaky(name, data):
-            if name == "tls" and data.partition.m == 60:
-                raise CtlsError("synthetic failure")
-            return real(name, data)
-
-        monkeypatch.setattr(harness, "_run_estimator", flaky)
+        fail_tls_at(monkeypatch, 60)
     cfg = small_config(trials=3)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg.to_dict()))
@@ -248,6 +249,19 @@ def test_sweep_forks_one_worker_per_cpu_up_to_tasks(
     assert [(r.m, r.trial) for r in trace.records[::4]] == [
         (m, t) for m in m_values for t in range(trials)
     ]
+
+
+def test_sweep_forks_again_after_a_large_instance(monkeypatch, forked):
+    """The helper thread of a pass of several chunks is joined before the
+    pass returns, so the next sweep forks again (``worker_count`` does not
+    while a second thread runs)."""
+    set_cpus(monkeypatch, 2)
+    cfg = small_config(m_values=(2 * CHUNK_ROWS + 5,), trials=2, estimators=("projection",))
+    for _ in range(2):
+        run_sweep(cfg)
+        assert threading.active_count() == 1
+    assert len(forked) == 2
+    assert_reaped(forked)
 
 
 @pytest.mark.parametrize("where", ["child-raises", "child-dies", "parent-interrupted"])
@@ -551,18 +565,19 @@ def test_sweep_factors_each_row_set_once(monkeypatch):
 
     def counting(real, shapes_of):
         def wrapped(*args):
-            shapes = shapes_of(*args)
+            shapes, j = shapes_of(*args)
             if shapes[0][0] > 10:
-                tall_calls.append((real.__name__, shapes) + args[-1:])
+                tall_calls.append((real.__name__, shapes, j))
             return real(*args)
 
         return wrapped
 
     for module in (linalg, model_mod, estimators, harness):
         for name, real, shapes_of in (
-            ("tall_r", real_r, lambda c: (np.shape(c),)),
-            ("tall_r_pair", real_pair, lambda c, j: tuple(np.shape(x) for x in c)),
-            ("tall_r_chunks", real_chunks, lambda chunk_of, rows, cols, j: ((rows, cols),)),
+            ("tall_r", real_r, lambda c: ((np.shape(c),), 0)),
+            ("tall_r_pair", real_pair, lambda c, j: (tuple(np.shape(x) for x in c), j)),
+            ("tall_r_chunks", real_chunks,
+             lambda chunk_of, rows, cols, j, run=None: (((rows, cols),), j)),
         ):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(real, shapes_of))
@@ -650,7 +665,7 @@ def test_gram_residual_failure_is_a_counted_trial(monkeypatch):
     def broken(gram_bar, sigma, data):
         raise LapackError("eigensolver did not converge")
 
-    monkeypatch.setattr(harness, "gram_residuals", broken)
+    monkeypatch.setattr(harness, "_gram_residuals", broken)  # inside the stacked call
     trace = run_sweep(small_config(trials=2, estimators=("tls", "projection")))
     for rec in trace.records:
         if rec.estimator == "tls":

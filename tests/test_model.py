@@ -1,5 +1,9 @@
 """Model generation, noise injection and covariance whitening."""
 
+import os
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -508,11 +512,69 @@ def test_sample_instance_rank_deficient_exact_rows(monkeypatch, m):
     p = PartitionSpec(j=2, k=1, n=4, ell=2, m=m)
     with pytest.raises(InvalidPartitionError) as rows:
         generate_model(p, 0.1, 9)
+    before = helper_state()
     with pytest.raises(InvalidPartitionError) as fused:
         sample_instance(p, 0.1, 9, 10)
+    assert helper_state() == before
     assert str(fused.value) == str(rows.value)
     assert len(seen) == 2 and np.array_equal(seen[0], seen[1])
     assert seen[0].shape == (2, 6)
+
+
+def helper_state():
+    """The thread count and the calling thread's affinity mask (None
+    without one), which a sampling pass must leave as it found them."""
+    mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    return threading.active_count(), mask
+
+
+def test_sample_instance_leaves_no_helper_behind():
+    """A pass of three chunks returns with the thread count and the
+    caller's affinity mask it found, whatever helper it ran."""
+    p = PartitionSpec(j=2, k=3, n=10, ell=2, m=2 * CHUNK_ROWS + 5)
+    before = helper_state()
+    sample_instance(p, 0.3, 1, 2)
+    assert helper_state() == before
+
+
+@pytest.mark.parametrize("noise", list(NoiseKind))
+def test_sample_instance_helper_per_mask(monkeypatch, noise):
+    """Under a mask of one CPU no thread starts; under two or three, one
+    helper pinned to the second CPU, with the caller pinned to the first
+    and then given its mask back.  The outputs are the same bit for bit,
+    with thread switches every microsecond and, under three CPUs, a helper
+    that starts 5 ms late, as on a starved CPU, so the caller takes back
+    the jobs it has not started."""
+    p = PartitionSpec(j=2, k=3, n=10, ell=2, m=2 * CHUNK_ROWS + 5)
+    real_start, outputs = threading.Thread.start, []
+
+    def pin(pid, mask):
+        helper = threading.current_thread() in started
+        pins.append((helper, sorted(mask)))
+        if helper and cpus == 3:
+            time.sleep(0.005)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 3):
+            started, pins = [], []
+            monkeypatch.setattr(threading.Thread, "start",
+                                lambda thread: started.append(thread) or real_start(thread))
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            monkeypatch.setattr(os, "sched_setaffinity", pin, raising=False)
+            x_true, data, gram = sample_instance(p, 0.3, 1, 2, noise=noise)
+            outputs.append([x_true, *data.exact_rows, data.r_noisy, data.r_all, gram])
+            if cpus == 1:
+                assert started == [] and pins == []
+            else:
+                assert len(started) == 1 and not started[0].is_alive()
+                assert pins == [(False, [0]), (True, [1]), (False, list(range(cpus)))]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in outputs[1:]:
+        assert all(np.array_equal(x, y) for x, y in zip(got, outputs[0]))
 
 
 def test_from_factor_rejects_exact_rows_of_other_shapes():

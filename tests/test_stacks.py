@@ -2,6 +2,7 @@
 call, failures stay in their slice, and a sweep runs each estimator once per
 stack."""
 
+import functools
 import warnings
 
 import numpy as np
@@ -216,3 +217,23 @@ def test_flagged_estimates_warn_at_their_caller():
         assert all(r.diagnostics.flags == ["eig_gap_degenerate"] for r in results), name
         assert [w.category for w in caught] == [EstimatorWarning] * len(results), name
         assert all(w.filename == __file__ for w in caught), name
+
+
+def test_a_wrapped_estimator_adds_no_warning(monkeypatch):
+    """``ctls_rows`` runs ``ctls_rowcol``'s body, so a ``functools.wraps``
+    pass-through around ``ctls_rowcol`` (as perfbench's tracer installs)
+    nests no second per-slice run: a flagged estimate warns once, at the
+    caller."""
+    real = estimators.ctls_rowcol
+
+    @functools.wraps(real)
+    def passing(*args, **kwargs):
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "ctls_rowcol", passing)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = estimators.ctls_rows(flagged(1, 0))
+    assert result.diagnostics.flags == ["eig_gap_degenerate"]
+    assert [w.category for w in caught] == [EstimatorWarning]
+    assert caught[0].filename == __file__
