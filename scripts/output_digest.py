@@ -28,8 +28,10 @@ slice: in ``sweep/grid-n18-failed`` every ``naive_ls`` record fails with
 NearSingularError, in ``sweep/grid-n16-flagged`` every other record carries
 the ``eig_gap_degenerate`` flag.  The ``sweep/large/<noise>`` cases are
 one-trial sweeps (n = 10, ell = 2, j = 2, k = 3) of ``2 * CHUNK_ROWS + 5``
-rows, whose instances are sampled in three chunks, on two CPUs where the
-affinity mask has them.  The ``stack/jXkY/<run>`` cases gate a
+rows, whose instances are sampled in two chunks, on two CPUs where the
+affinity mask has them.  The ``sweep/one-pass/<noise>`` cases add one-trial
+cells of m = 1000 and 10000 to that sweep: with one pass of several chunks
+in all, it runs in one process, not on the pool.  The ``stack/jXkY/<run>`` cases gate a
 stacked call with failing slices: a stack of healthy instances interleaved
 with ones that fail at different stages (the mixed stacks of
 ``tests/test_stacks.py``), run once by every sweep estimator that takes the
@@ -248,11 +250,13 @@ def case_digests() -> list[tuple[str, str]]:
         cases.append((name, [json.dumps(trace, sort_keys=True)]))
 
     for noise in NoiseKind:
-        config = SweepConfig(n=10, ell=2, j=2, k=3, m_values=(2 * CHUNK_ROWS + 5,), trials=1,
-                             sigma=SIGMA, estimators=("naive_ls", "tls", "ctls_rowcol", "projection"),
-                             base_seed=5, noise=noise)
-        trace = run_sweep(config).to_json_dict()
-        cases.append((f"sweep/large/{noise.value}", [json.dumps(trace, sort_keys=True)]))
+        for name, m_values in (("large", (2 * CHUNK_ROWS + 5,)),
+                               ("one-pass", (1000, 10000, 2 * CHUNK_ROWS + 5))):
+            config = SweepConfig(n=10, ell=2, j=2, k=3, m_values=m_values, trials=1, sigma=SIGMA,
+                                 estimators=("naive_ls", "tls", "ctls_rowcol", "projection"),
+                                 base_seed=5, noise=noise)
+            trace = run_sweep(config).to_json_dict()
+            cases.append((f"sweep/{name}/{noise.value}", [json.dumps(trace, sort_keys=True)]))
 
     for (j, k), failures in STACK_FAILURES.items():
         names = ["healthy", *failures]

@@ -59,7 +59,9 @@ def _split_lines(text: str) -> list[str]:
     Not ``str.splitlines``: that also breaks at form feed, vertical tab,
     U+0085 and U+2028, which ``float`` treats as whitespace inside a field.
     """
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if "\r" in text:  # else the two replace passes copy the text for nothing
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()  # after the final line ending, or an empty file
     return lines

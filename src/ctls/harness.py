@@ -20,6 +20,8 @@ Trials derive their seeds from the base seed and the cell coordinates alone
 instances and any single cell can be reproduced in isolation.  Instances
 run on the fork pool of :mod:`ctls.parallel`, keyed by task, so the output is
 byte-identical whatever the process count (``taskset -c 0`` runs serially).
+A sweep with exactly one sampling pass of several chunks skips the pool: that
+pass then has both CPUs (:func:`ctls.parallel.beside`), shared with no child.
 A worker keeps the exact rows, factors and ground-truth Gram matrices of its
 instances of one ``m`` and runs each estimator and :func:`gram_residuals`
 once on their stack (:func:`ctls.estimators.per_slice`).
@@ -53,7 +55,7 @@ from .estimators import (
     stacked,
     tls_from_data,
 )
-from .linalg import gram_condition, solve_upper_triangular, sym_eigen
+from .linalg import chunk_bounds, gram_condition, solve_upper_triangular, sym_eigen
 from .model import DesignKind, NoiseKind, ObservedData, PartitionSpec, sample_instance
 from .parallel import run_shares
 
@@ -451,7 +453,10 @@ def run_sweep(config: SweepConfig) -> ConvergenceTrace:
 
     all_rows = any(name in ALL_ROWS for name in config.estimators)
     tasks = [(m, t) for m in config.m_values for t in range(config.trials)]
-    records = [rec for recs in run_shares(run_share, tasks) for rec in recs]
+    # Two passes of several chunks run faster side by side, one CPU each.
+    passes = sum(len(chunk_bounds(m, config.n + config.ell)) > 1 for m, _ in tasks)
+    by_task = run_share(tasks) if passes == 1 else run_shares(run_share, tasks)
+    records = [rec for recs in by_task for rec in recs]
 
     aggregates: dict[str, dict[int, dict[str, float]]] = {}
     for name in config.estimators:

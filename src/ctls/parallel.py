@@ -1,6 +1,7 @@
 """One fork pool for Monte-Carlo sweeps and the CSV reader: results come back
 in task order, so no output depends on the number of processes.  One pinned
-helper thread (:func:`beside`) for a long sampling pass."""
+helper thread (:func:`beside`) for a long sampling pass; a sweep with only
+one such pass runs without the pool, so no child takes the helper's CPU."""
 
 from __future__ import annotations
 

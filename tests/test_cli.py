@@ -378,10 +378,11 @@ MASK = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 
 def test_outputs_equal_on_one_cpu_and_on_all(tmp_path):
     """``ctls estimate`` (all five methods, on an A file that splits into
     spans, and once on a B malformed in its second half) and a small
-    ``ctls sweep`` (with a cell of three chunks, which samples on two CPUs
-    where it can), each run as a real process pinned to one CPU before exec
-    and with the whole mask, write byte-identical exit codes, stdout, stderr,
-    X files, traces and CSVs."""
+    ``ctls sweep`` (with a cell of two chunks, which samples on two CPUs
+    where it can) with three trials, on the pool, and with one, in one
+    process, each run as a real process pinned to one CPU before exec and
+    with the whole mask, write byte-identical exit codes, stdout, stderr, X
+    files, traces and CSVs."""
     g = np.random.default_rng(11)
     rows = 2 * fileio.MIN_SPAN_BYTES // (8 * 20)
     a = g.standard_normal((rows, 8))
@@ -394,6 +395,8 @@ def test_outputs_equal_on_one_cpu_and_on_all(tmp_path):
     assert (tmp_path / "A.csv").stat().st_size >= 2 * fileio.MIN_SPAN_BYTES
     (tmp_path / "cfg.json").write_text(json.dumps(sweep_config_dict(
         m_values=[30, 60, 2 * CHUNK_ROWS + 5], estimators=["projection", "ctls_rowcol"])))
+    (tmp_path / "one.json").write_text(json.dumps(sweep_config_dict(
+        m_values=[30, 60, 2 * CHUNK_ROWS + 5], trials=1, estimators=["projection", "ctls_rowcol"])))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
@@ -403,8 +406,9 @@ def test_outputs_equal_on_one_cpu_and_on_all(tmp_path):
         commands = [["estimate", "--a", "../A.csv", "--b", "../B.csv", "--j", str(j),
                      "--k", str(k), "--method", method, "--out", f"{method}.csv"]
                     for method, j, k in ESTIMATE_RUNS]
-        commands.append(["sweep", "--config", "../cfg.json",
-                         "--out-trace", "trace.json", "--csv", "trace.csv"])
+        commands += [["sweep", "--config", f"../{cfg}.json",
+                      "--out-trace", f"{cfg}.trace.json", "--csv", f"{cfg}.trace.csv"]
+                     for cfg in ("cfg", "one")]
         commands.append(["estimate", "--a", "../A.csv", "--b", "../Bbad.csv", "--method", "tls"])
         runs = [subprocess.run([sys.executable, "-m", "ctls.cli", *argv], cwd=workdir,
                                env=env, capture_output=True, timeout=300,
@@ -418,7 +422,7 @@ def test_outputs_equal_on_one_cpu_and_on_all(tmp_path):
     assert one[-2][0] == 1
     bad_line = 3 * rows // 4 + 1
     assert one[-2][2] == f"error: ../Bbad.csv:{bad_line}:2: not a number: 'oops'\n".encode()
-    assert len(one[-1]) == len(ESTIMATE_RUNS) + 2
+    assert len(one[-1]) == len(ESTIMATE_RUNS) + 4
     assert one == everything
 
 

@@ -264,6 +264,27 @@ def test_sweep_forks_again_after_a_large_instance(monkeypatch, forked):
     assert_reaped(forked)
 
 
+@pytest.mark.parametrize("trials,forks", [(1, 0), (2, 1)], ids=["one-pass", "two-passes"])
+def test_sweep_with_one_large_pass_runs_in_process(monkeypatch, tmp_path, forked, trials, forks):
+    """A sweep with one pass of several chunks forks no child, so the helper
+    of that pass, pinned to CPU 1 of this process, has that CPU to itself;
+    with two such passes the pool forks as before.  Either way the records
+    are those of a one-CPU run, and no thread is left behind."""
+    cfg = small_config(m_values=(30, 2 * CHUNK_ROWS + 5), trials=trials)
+    set_cpus(monkeypatch, 1)
+    serial = run_sweep(cfg).records
+    pins = tmp_path / "pins"
+    pins.touch()
+    set_cpus(monkeypatch, 2, pins)
+    trace = run_sweep(cfg)
+    assert len(forked) == forks
+    assert_reaped(forked)
+    if trials == 1:
+        assert f"{os.getpid()} [1]" in pins.read_text().splitlines()
+    assert trace.records == serial
+    assert threading.active_count() == 1
+
+
 @pytest.mark.parametrize("where", ["child-raises", "child-dies", "parent-interrupted"])
 def test_sweep_worker_failure_raises_and_reaps(monkeypatch, forked, where):
     """A non-CtlsError in a child, a child that exits without its records
