@@ -4,9 +4,12 @@
     python3 scripts/bench_pairs.py --workload sweep-readme sweep-wide estimate-csv
 
 Writes the files of the base revision into a temporary directory with
-``git archive``, then, for each ``--workload`` in turn, runs
-``perfbench/run.py --trace 0`` from that tree and from the working tree
-(uncommitted changes included) in turn, ``--pairs`` times.  Pair ``i`` gives
+``git archive``, and the working tree's files (its tracked files and the
+untracked ones git does not ignore, uncommitted changes included) into
+another, so the two sides differ in their code alone, not in where they
+live or what build products lie beside them.  Then, for each ``--workload``
+in turn, it runs ``perfbench/run.py --trace 0`` from each copy in turn,
+``--pairs`` times.  Pair ``i`` gives
 both sides the seed ``--seed + i`` and swaps which side runs first on every
 other pair, so a slow phase of a shared machine lands on both sides.  For
 each workload and each end-to-end metric of the working tree's
@@ -17,7 +20,7 @@ more than the base's interquartile range.  Then it prints whether the output
 digests of each pair were equal and the CPUs each side could use
 (``provenance.nproc``), with a warning for every pair whose sides differ:
 ``ctls sweep`` runs one process per available CPU, so its gain scales with
-them.  The temporary directory is removed at the end.
+them.  The temporary directories are removed at the end.
 """
 
 from __future__ import annotations
@@ -39,6 +42,17 @@ def git(root: str, *args: str) -> str:
     return subprocess.run(
         ["git", "-C", root, *args], check=True, capture_output=True, text=True
     ).stdout.strip()
+
+
+def copy_working_tree(root: str, dest: str) -> None:
+    """The tracked and the untracked, not ignored files of ``root``, as they
+    are on disk, into ``dest``."""
+    names = git(root, "ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in sorted(set(names.split("\0")) - {""}):
+        path = os.path.join(root, name)
+        if os.path.isfile(path):  # not a deleted file still in the index
+            os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
+            shutil.copy2(path, os.path.join(dest, name))
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -118,7 +132,7 @@ def main() -> int:
         spec = json.load(fh)["end_to_end"]
 
     scratch = tempfile.mkdtemp(prefix="bench-pairs-")
-    base_tree = os.path.join(scratch, "base")
+    base_tree, change_tree = os.path.join(scratch, "base"), os.path.join(scratch, "change")
     runs = {workload: {"base": [], "change": []} for workload in args.workload}
     try:
         revision = git(here, "rev-parse", "--short", args.base)
@@ -126,11 +140,12 @@ def main() -> int:
         archive = subprocess.run(["git", "-C", here, "archive", revision],
                                  check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", base_tree], input=archive, check=True)
+        copy_working_tree(here, change_tree)
         print(f"base {args.base} ({revision}) against the working tree {here}")
         for workload, sides in runs.items():
             for i in range(args.pairs):
                 seed = args.seed + i
-                order = [("base", base_tree), ("change", here)]
+                order = [("base", base_tree), ("change", change_tree)]
                 if i % 2:
                     order.reverse()
                 for side, tree in order:

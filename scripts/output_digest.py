@@ -31,7 +31,10 @@ one-trial sweeps (n = 10, ell = 2, j = 2, k = 3) of ``2 * CHUNK_ROWS + 5``
 rows, whose instances are sampled in two chunks, on two CPUs where the
 affinity mask has them.  The ``sweep/one-pass/<noise>`` cases add one-trial
 cells of m = 1000 and 10000 to that sweep: with one pass of several chunks
-in all, it runs in one process, not on the pool.  The ``stack/jXkY/<run>`` cases gate a
+in all, it runs in one process, not on the pool.  The ``sweep/cells/<design>-<noise>``
+cases are five-trial sweeps (n = 4, ell = 2, j = 1, k = 1) of m = 30, 600 and
+6000, whose cells a worker samples as one stack: flat, in one group, and in
+groups of two and one.  The ``stack/jXkY/<run>`` cases gate a
 stacked call with failing slices: a stack of healthy instances interleaved
 with ones that fail at different stages (the mixed stacks of
 ``tests/test_stacks.py``), run once by every sweep estimator that takes the
@@ -81,6 +84,9 @@ N, ELL, SIGMA = 4, 2, 0.3
 SWEEP_PARTITIONS = ((0, 0), (0, 2), (2, 0), (1, 1), (2, 3))
 #: Noise-free grid-design sweeps: (case, n, ell, j, k).
 GRID_SWEEPS = (("sweep/grid-n18-failed", 18, 1, 0, 0), ("sweep/grid-n16-flagged", 16, 2, 1, 1))
+#: (design, noise) of the ``sweep/cells/*`` cases: five trials per m, so
+#: a worker samples a cell of three instances at m = 6000 in groups of two and one.
+CELL_SWEEPS = (("iid", "gauss"), ("iid", "uniform"), ("iid", "rademacher"), ("grid", "gauss"))
 #: ``ctls estimate`` row counts: B.csv is about 40 kB and 1.2 MB, A.csv twice
 #: that, so both larger files split into spans on a machine with 2 or more CPUs.
 ESTIMATE_ROWS = (1000, 30000)
@@ -257,6 +263,14 @@ def case_digests() -> list[tuple[str, str]]:
                                  base_seed=5, noise=noise)
             trace = run_sweep(config).to_json_dict()
             cases.append((f"sweep/{name}/{noise.value}", [json.dumps(trace, sort_keys=True)]))
+
+    for design, noise in CELL_SWEEPS:
+        config = SweepConfig(n=N, ell=ELL, j=1, k=1, m_values=(30, 600, 6000), trials=5,
+                             sigma=SIGMA, base_seed=11, design=DesignKind(design),
+                             noise=NoiseKind(noise),
+                             estimators=("naive_ls", "tls", "ctls_rowcol", "projection"))
+        trace = run_sweep(config).to_json_dict()
+        cases.append((f"sweep/cells/{design}-{noise}", [json.dumps(trace, sort_keys=True)]))
 
     for (j, k), failures in STACK_FAILURES.items():
         names = ["healthy", *failures]

@@ -22,9 +22,11 @@ run on the fork pool of :mod:`ctls.parallel`, keyed by task, so the output is
 byte-identical whatever the process count (``taskset -c 0`` runs serially).
 A sweep with exactly one sampling pass of several chunks skips the pool: that
 pass then has both CPUs (:func:`ctls.parallel.beside`), shared with no child.
-A worker keeps the exact rows, factors and ground-truth Gram matrices of its
-instances of one ``m`` and runs each estimator and :func:`gram_residuals`
-once on their stack (:func:`ctls.estimators.per_slice`).
+A worker samples its instances of one ``m`` as one stack of exact rows,
+factors and ground-truth Gram matrices (:func:`ctls.model.sample_stack`, in
+groups that fill a chunk where one chunk holds an instance) and runs each
+estimator and :func:`gram_residuals` once on that stack
+(:func:`ctls.estimators.per_slice`).
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .estimators import (
     tls_from_data,
 )
 from .linalg import chunk_bounds, gram_condition, solve_upper_triangular, sym_eigen
-from .model import DesignKind, NoiseKind, ObservedData, PartitionSpec, sample_instance
+from .model import DesignKind, NoiseKind, ObservedData, PartitionSpec, sample_stack
 from .parallel import run_shares
 
 #: Flat-file column order for trace CSV output (stable public interface).
@@ -347,7 +349,7 @@ def gram_residuals(gram_bar: np.ndarray, sigma: float, data: ObservedData) -> di
     the estimators cache on ``data``, so no decomposition of it runs twice.
     The ground truth enters through its noise level ``sigma`` and the Gram
     matrix ``gram_bar = G`` of its rows ``j:`` (from
-    :func:`~ctls.model.sample_instance`); the projected residual runs the
+    :func:`~ctls.model.sample_stack`); the projected residual runs the
     corner elimination on a square root ``F.T @ F = G`` (eigenvalues clipped
     at zero, as ``G`` has rank ``n``) and projects both sides with the basis
     of :func:`~ctls.estimators.reduced_factor`, whose
@@ -429,17 +431,8 @@ def run_sweep(config: SweepConfig) -> ConvergenceTrace:
         """The records of each trial of one ``m``, from one stack of its instances."""
         seeds = [(trial_seed(config.base_seed, "model", m, t),
                   trial_seed(config.base_seed, "noise", m, t)) for t in trials]
-        parts = []
-        for model_seed, noise_seed in seeds:
-            x_true, data, gram_bar = sample_instance(
-                config.partition_for(m), config.sigma, model_seed, noise_seed,
-                config.design, config.noise,
-            )
-            parts.append((x_true, gram_bar, *data.exact_rows, data.r_noisy,
-                          *([data.r_all] if all_rows else [])))
-            del data  # drops the first TSQR level of the instance
-        x_true, grams, exact_a, exact_b, r_noisy, *r_all = map(np.stack, zip(*parts))
-        stack = ObservedData.stacked(exact_a, exact_b, config.partition_for(m), r_noisy, *r_all)
+        x_true, stack, grams = sample_stack(config.partition_for(m), config.sigma, seeds,
+                                            config.design, config.noise, all_rows)
         results = {name: _run_estimator(name, stack) for name in config.estimators}
         residuals = [{}] * len(trials)
         if any(not isinstance(out, CtlsError)

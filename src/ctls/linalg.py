@@ -6,9 +6,10 @@
   estimators see their O(m) data only through such factors.
   ``tall_r_chunks`` runs the first level ``CHUNK_ROWS`` rows at a time
   over a chunk source, which ``tall_r_pair`` feeds from the column blocks
-  of ``C`` and a sweep instance from its generator, and shares it between
-  the factors of all rows and of the rows below an offset; a sampling pass
-  hands each chunk's block QRs to a helper thread (``ctls.parallel.beside``).
+  of ``C`` and ``ctls.model`` from its generators (a chunk of one instance
+  or a group of whole ones), and shares it between the factors of all rows
+  and of the rows below an offset; a sampling pass hands each chunk's block
+  QRs to a helper thread (``ctls.parallel.beside``).
 * ``gram_eigen`` takes the eigenpairs of ``R.T @ R`` from the SVD of ``R``.
   Forming the Gram matrix first would square the condition number and lose
   the relative accuracy of the small eigenvalues that the TLS solutions are
@@ -201,11 +202,13 @@ class TallRPair:
 
     ``stack`` holds the triangles of the ``BLOCK_ROWS``-row blocks followed
     by the leftover rows (below two full blocks, or with ``BLOCK_ROWS`` or
-    more columns, ``C`` itself).  The rows ``j:`` stack as ``head`` (the
-    triangle of the part of a block below row ``j``, or None) on top of
-    ``stack[skip:]``; ``r_low`` writes ``head`` into the rows just above
-    ``skip`` for its QR rather than copy the stack, then restores them.
-    Both factors are read-only.
+    more columns, ``C`` itself).  The rows ``j:`` stack as the triangle of
+    ``head`` (the part of a block below row ``j``, or None) on top of
+    ``stack[skip:]``; ``r_low`` writes that triangle into the rows just
+    above ``skip`` for its QR rather than copy the stack, then restores
+    them.  With a leading axis on ``stack`` and ``head``, the pair is a
+    stack of first levels and each factor a stack.  Both factors are
+    read-only.
     """
 
     stack: np.ndarray
@@ -223,14 +226,15 @@ class TallRPair:
         if self.skip == 0:
             return self.r_all
         if self.head is None:
-            return _read_only(_flat_r(self.stack[self.skip :]))
+            return _read_only(_flat_r(self.stack[..., self.skip :, :]))
         # Factor the head in place of the rows above skip, not in a copy of
         # the stack, and restore those rows for r_all.
-        top = self.skip - len(self.head)
-        saved = self.stack[top : self.skip].copy()
-        self.stack[top : self.skip] = self.head
-        r = _flat_r(self.stack[top:])
-        self.stack[top : self.skip] = saved
+        head = _lapack(np.linalg.qr, self.head, mode="r")
+        rows = self.stack[..., self.skip - head.shape[-2] : self.skip, :]
+        saved = rows.copy()
+        rows[...] = head
+        r = _flat_r(self.stack[..., self.skip - head.shape[-2] :, :])
+        rows[...] = saved
         return _read_only(r)
 
 
@@ -275,43 +279,46 @@ def _at_once(fn, *args):
     return lambda: out
 
 
-def tall_r_chunks(chunk_of, rows: int, cols: int, j: int, run=_at_once) -> TallRPair:
+def tall_r_chunks(chunk_of, rows: int, cols: int, j: int, run=_at_once,
+                  lead: tuple = ()) -> TallRPair:
     """The first TSQR level of a ``rows x cols`` matrix ``C`` and of its rows ``j:``.
 
-    ``chunk_of(lo, hi)`` returns the rows ``lo:hi`` of ``C``.  It is called on
-    the ranges of :func:`chunk_bounds` in order, so it may build each chunk
-    when asked; below two full blocks, or with ``BLOCK_ROWS`` or more
-    columns, ``C`` is factored flat.  Each chunk's batched block QR is a job
-    of the runner ``run`` (of :func:`ctls.parallel.beside`; by default it
-    runs at once, while the chunk is in cache), awaited once the next
-    chunk's is handed over, so at most two chunks are held.  The per-block QRs are independent, so the triangles
-    depend neither on the chunking nor on where they ran.  ``r_low`` stacks
-    the same triangles with those above row ``j`` replaced by the triangle
-    of the block rows from ``j`` on (TSQR, Demmel, Grigori, Hoemmen & Langou
-    2012), so it equals ``tall_r(C[j:])`` up to roundoff and row signs.
-    Raises ShapeError if ``C`` has a zero dimension or ``j`` is not in
-    ``[0, rows)``, NonFiniteError on a NaN or infinite entry.
+    ``chunk_of(lo, hi)`` returns the rows ``lo:hi`` of ``C``, or of each
+    matrix of a stack of them whose leading axes ``lead`` the pair keeps.
+    It is called on the ranges of :func:`chunk_bounds` in order, so it may
+    build each chunk when asked; below two full blocks, or with
+    ``BLOCK_ROWS`` or more columns, ``C`` is factored flat.  Each chunk's batched block QR is
+    a job of the runner ``run`` (of :func:`ctls.parallel.beside`; by default
+    it runs at once, while the chunk is in cache), awaited once the next
+    chunk's is handed over, so at most two chunks are held.  The per-block
+    QRs are independent, so the triangles depend neither on the chunking
+    nor on where they ran.  ``r_low`` stacks the same triangles with those
+    above row ``j`` replaced by the triangle of the block rows from ``j`` on
+    (TSQR, Demmel, Grigori, Hoemmen & Langou 2012), so it equals
+    ``tall_r(C[j:])`` up to roundoff and row signs.  Raises ShapeError if
+    ``C`` has a zero dimension or ``j`` is not in ``[0, rows)``,
+    NonFiniteError on a NaN or infinite entry.
     """
     if not 0 <= j < rows:
         raise ShapeError(f"row offset j={j} is outside [0, {rows})")
     full = rows // BLOCK_ROWS
     if full < 2 or cols >= BLOCK_ROWS:
-        return TallRPair(stack=as_matrix(chunk_of(0, rows), "C"), skip=j, head=None)
-    stack = np.empty((full * cols + rows - full * BLOCK_ROWS, cols))
-    triangles = stack[: full * cols].reshape(full, cols, cols)
+        return TallRPair(stack=as_matrix(chunk_of(0, rows), "C", stack=True), skip=j, head=None)
+    # Held to the end, so allocated before the chunks come and go: placed
+    # after the first chunk, it let the heap shrink and refault mid-pass.
+    stack = np.empty(lead + (first_level_rows(rows, cols), cols))
     block, offset = divmod(j, BLOCK_ROWS)
     head, jobs = None, []
     for lo, end in chunk_bounds(rows, cols):
         hi = min(end, full * BLOCK_ROWS)
-        chunk = as_matrix(chunk_of(lo, end), "C")
-        jobs.append(run(_block_triangles, chunk[: hi - lo],
-                        triangles[lo // BLOCK_ROWS : hi // BLOCK_ROWS]))
+        chunk = as_matrix(chunk_of(lo, end), "C", stack=True)
+        jobs.append(run(_block_triangles, chunk[..., : hi - lo, :],
+                        stack[..., lo // BLOCK_ROWS * cols : hi // BLOCK_ROWS * cols, :]))
         if offset and lo <= j < hi:
-            top = (block + 1) * BLOCK_ROWS - lo
-            head = _lapack(np.linalg.qr, chunk[j - lo : top], mode="r")
+            head = chunk[..., j - lo : (block + 1) * BLOCK_ROWS - lo, :].copy()
         if len(jobs) == 2:  # at most two chunks in flight
             jobs.pop(0)()
-    stack[full * cols :] = chunk[hi - lo :]
+    stack[..., full * cols :, :] = chunk[..., hi - lo :, :]
     jobs.pop()()
     if block >= full:
         skip = full * cols + j - full * BLOCK_ROWS
@@ -320,9 +327,20 @@ def tall_r_chunks(chunk_of, rows: int, cols: int, j: int, run=_at_once) -> TallR
     return TallRPair(stack=stack, skip=skip, head=head)
 
 
+def first_level_rows(rows: int, cols: int) -> int:
+    """The rows of the first level of :func:`tall_r_chunks` of a ``rows x
+    cols`` matrix: ``rows`` where it is factored flat."""
+    full = rows // BLOCK_ROWS
+    if full < 2 or cols >= BLOCK_ROWS:
+        return rows
+    return full * cols + rows - full * BLOCK_ROWS
+
+
 def _block_triangles(rows: np.ndarray, out: np.ndarray) -> None:
-    """The triangles of the ``BLOCK_ROWS``-row blocks of ``rows``, into ``out``."""
-    out[:] = _lapack(np.linalg.qr, rows.reshape(-1, BLOCK_ROWS, rows.shape[1]), mode="r")
+    """The triangles of the ``BLOCK_ROWS``-row blocks of ``rows`` (or of each
+    matrix of a stack), stacked into ``out``."""
+    blocks = rows.reshape(rows.shape[:-2] + (-1, BLOCK_ROWS, rows.shape[-1]))
+    out[...] = _lapack(np.linalg.qr, blocks, mode="r").reshape(out.shape)
 
 
 def gram_eigen(r) -> SymEigenResult:

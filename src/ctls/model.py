@@ -7,10 +7,13 @@ unconstrained blocks only, and ``whiten`` reduces a general noise covariance
 to the scalar case via its Cholesky factor.
 
 ``generate_model`` then ``observe`` return rows (``ObservedData(a=, b=,
-partition=)``).  ``sample_instance``, which sweeps use, draws the same numbers
-with the same helpers ``CHUNK_ROWS`` rows at a time and factors each chunk as
-it goes (``ObservedData.from_factor``), so a sweep instance holds no array of
-its ``m`` rows; the estimates of both paths are bit-identical.
+partition=)``).  ``sample_instance`` draws the same numbers with the same
+helpers ``CHUNK_ROWS`` rows at a time and factors each chunk as it goes
+(``ObservedData.from_factor``), so it holds no array of the ``m`` rows; the
+estimates of both paths are bit-identical.  ``sample_stack``, which sweeps
+use, samples many instances of one partition as one stack, each from its own
+seeds and bit for bit as ``sample_instance`` does; where one chunk holds an
+instance, it draws, noises and factors them in groups that fill a chunk.
 
 Every stochastic operation takes an explicit seed and draws from
 ``numpy.random.Generator`` (PCG64), so regenerating an instance with the same
@@ -32,6 +35,7 @@ from .linalg import (
     as_matrix,
     chunk_bounds,
     cholesky_lower,
+    first_level_rows,
     matrix_rank,
     solve_linear,
     solve_lower_triangular,
@@ -335,48 +339,130 @@ def sample_instance(
     products and adds the noise, a helper thread draws the next chunk's
     noise and factors the blocks of the chunk before, with the same numbers.
     """
-    p = partition
-    rng, x_true = _start(p, sigma, model_seed)
-    noise_rng = np.random.default_rng(noise_seed) if sigma > 0.0 else None
-    gram = np.zeros((p.n + p.ell, p.n + p.ell))
-    exact = []
-    bounds = chunk_bounds(p.m, p.n + p.ell)
-    with beside(len(bounds) > 1) as run:
-        # Each chunk's draw is handed out once the one before is done, so the
-        # noise stream runs in chunk order wherever the draws run.
-        draws = (run(_draw_noise, noise_rng, noise, sigma, (hi - max(lo, p.j), p.noisy_cols))
-                 for lo, hi in bounds if noise_rng is not None)
+    p, pairs = partition, []
+    x_true, exact, gram = _sample(p, sigma, [(model_seed, noise_seed)], design, noise,
+                                  lambda index, pair: pairs.append(pair))
+    _check_exact_rows(exact[0])
+    pair = TallRPair(pairs[0].stack[0], pairs[0].skip,
+                     None if pairs[0].head is None else pairs[0].head[0])
+    exact_a, exact_b = exact[0, :, : p.n].copy(), exact[0, :, p.n :].copy()
+    return x_true[0], ObservedData.from_factor(exact_a, exact_b, pair, p), gram[0]
+
+
+def sample_stack(
+    partition: PartitionSpec,
+    sigma: float,
+    seeds,
+    design: DesignKind = DesignKind.IID_ROWS,
+    noise: NoiseKind = NoiseKind.GAUSS,
+    all_rows: bool = True,
+) -> tuple[np.ndarray, ObservedData, np.ndarray]:
+    """:func:`sample_instance` of each ``(model_seed, noise_seed)`` of
+    ``seeds`` as one stack, bit for bit: ``x_true`` ``(S, n, ell)``, ``data``
+    of :meth:`ObservedData.stacked` (with ``r_all`` only under ``all_rows``)
+    and the Gram matrices ``(S, d, d)``.  Raises InvalidPartitionError as
+    :func:`sample_instance` does if the exact rows of any slice are rank
+    deficient.
+
+    A pass of one chunk draws, noises and factors its instances in groups
+    of ``CHUNK_ROWS // m`` (at least one) with batched calls over one row
+    buffer, and runs the second TSQR level once per ``CHUNK_ROWS`` rows of
+    first levels; a pass of several chunks runs one instance at a time.
+    """
+    p, d = partition, partition.n + partition.ell
+    r_noisy = np.empty((len(seeds), d, d))
+    r_all = np.empty((len(seeds), d, d)) if all_rows else None
+
+    def factor(index, pair):
+        r_noisy[index] = pair.r_low
+        if all_rows:
+            r_all[index] = pair.r_all
+
+    x_true, exact, grams = _sample(p, sigma, seeds, design, noise, factor)
+    _check_exact_rows(exact)
+    exact_a, exact_b = exact[..., : p.n].copy(), exact[..., p.n :].copy()
+    return x_true, ObservedData.stacked(exact_a, exact_b, p, r_noisy, r_all), grams
+
+
+def _sample(p: PartitionSpec, sigma: float, seeds, design: DesignKind, noise: NoiseKind,
+            factor):
+    """Draw, noise and factor the instances of ``seeds``: ``x_true``, the
+    exact rows of ``[a_bar | b_bar]`` (not yet checked) and the Gram matrices,
+    each with a leading axis.  ``factor(index, pair)`` gets the first TSQR
+    level of the instances of each ``index`` (a slice) in turn, as a stack."""
+    d, count = p.n + p.ell, len(seeds)
+    rngs, x_true = zip(*(_start(p, sigma, seed) for seed, _ in seeds))
+    x_true = np.stack(x_true)
+    noise_rngs = [np.random.default_rng(seed) for _, seed in seeds] if sigma > 0.0 else None
+    grams, exact = np.zeros((count, d, d)), np.empty((count, p.j, d))
+    bounds = chunk_bounds(p.m, d)
+    # A group's rows fill one chunk; the first levels of a batch of groups
+    # fill one more, or hold one group.  Where the rows are factored flat,
+    # the first level is the group's rows, and a batch is one group.
+    group = max(1, CHUNK_ROWS // p.m)
+    batch = group * max(1, CHUNK_ROWS // (group * first_level_rows(p.m, d)))
+    # One row buffer for all groups of a pass of one chunk.  Under several
+    # chunks the rows of the chunk before may be in use on the helper thread.
+    one_chunk = len(bounds) == 1
+    c_buf = np.empty((min(group, count), p.m, d)) if one_chunk else None
+
+    def chunks(index: slice, run):
+        """The chunk source of :func:`~ctls.linalg.tall_r_chunks` for the
+        instances ``index``: their rows ``lo:hi`` drawn, their Gram products
+        summed and their noise added."""
+        size = index.stop - index.start
+        # Each chunk's draw is handed out once the one before is done, so
+        # each noise stream runs in chunk order wherever the draws run.
+        draws = (run(_draw_noises, noise_rngs[index], noise, sigma,
+                     (hi - max(lo, p.j), p.noisy_cols)) for lo, hi in bounds if noise_rngs)
         draw = next(draws, None)
 
         def chunk_of(lo: int, hi: int) -> np.ndarray:
             nonlocal draw
-            a_bar = _design_rows(rng, design, p, lo, hi)
-            c = np.hstack([a_bar, a_bar @ x_true])
+            a = np.empty((size, hi - lo, p.n))
+            for rng, rows in zip(rngs[index], a):
+                _design_rows(rng, design, p, lo, hi, rows)
+            c = np.concatenate([a, np.matmul(a, x_true[index])], axis=-1,
+                               out=c_buf[:size] if one_chunk else None)
             if lo == 0:
-                _check_exact_rows(c[: p.j])
-                exact.extend((c[: p.j, : p.n].copy(), c[: p.j, p.n :].copy()))
-            noisy = c[max(p.j - lo, 0) :]
-            gram[:] += noisy.T @ noisy
+                exact[index] = c[:, : p.j]
+            noisy = c[:, max(p.j - lo, 0) :]
+            for gram, rows in zip(grams[index], noisy):
+                gram += rows.T @ rows
             if draw is not None:
-                e = draw()
-                draw = next(draws, None)
-                _add_noise(e, noisy[:, p.k : p.n], noisy[:, p.n :])
+                e, draw = draw(), next(draws, None)
+                _add_noise(e, noisy[..., p.k :])
             return c
 
-        pair = tall_r_chunks(chunk_of, p.m, p.n + p.ell, p.j, run)
-    return x_true, ObservedData.from_factor(*exact, pair, p), gram
+        return chunk_of
+
+    with beside(len(bounds) > 1) as run:
+        for start in range(0, count, batch):
+            stop = min(start + batch, count)
+            pairs = []
+            for g in range(start, stop, group):
+                index = slice(g, min(g + group, stop))
+                pairs.append(tall_r_chunks(chunks(index, run), p.m, d, p.j, run, (index.stop - g,)))
+            heads = None if pairs[0].head is None else np.concatenate([q.head for q in pairs])
+            factor(slice(start, stop), pairs[0] if len(pairs) == 1 else TallRPair(
+                np.concatenate([q.stack for q in pairs]), pairs[0].skip, heads))
+    return x_true, exact, grams
 
 
-def _draw_noise(rng, noise: NoiseKind, sigma: float, shape: tuple[int, int]) -> np.ndarray:
-    """Noise entries with mean 0 and variance ``sigma^2``, drawn row by row."""
+def _draw_noise(rng, noise: NoiseKind, sigma: float, shape: tuple[int, int],
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Noise entries with mean 0 and variance ``sigma^2``, drawn row by row,
+    into ``out`` where given."""
     if noise is NoiseKind.GAUSS:
-        e = rng.standard_normal(shape)
+        e = rng.standard_normal(shape, out=out)
         e *= sigma
     elif noise is NoiseKind.UNIFORM:
         half = sigma * np.sqrt(3.0)
         e = rng.uniform(-half, half, size=shape)
+        if out is not None:
+            out[...], e = e, out
     elif noise is NoiseKind.RADEMACHER:
-        e = 2.0 * rng.integers(0, 2, size=shape)
+        e = np.multiply(2.0, rng.integers(0, 2, size=shape), out=out)
         e -= 1.0
         e *= sigma
     else:
@@ -384,11 +470,21 @@ def _draw_noise(rng, noise: NoiseKind, sigma: float, shape: tuple[int, int]) -> 
     return e
 
 
-def _add_noise(e: np.ndarray, a_free, b_rows) -> None:
-    """Add the columns of ``e`` to those of ``a_free``, then ``b_rows``, in place."""
-    # Column by column: 2-D adds of strided slices loop over a few columns per row.
-    for i, col in enumerate([*a_free.T, *b_rows.T]):
-        col += e[:, i]
+def _draw_noises(rngs, noise: NoiseKind, sigma: float, shape: tuple[int, int]) -> np.ndarray:
+    """A stack of noise arrays of ``shape``, slice ``s`` drawn with ``rngs[s]``."""
+    out = np.empty((len(rngs),) + shape)  # allocated where the draw runs
+    for rng, e in zip(rngs, out):
+        _draw_noise(rng, noise, sigma, shape, e)
+    return out
+
+
+def _add_noise(e: np.ndarray, *blocks: np.ndarray) -> None:
+    """Add the columns of ``e`` to those of the ``blocks`` in turn, in place;
+    each may have a leading stack axis."""
+    # Column by column: adds of strided slices loop over a few columns per row.
+    cols = [block[..., i] for block in blocks for i in range(block.shape[-1])]
+    for i, col in enumerate(cols):
+        col += e[..., i]
 
 
 def _start(partition: PartitionSpec, sigma: float, seed: int):
@@ -400,22 +496,26 @@ def _start(partition: PartitionSpec, sigma: float, seed: int):
     return rng, rng.uniform(-2.0, 2.0, size=(partition.n, partition.ell))
 
 
-def _design_rows(rng, design: DesignKind, p: PartitionSpec, lo: int, hi: int) -> np.ndarray:
-    """The rows ``lo:hi`` of ``a_bar``, drawn after the rows above them."""
+def _design_rows(rng, design: DesignKind, p: PartitionSpec, lo: int, hi: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The rows ``lo:hi`` of ``a_bar``, drawn after the rows above them, into
+    ``out`` where given."""
     if design is DesignKind.IID_ROWS:
-        return rng.standard_normal((hi - lo, p.n))
+        return rng.standard_normal((hi - lo, p.n), out=out)
     if design is DesignKind.FIXED_GRID:
         # np.linspace(-1.0, 1.0, m)[lo:hi], bit for bit.
         t = np.arange(lo, hi) * (2.0 / (p.m - 1)) - 1.0
         if hi == p.m:
             t[-1] = 1.0
-        return np.column_stack([t**q for q in range(p.n)])
+        return np.stack([t**q for q in range(p.n)], axis=1, out=out)
     raise InvalidPartitionError(f"unknown design kind: {design!r}")
 
 
 def _check_exact_rows(upper: np.ndarray) -> None:
-    """Raise InvalidPartitionError unless the exact rows ``upper`` have full rank."""
-    if len(upper) and matrix_rank(upper) != len(upper):
+    """Raise InvalidPartitionError unless the exact rows ``upper`` (or each
+    matrix of a stack of them) have full rank."""
+    rows = upper.shape[-2]
+    if rows and np.count_nonzero(matrix_rank(upper) != rows):
         raise InvalidPartitionError("noise-free rows of the generated instance are rank deficient")
 
 

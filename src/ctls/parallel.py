@@ -1,7 +1,8 @@
 """One fork pool for Monte-Carlo sweeps and the CSV reader: results come back
 in task order, so no output depends on the number of processes.  One pinned
 helper thread (:func:`beside`) for a long sampling pass; a sweep with only
-one such pass runs without the pool, so no child takes the helper's CPU."""
+one such pass runs without the pool, so no child takes the helper's CPU, and
+a pool's calling process runs its share on one CPU, so it starts no helper."""
 
 from __future__ import annotations
 
@@ -34,7 +35,8 @@ def run_shares(run_share, tasks: list) -> list:
     """The results of every task, in task order, where ``run_share(share)``
     returns those of the tasks of ``share`` in its order.  Worker ``w`` of
     :func:`worker_count` runs the share ``tasks[w::workers]``: worker 0 here,
-    the others in children forked first and pinned to CPU ``w`` of the mask."""
+    the others in children forked first; each is pinned to CPU ``w`` of the
+    mask while they run, and this process gets its mask back at the end."""
     mask = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     workers = worker_count(len(tasks))
     shares = [range(w, len(tasks), workers) for w in range(workers)]
@@ -62,6 +64,8 @@ def run_shares(run_share, tasks: list) -> list:
                     os._exit(status)
             os.close(write_fd)
             children[pid] = read_fd
+        if workers > 1 and mask:  # so beside starts no helper on a child's CPU
+            os.sched_setaffinity(0, {mask[0]})
         results = _results(run_share, tasks, shares[0])
         for w, (pid, fd) in enumerate(list(children.items()), start=1):
             data = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
@@ -76,6 +80,8 @@ def run_shares(run_share, tasks: list) -> list:
                 raise RuntimeError(f"pool worker {w} exited with status {status}: {payload}")
             results.update(payload)
     finally:
+        if workers > 1 and mask:
+            os.sched_setaffinity(0, set(mask))
         for pid, fd in children.items():  # only when raising: stop, then reap
             os.close(fd)
             os.kill(pid, 9)  # SIGKILL; the signal module is not loaded

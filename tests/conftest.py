@@ -1,5 +1,6 @@
 import os
 import signal
+import threading
 
 import numpy as np
 import pytest
@@ -55,14 +56,32 @@ def seeded_symmetric(seed: int, dim: int) -> np.ndarray:
 def set_cpus(monkeypatch, count, pins=None):
     """Report ``count`` available CPUs through the affinity mask, and append
     the CPUs a (forked) process pins itself to as ``"pid cpus"`` lines to the
-    file ``pins``, where given."""
+    file ``pins``, where given.  A thread reads back the CPUs it last pinned
+    itself to, as under Linux."""
+    masks = {}
+
     def pin(pid, cpus):
+        masks[os.getpid(), threading.get_ident()] = set(cpus)
         if pins is not None:
             with open(pins, "a", encoding="utf-8") as fh:
                 fh.write(f"{os.getpid()} {sorted(cpus)}\n")
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(
+        masks.get((os.getpid(), threading.get_ident()), range(count))))
     monkeypatch.setattr(os, "sched_setaffinity", pin)
+
+
+def read_pins(pins):
+    """From a ``set_cpus`` pins file: the CPUs this process pinned itself
+    to, in order, and the last CPUs each other process pinned itself to."""
+    mine, others = [], {}
+    for line in pins.read_text().splitlines():
+        pid, cpus = line.split(" ", 1)
+        if pid == str(os.getpid()):
+            mine.append(cpus)
+        else:
+            others[pid] = cpus
+    return mine, others
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ from ctls import cli, fileio, harness
 from ctls.errors import MatrixFileError
 from ctls.fileio import read_matrix, read_matrix_csv, write_matrix
 
-from conftest import assert_reaped, set_cpus
+from conftest import assert_reaped, read_pins, set_cpus
 
 # --- CSV: vectorised reader vs scanner ---------------------------------------------
 
@@ -275,7 +275,8 @@ def test_split_reader_forks_one_worker_per_cpu_above_threshold(
     tmp_path, monkeypatch, forked, cpus, spans, forks
 ):
     """``min(CPUs, size // MIN_SPAN_BYTES) - 1`` children, none for a file
-    under the threshold; child ``w`` pins itself to CPU ``w`` of the mask."""
+    under the threshold; child ``w`` pins itself to CPU ``w`` of the mask,
+    and the parent to CPU 0 until it has their results."""
     pins = tmp_path / "pins"
     pins.touch()
     set_cpus(monkeypatch, cpus, pins)
@@ -285,8 +286,9 @@ def test_split_reader_forks_one_worker_per_cpu_above_threshold(
     assert read_matrix_csv(str(path)).tolist() == [[1.5, 2.5]] * int(spans * 64 / 8)
     assert len(forked) == forks
     assert_reaped(forked)
-    pinned = dict(line.split(" ", 1) for line in pins.read_text().splitlines())
+    mine, pinned = read_pins(pins)
     assert pinned == {str(pid): f"[{w}]" for w, pid in enumerate(forked, start=1)}
+    assert mine == (["[0]", str(list(range(cpus)))] if forks else [])
 
 
 def test_no_fork_while_another_thread_runs(tmp_path, monkeypatch):

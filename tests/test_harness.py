@@ -22,7 +22,7 @@ from ctls.harness import (
 from ctls.linalg import CHUNK_ROWS
 from ctls.model import DesignKind, ObservedData, generate_model, observe
 
-from conftest import assert_reaped, fingerprint, make_instance, set_cpus
+from conftest import assert_reaped, fingerprint, make_instance, read_pins, set_cpus
 
 
 def small_config(**overrides):
@@ -230,7 +230,8 @@ def test_sweep_forks_one_worker_per_cpu_up_to_tasks(
     """``min(CPUs, tasks) - 1`` children, the CPUs read from the affinity
     mask or, without one, from ``os.cpu_count``; a one-task sweep (as in the
     in-process call-counting tests) never forks.  With a mask, child ``w``
-    pins itself to its ``w``-th CPU; without one, nothing is pinned."""
+    pins itself to its ``w``-th CPU and the parent to its first while they
+    run; without one, nothing is pinned."""
     pins = tmp_path / "pins"
     pins.touch()
     if affinity is None:
@@ -241,11 +242,12 @@ def test_sweep_forks_one_worker_per_cpu_up_to_tasks(
     trace = run_sweep(small_config(m_values=m_values, trials=trials))
     assert len(forked) == forks
     assert_reaped(forked)
-    pinned = dict(line.split(" ", 1) for line in pins.read_text().splitlines())
+    mine, pinned = read_pins(pins)
     if affinity is None:
-        assert pinned == {}
+        assert pinned == {} and mine == []
     else:
         assert pinned == {str(pid): f"[{w}]" for w, pid in enumerate(forked, start=1)}
+        assert mine == (["[0]", str(list(range(affinity)))] if forks else [])
     assert [(r.m, r.trial) for r in trace.records[::4]] == [
         (m, t) for m in m_values for t in range(trials)
     ]
@@ -283,6 +285,31 @@ def test_sweep_with_one_large_pass_runs_in_process(monkeypatch, tmp_path, forked
         assert f"{os.getpid()} [1]" in pins.read_text().splitlines()
     assert trace.records == serial
     assert threading.active_count() == 1
+
+
+def test_pool_parent_runs_its_share_on_one_cpu(monkeypatch, tmp_path, forked):
+    """Two passes of several chunks run on the pool, one per worker.  The
+    parent pins itself to the first CPU of the mask while the child runs on
+    the second, so its pass starts no helper thread there, and it gets its
+    mask back; the records are those of a one-CPU run."""
+    cfg = small_config(m_values=(2 * CHUNK_ROWS + 5,), trials=2, estimators=("projection",))
+    set_cpus(monkeypatch, 1)
+    serial = run_sweep(cfg).records
+    pins = tmp_path / "pins"
+    pins.touch()
+    set_cpus(monkeypatch, 2, pins)
+    real_start, started = threading.Thread.start, []
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(os.getpid()) or real_start(thread))
+    trace = run_sweep(cfg)
+    assert len(forked) == 1
+    assert_reaped(forked)
+    mine, pinned = read_pins(pins)
+    assert mine == ["[0]", "[0, 1]"] and pinned == {str(forked[0]): "[1]"}
+    assert os.getpid() not in started
+    assert os.sched_getaffinity(0) == {0, 1}
+    assert threading.active_count() == 1
+    assert trace.records == serial
 
 
 @pytest.mark.parametrize("where", ["child-raises", "child-dies", "parent-interrupted"])
@@ -547,11 +574,16 @@ def test_sweep_trace_matches_row_path(monkeypatch, j, k, noise):
     ))
     fused = run_sweep(cfg).to_json_dict()
 
-    def row_path(partition, sigma, model_seed, noise_seed, design, noise):
-        model = generate_model(partition, sigma, model_seed, design)
-        return model.x_true, observe(model, noise_seed, noise), model.truth_gram()
+    def row_path(partition, sigma, seeds, design, noise, all_rows):
+        models = [generate_model(partition, sigma, model_seed, design) for model_seed, _ in seeds]
+        datas = [observe(model, noise_seed, noise) for model, (_, noise_seed) in zip(models, seeds)]
+        exact_a, exact_b, r_noisy, r_all = (np.stack(x) for x in zip(
+            *((*data.exact_rows, data.r_noisy, data.r_all) for data in datas)))
+        return (np.stack([model.x_true for model in models]),
+                ObservedData.stacked(exact_a, exact_b, partition, r_noisy, r_all),
+                np.stack([model.truth_gram() for model in models]))
 
-    monkeypatch.setattr(harness, "sample_instance", row_path)
+    monkeypatch.setattr(harness, "sample_stack", row_path)
     rows = run_sweep(cfg).to_json_dict()
     scale = max(
         np.max(np.abs(generate_model(cfg.partition_for(r["m"]), cfg.sigma,
@@ -576,13 +608,17 @@ def test_sweep_trace_matches_row_path(monkeypatch, j, k, noise):
 
 
 def test_sweep_factors_each_row_set_once(monkeypatch):
-    """One sweep instance makes one O(m) factor pass: both row sets come
-    from one ``tall_r_chunks`` call over the chunks the instance is drawn
-    in, and the ground truth is not factored; every other factor
-    re-triangularises n + ell rows."""
-    m = 300
-    tall_calls = []
+    """A sweep factors the rows of each instance once: every row reaches one
+    first TSQR level (``tall_r_chunks``, over a group of instances), the
+    second levels take each instance's rows 0: and j: once each, and the
+    ground truth is not factored; every other factor re-triangularises
+    n + ell rows.  At m = 300 the rows are factored flat, at m = 6000 five
+    instances run in groups of two, two and one."""
+    trials, d = 5, 4
+    rows_in, second, sampling = {}, {}, [None]
     real_r, real_pair, real_chunks = linalg.tall_r, linalg.tall_r_pair, linalg.tall_r_chunks
+    real_flat = linalg._flat_r
+    tall_calls = []
 
     def counting(real, shapes_of):
         def wrapped(*args):
@@ -593,19 +629,38 @@ def test_sweep_factors_each_row_set_once(monkeypatch):
 
         return wrapped
 
+    def chunks(chunk_of, rows, cols, j, *args):
+        def counted(lo, hi):
+            sampling[0] = rows
+            c = chunk_of(lo, hi)
+            rows_in[rows] = rows_in.get(rows, 0) + c.size // cols
+            return c
+
+        return real_chunks(counted, rows, cols, j, *args)
+
+    def flat(a):
+        if a.shape[-2] > d:  # first levels, not a re-triangularisation
+            slices = a.size // (a.shape[-2] * a.shape[-1])
+            second[sampling[0]] = second.get(sampling[0], 0) + slices
+        return real_flat(a)
+
     for module in (linalg, model_mod, estimators, harness):
         for name, real, shapes_of in (
             ("tall_r", real_r, lambda c: ((np.shape(c),), 0)),
             ("tall_r_pair", real_pair, lambda c, j: (tuple(np.shape(x) for x in c), j)),
-            ("tall_r_chunks", real_chunks,
-             lambda chunk_of, rows, cols, j, run=None: (((rows, cols),), j)),
         ):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(real, shapes_of))
-    cfg = small_config(m_values=(m,), trials=1,
+        if hasattr(module, "tall_r_chunks"):
+            monkeypatch.setattr(module, "tall_r_chunks", chunks)
+    monkeypatch.setattr(linalg, "_flat_r", flat)
+    set_cpus(monkeypatch, 1)
+    cfg = small_config(m_values=(300, 1000, 6000), trials=trials,
                        estimators=("naive_ls", "tls", "ctls_rowcol", "projection"))
-    run_sweep(cfg)
-    assert tall_calls == [("tall_r_chunks", ((m, 4),), 1)]
+    assert [r.status for r in run_sweep(cfg).records] == ["ok"] * 4 * 3 * trials
+    assert tall_calls == []
+    assert rows_in == {m: trials * m for m in cfg.m_values}
+    assert second == {m: 2 * trials for m in cfg.m_values}
 
 
 @pytest.mark.parametrize("j,k", [(0, 0), (0, 2), (2, 0), (1, 1), (2, 3)])

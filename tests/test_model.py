@@ -24,6 +24,7 @@ from ctls.model import (
     generate_model,
     observe,
     sample_instance,
+    sample_stack,
     unwhiten_estimate,
     whiten,
 )
@@ -575,6 +576,57 @@ def test_sample_instance_helper_per_mask(monkeypatch, noise):
         sys.setswitchinterval(interval)
     for got in outputs[1:]:
         assert all(np.array_equal(x, y) for x, y in zip(got, outputs[0]))
+
+
+@pytest.mark.parametrize("design", list(DesignKind))
+@pytest.mark.parametrize("noise", list(NoiseKind))
+@pytest.mark.parametrize("j,k", [(0, 0), (1, 1), (2, 3), (2, 0)])
+@pytest.mark.parametrize("m,trials", [(30, 5), (600, 5), (6000, 5), (2 * CHUNK_ROWS + 5, 2)])
+def test_sample_stack_slices_match_sample_instance(design, noise, j, k, m, trials):
+    """Each slice of a stack is sample_instance with its seeds bit for bit:
+    at m = 30 the rows are factored flat, at m = 6000 five instances run in
+    groups of two, two and one, and 2 * CHUNK_ROWS + 5 rows take three
+    chunks.  Without all_rows the stack holds no factor of all rows."""
+    p = PartitionSpec(j=j, k=k, n=4, ell=2, m=m)
+    seeds = [(m + 10 * t + j, m + 10 * t + k) for t in range(trials)]
+    x_true, stack, grams = sample_stack(p, 0.3, seeds, design, noise)
+    assert stack.stack_size == trials and stack.partition == p
+    for s, (model_seed, noise_seed) in enumerate(seeds):
+        x, data, gram = sample_instance(p, 0.3, model_seed, noise_seed, design, noise)
+        want = [x, *data.exact_rows, data.r_noisy, data.r_all, gram]
+        got = [x_true[s], *(x[s] for x in stack.exact_rows), stack.r_noisy[s], stack.r_all[s],
+               grams[s]]
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    _, low, _ = sample_stack(p, 0.3, seeds, design, noise, all_rows=False)
+    assert np.array_equal(low.r_noisy, stack.r_noisy)
+    with pytest.raises(ShapeError):
+        low.r_all
+
+
+@pytest.mark.parametrize("m", [40, 2 * CHUNK_ROWS])
+def test_sample_stack_rank_deficient_exact_rows(monkeypatch, m):
+    """One rank decision covers the exact rows of every slice, and one
+    rank-deficient slice raises the InvalidPartitionError of sample_instance,
+    with no helper thread left behind."""
+    seen = []
+
+    def deficient(rows):
+        seen.append(rows.shape)
+        if rows.ndim == 2:
+            return len(rows) - 1
+        return np.array([rows.shape[-2]] * (len(rows) - 1) + [rows.shape[-2] - 1])
+
+    monkeypatch.setattr(model_mod, "matrix_rank", deficient)
+    p = PartitionSpec(j=2, k=1, n=4, ell=2, m=m)
+    with pytest.raises(InvalidPartitionError) as one:
+        sample_instance(p, 0.1, 9, 10)
+    before = helper_state()
+    with pytest.raises(InvalidPartitionError) as stacked:
+        sample_stack(p, 0.1, [(9, 10), (11, 12), (13, 14)])
+    assert helper_state() == before and threading.active_count() == 1
+    assert str(stacked.value) == str(one.value)
+    assert seen == [(2, 6), (3, 2, 6)]
 
 
 def test_from_factor_rejects_exact_rows_of_other_shapes():
