@@ -45,9 +45,10 @@ hashed.
 ``--base REV`` writes the ``src/`` files of ``REV`` into a temporary
 directory with ``git show``, runs this script on them and on the working tree
 (uncommitted changes included) and names every case whose digest differs.
-It prints the line count of both trees' ``src/`` Python files and exits 1
-if any case differs.  ``gram_residuals`` took the model, not its
-Gram matrix, in trees without ``RegressionModel.truth_gram``; both forms run.
+It prints the line count of both trees' ``src/`` Python files, in total and
+per file, and exits 1 if any case differs.  ``gram_residuals`` took the
+model, not its Gram matrix, in trees without ``RegressionModel.truth_gram``;
+both forms run.
 
 Digests depend on the numpy and BLAS build, so they are compared between
 two trees on one machine, never against a stored value.  The BLAS thread
@@ -131,7 +132,7 @@ def case_digests() -> list[tuple[str, str]]:
     )
 
     def residuals_of(model, data) -> dict:
-        if not hasattr(model, "truth_gram"):  # a tree before sample_instance
+        if not hasattr(model, "truth_gram"):  # a tree from before truth_gram
             return gram_residuals(model, data)
         return gram_residuals(model.truth_gram(), model.sigma, data)
 
@@ -362,15 +363,17 @@ def git(root: str, *args: str) -> bytes:
     return subprocess.run(["git", "-C", root, *args], check=True, capture_output=True).stdout
 
 
-def src_lines(src: str) -> int:
-    """The number of lines of the Python files under ``src``."""
-    total = 0
+def src_lines(src: str) -> dict[str, int]:
+    """The number of lines of each Python file under ``src``, by its path
+    relative to ``src``."""
+    counts = {}
     for folder, _, files in os.walk(src):
         for name in files:
             if name.endswith(".py"):
-                with open(os.path.join(folder, name), "rb") as fh:
-                    total += fh.read().count(b"\n")
-    return total
+                path = os.path.join(folder, name)
+                with open(path, "rb") as fh:
+                    counts[os.path.relpath(path, src)] = fh.read().count(b"\n")
+    return counts
 
 
 def compare(base: str) -> int:
@@ -383,8 +386,12 @@ def compare(base: str) -> int:
         before = run_on(os.path.join(tmp, "src"))
         lines_before = src_lines(os.path.join(tmp, "src"))
     after = run_on(os.path.join(root, "src"))
-    print(f"src/ lines: {lines_before} at {base}, {src_lines(os.path.join(root, 'src'))} "
-          "in the working tree")
+    lines_after = src_lines(os.path.join(root, "src"))
+    print(f"src/ lines: {sum(lines_before.values())} at {base}, "
+          f"{sum(lines_after.values())} in the working tree")
+    for path in sorted(lines_before.keys() | lines_after.keys()):
+        old, new = lines_before.get(path, 0), lines_after.get(path, 0)
+        print(f"  {path}: {old} -> {new} ({new - old:+d})")
     if [name for name, _ in before] != [name for name, _ in after]:
         print("the two trees produce different case lists")
         return 1

@@ -57,8 +57,8 @@ from .estimators import (
     stacked,
     tls_from_data,
 )
-from .linalg import chunk_bounds, gram_condition, solve_upper_triangular, sym_eigen
-from .model import DesignKind, NoiseKind, ObservedData, PartitionSpec, sample_stack
+from .linalg import gram_condition, solve_upper_triangular, sym_eigen
+from .model import DesignKind, NoiseKind, ObservedData, PartitionSpec, sample_stack, several_chunks
 from .parallel import run_shares
 
 #: Flat-file column order for trace CSV output (stable public interface).
@@ -447,7 +447,7 @@ def run_sweep(config: SweepConfig) -> ConvergenceTrace:
     all_rows = any(name in ALL_ROWS for name in config.estimators)
     tasks = [(m, t) for m in config.m_values for t in range(config.trials)]
     # Two passes of several chunks run faster side by side, one CPU each.
-    passes = sum(len(chunk_bounds(m, config.n + config.ell)) > 1 for m, _ in tasks)
+    passes = config.trials * sum(several_chunks(config.partition_for(m)) for m in config.m_values)
     by_task = run_share(tasks) if passes == 1 else run_shares(run_share, tasks)
     records = [rec for recs in by_task for rec in recs]
 

@@ -7,13 +7,9 @@ unconstrained blocks only, and ``whiten`` reduces a general noise covariance
 to the scalar case via its Cholesky factor.
 
 ``generate_model`` then ``observe`` return rows (``ObservedData(a=, b=,
-partition=)``).  ``sample_instance`` draws the same numbers with the same
-helpers ``CHUNK_ROWS`` rows at a time and factors each chunk as it goes
-(``ObservedData.from_factor``), so it holds no array of the ``m`` rows; the
-estimates of both paths are bit-identical.  ``sample_stack``, which sweeps
-use, samples many instances of one partition as one stack, each from its own
-seeds and bit for bit as ``sample_instance`` does; where one chunk holds an
-instance, it draws, noises and factors them in groups that fill a chunk.
+partition=)``).  ``sample_stack``, which sweeps use, samples many instances
+of one partition as one stack with the same numbers, ``CHUNK_ROWS`` rows at
+a time, and holds no array of the ``m`` rows.
 
 Every stochastic operation takes an explicit seed and draws from
 ``numpy.random.Generator`` (PCG64), so regenerating an instance with the same
@@ -125,7 +121,7 @@ class RegressionModel:
 
     def truth_gram(self) -> np.ndarray:
         """The Gram matrix of the rows ``j:`` of ``[a_bar | b_bar]`` from
-        whole-column products (:func:`sample_instance` sums it by chunks)."""
+        whole-column products (:func:`sample_stack` sums it by chunks)."""
         a_bar, b_bar = self.a_bar[self.partition.j :], self.b_bar[self.partition.j :]
         ab = a_bar.T @ b_bar
         return np.block([[a_bar.T @ a_bar, ab], [ab.T, b_bar.T @ b_bar]])
@@ -140,8 +136,6 @@ class ObservedData:
     ``ObservedData(a=, b=, partition=)`` holds the rows; the first read of a
     factor runs the one O(m) pass, :func:`~ctls.linalg.tall_r_pair` over the
     column blocks ``(a, b)``.  Do not modify ``a`` or ``b`` after that.
-    :meth:`from_factor` holds the exact rows and that pass's first TSQR
-    level, and no array of the ``m`` rows (``a`` and ``b`` are None).
     Each factor's small second level runs on its own first read, so a
     caller that reads only ``r_noisy`` never factors all rows.  Both are
     cached read-only and shared by the estimators run on one instance.
@@ -149,10 +143,11 @@ class ObservedData:
     ``j = 0``, ``r_noisy is r_all``.
 
     :meth:`stacked` holds ``stack_size`` instances of one partition, as their
-    exact rows and factors with a leading stack axis; ``stack`` is an
-    instance as a stack of one that shares its factors.  The estimators run
-    on stacks, and the small decompositions of :func:`instance_stage` are
-    cached on the stack, so the estimators run on one stack share them.
+    exact rows and factors with a leading stack axis, and no array of their
+    rows (``a`` and ``b`` are None); ``stack`` is an instance as a stack of
+    one that shares its factors.  The estimators run on stacks, and the
+    small decompositions of :func:`instance_stage` are cached on the stack,
+    so the estimators run on one stack share them.
 
     Raises ShapeError unless ``a`` is ``m x n`` and ``b`` is ``m x ell``.
     """
@@ -177,23 +172,17 @@ class ObservedData:
             )
 
     @classmethod
-    def from_factor(cls, exact_a, exact_b, pair: TallRPair, partition: PartitionSpec):
-        """An instance from its exact rows ``a[:j]`` and ``b[:j]`` and the first
-        TSQR level ``pair`` of all its rows.  Raises ShapeError unless the
-        exact rows are ``j x n`` and ``j x ell``."""
-        p, shapes = partition, (np.shape(exact_a), np.shape(exact_b))
-        if shapes != ((p.j, p.n), (p.j, p.ell)):
-            raise ShapeError(f"exact rows {shapes} do not match the partition {p}")
-        return cls._built(partition=p, exact_rows=(exact_a, exact_b), _pair=pair)
-
-    @classmethod
     def stacked(cls, exact_a, exact_b, partition: PartitionSpec, r_noisy, r_all=None):
         """A stack of instances of ``partition`` from their exact rows
-        ``(S, j, n)`` and ``(S, j, ell)`` and their factors ``(S, d, d)``;
-        without ``r_all``, reading it raises ShapeError."""
+        ``(S, j, n)`` and ``(S, j, ell)`` and their factors ``(S, d, d)``, or
+        ShapeError; without ``r_all``, reading it raises ShapeError."""
         factors = {"r_noisy": r_noisy} if r_all is None else {"r_noisy": r_noisy, "r_all": r_all}
-        return cls._built(partition=partition, exact_rows=(exact_a, exact_b),
-                          stack_size=len(r_noisy), **factors)
+        p, d, size = partition, partition.n + partition.ell, np.shape(r_noisy)[:1]
+        shapes = [np.shape(x) for x in (exact_a, exact_b, *factors.values())]
+        if shapes != [size + (p.j, p.n), size + (p.j, p.ell)] + [size + (d, d)] * len(factors):
+            raise ShapeError(f"exact rows and factors {shapes} do not match the partition {p}")
+        return cls._built(partition=p, exact_rows=(exact_a, exact_b), stack_size=size[0],
+                          **factors)
 
     @classmethod
     def _built(cls, **attrs):
@@ -303,8 +292,7 @@ def observe(
     the numbers do not depend on the chunking.
     """
     p = model.partition
-    a = model.a_bar.copy()
-    b = model.b_bar.copy()
+    a, b = model.a_bar.copy(), model.b_bar.copy()
     if model.sigma > 0.0:
         rng = np.random.default_rng(seed)
         for lo in range(p.j, p.m, CHUNK_ROWS):
@@ -314,39 +302,9 @@ def observe(
     return ObservedData(a=a, b=b, partition=p)
 
 
-def sample_instance(
-    partition: PartitionSpec,
-    sigma: float,
-    model_seed: int,
-    noise_seed: int,
-    design: DesignKind = DesignKind.IID_ROWS,
-    noise: NoiseKind = NoiseKind.GAUSS,
-) -> tuple[np.ndarray, ObservedData, np.ndarray]:
-    """``observe(generate_model(...), ...)`` in one pass that keeps no array
-    of the ``m`` rows: ``(x_true, data, gram)``, ``data`` factor-built and
-    ``gram`` the Gram matrix of the ground truth's rows ``j:``.
-
-    Each chunk of :func:`~ctls.linalg.tall_r_chunks` is drawn with the same
-    ``Generator`` calls as the two-step path, its ``b_bar`` formed, its Gram
-    products summed and its noise added.  So ``x_true``, the exact rows and
-    both factors are bit-identical to the two-step path's, and ``gram``
-    equals :meth:`RegressionModel.truth_gram` to roundoff.  Raises
-    InvalidPartitionError as :func:`generate_model` does.
-
-    A pass of two or more chunks runs on two CPUs where the caller's
-    affinity mask has them (:func:`ctls.parallel.beside`): while this thread
-    draws a chunk's model rows, forms ``[a_bar | b_bar]``, sums the Gram
-    products and adds the noise, a helper thread draws the next chunk's
-    noise and factors the blocks of the chunk before, with the same numbers.
-    """
-    p, pairs = partition, []
-    x_true, exact, gram = _sample(p, sigma, [(model_seed, noise_seed)], design, noise,
-                                  lambda index, pair: pairs.append(pair))
-    _check_exact_rows(exact[0])
-    pair = TallRPair(pairs[0].stack[0], pairs[0].skip,
-                     None if pairs[0].head is None else pairs[0].head[0])
-    exact_a, exact_b = exact[0, :, : p.n].copy(), exact[0, :, p.n :].copy()
-    return x_true[0], ObservedData.from_factor(exact_a, exact_b, pair, p), gram[0]
+def several_chunks(partition: PartitionSpec) -> bool:
+    """Whether :func:`sample_stack` samples ``partition`` in several chunks."""
+    return len(chunk_bounds(partition.m, partition.n + partition.ell)) > 1
 
 
 def sample_stack(
@@ -357,40 +315,29 @@ def sample_stack(
     noise: NoiseKind = NoiseKind.GAUSS,
     all_rows: bool = True,
 ) -> tuple[np.ndarray, ObservedData, np.ndarray]:
-    """:func:`sample_instance` of each ``(model_seed, noise_seed)`` of
-    ``seeds`` as one stack, bit for bit: ``x_true`` ``(S, n, ell)``, ``data``
-    of :meth:`ObservedData.stacked` (with ``r_all`` only under ``all_rows``)
-    and the Gram matrices ``(S, d, d)``.  Raises InvalidPartitionError as
-    :func:`sample_instance` does if the exact rows of any slice are rank
-    deficient.
+    """``observe(generate_model(...), ...)`` of each ``(model_seed,
+    noise_seed)`` of ``seeds`` (one pair for one instance) as one stack, in
+    one pass that keeps no array of the ``m`` rows: ``x_true`` ``(S, n,
+    ell)``, ``data`` of :meth:`ObservedData.stacked` (with ``r_all`` only
+    under ``all_rows``) and the Gram matrices ``(S, d, d)`` of the ground
+    truths' rows ``j:``.  Each chunk is drawn with the row path's
+    ``Generator`` calls, so each slice's ``x_true``, exact rows and factors
+    are the row path's bit for bit, and its Gram matrix equals
+    :meth:`RegressionModel.truth_gram` to roundoff.  Raises
+    InvalidPartitionError as :func:`generate_model` does, if on any slice.
 
     A pass of one chunk draws, noises and factors its instances in groups
     of ``CHUNK_ROWS // m`` (at least one) with batched calls over one row
     buffer, and runs the second TSQR level once per ``CHUNK_ROWS`` rows of
-    first levels; a pass of several chunks runs one instance at a time.
+    first levels.  A pass of several chunks (:func:`several_chunks`) runs
+    one instance at a time; where the caller's affinity mask has two CPUs, a
+    helper thread (:func:`ctls.parallel.beside`) meanwhile draws the next
+    chunk's noise and factors the blocks of the chunk before.
     """
-    p, d = partition, partition.n + partition.ell
-    r_noisy = np.empty((len(seeds), d, d))
-    r_all = np.empty((len(seeds), d, d)) if all_rows else None
-
-    def factor(index, pair):
-        r_noisy[index] = pair.r_low
-        if all_rows:
-            r_all[index] = pair.r_all
-
-    x_true, exact, grams = _sample(p, sigma, seeds, design, noise, factor)
-    _check_exact_rows(exact)
-    exact_a, exact_b = exact[..., : p.n].copy(), exact[..., p.n :].copy()
-    return x_true, ObservedData.stacked(exact_a, exact_b, p, r_noisy, r_all), grams
-
-
-def _sample(p: PartitionSpec, sigma: float, seeds, design: DesignKind, noise: NoiseKind,
-            factor):
-    """Draw, noise and factor the instances of ``seeds``: ``x_true``, the
-    exact rows of ``[a_bar | b_bar]`` (not yet checked) and the Gram matrices,
-    each with a leading axis.  ``factor(index, pair)`` gets the first TSQR
-    level of the instances of each ``index`` (a slice) in turn, as a stack."""
-    d, count = p.n + p.ell, len(seeds)
+    p, d, count = partition, partition.n + partition.ell, len(seeds)
+    # Held to the end, so allocated before the pass's buffers come and go.
+    r_noisy = np.empty((count, d, d))
+    r_all = np.empty((count, d, d)) if all_rows else None
     rngs, x_true = zip(*(_start(p, sigma, seed) for seed, _ in seeds))
     x_true = np.stack(x_true)
     noise_rngs = [np.random.default_rng(seed) for _, seed in seeds] if sigma > 0.0 else None
@@ -403,7 +350,7 @@ def _sample(p: PartitionSpec, sigma: float, seeds, design: DesignKind, noise: No
     batch = group * max(1, CHUNK_ROWS // (group * first_level_rows(p.m, d)))
     # One row buffer for all groups of a pass of one chunk.  Under several
     # chunks the rows of the chunk before may be in use on the helper thread.
-    one_chunk = len(bounds) == 1
+    one_chunk = not several_chunks(p)
     c_buf = np.empty((min(group, count), p.m, d)) if one_chunk else None
 
     def chunks(index: slice, run):
@@ -436,7 +383,7 @@ def _sample(p: PartitionSpec, sigma: float, seeds, design: DesignKind, noise: No
 
         return chunk_of
 
-    with beside(len(bounds) > 1) as run:
+    with beside(not one_chunk) as run:
         for start in range(0, count, batch):
             stop = min(start + batch, count)
             pairs = []
@@ -444,9 +391,14 @@ def _sample(p: PartitionSpec, sigma: float, seeds, design: DesignKind, noise: No
                 index = slice(g, min(g + group, stop))
                 pairs.append(tall_r_chunks(chunks(index, run), p.m, d, p.j, run, (index.stop - g,)))
             heads = None if pairs[0].head is None else np.concatenate([q.head for q in pairs])
-            factor(slice(start, stop), pairs[0] if len(pairs) == 1 else TallRPair(
-                np.concatenate([q.stack for q in pairs]), pairs[0].skip, heads))
-    return x_true, exact, grams
+            pair = pairs[0] if len(pairs) == 1 else TallRPair(
+                np.concatenate([q.stack for q in pairs]), pairs[0].skip, heads)
+            r_noisy[start:stop] = pair.r_low
+            if all_rows:
+                r_all[start:stop] = pair.r_all
+    _check_exact_rows(exact)
+    exact_a, exact_b = exact[..., : p.n].copy(), exact[..., p.n :].copy()
+    return x_true, ObservedData.stacked(exact_a, exact_b, p, r_noisy, r_all), grams
 
 
 def _draw_noise(rng, noise: NoiseKind, sigma: float, shape: tuple[int, int],
@@ -566,8 +518,5 @@ def unwhiten_estimate(
     x_hat = as_matrix(x_hat, "x_hat")
     y = np.vstack([x_hat, -np.eye(p.ell)])
     # Rows k.. of y pick up inv(L).T, i.e. the solution of L.T z = y[k:].
-    y = y.copy()
     y[p.k :, :] = solve_upper_triangular(lower.T, y[p.k :, :])
-    y_up = y[: p.n, :]
-    y_low = y[p.n :, :]
-    return solve_linear(y_low.T, -y_up.T).T
+    return solve_linear(y[p.n :].T, -y[: p.n].T).T

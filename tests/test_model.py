@@ -12,10 +12,10 @@ import pytest
 
 import ctls.model as model_mod
 from ctls import estimators
-from ctls.errors import InvalidPartitionError, NotPositiveDefiniteError, ShapeError
+from ctls.errors import CtlsError, InvalidPartitionError, NotPositiveDefiniteError, ShapeError
 from ctls.estimators import ctls_rowcol, projection_estimator, tls_solve
 from ctls.harness import naive_ls
-from ctls.linalg import BLOCK_ROWS, CHUNK_ROWS, tall_r, tall_r_pair
+from ctls.linalg import BLOCK_ROWS, CHUNK_ROWS, tall_r
 from ctls.model import (
     DesignKind,
     NoiseKind,
@@ -23,7 +23,6 @@ from ctls.model import (
     PartitionSpec,
     generate_model,
     observe,
-    sample_instance,
     sample_stack,
     unwhiten_estimate,
     whiten,
@@ -431,9 +430,22 @@ def test_o_m_pass_holds_no_full_size_temporaries():
 # --- fused sweep instances ------------------------------------------------------------
 
 
+def one_slice(fn):
+    """``fn`` on a stack of one as on one instance: its slice's entry, or
+    the CtlsError that entry is raised."""
+
+    def call(stack):
+        (out,) = fn(stack)
+        if isinstance(out, CtlsError):
+            raise out
+        return out
+
+    return call
+
+
 def estimator_outcomes(data):
     """The :func:`fingerprint` of every estimator that accepts ``data``'s
-    partition, by name."""
+    partition, by name; on a stack of one, of its slice's entry."""
     p = data.partition
     runs = {"naive_ls": naive_ls, "tls": estimators.tls_from_data,
             "ctls_rowcol": ctls_rowcol}
@@ -443,6 +455,8 @@ def estimator_outcomes(data):
         runs["ctls_rows"] = estimators.ctls_rows
     for rule in estimators.MU_RULES:
         runs[f"projection_{rule}"] = lambda d, rule=rule: projection_estimator(d, rule)
+    if data.stack_size is not None:
+        runs = {name: one_slice(fn) for name, fn in runs.items()}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return {name: fingerprint(fn, data) for name, fn in runs.items()}
@@ -453,23 +467,25 @@ def estimator_outcomes(data):
 @pytest.mark.parametrize("j,k", [(0, 0), (0, 2), (2, 0), (1, 1), (2, 3)])
 @pytest.mark.parametrize("m", [7, 511, 512, CHUNK_ROWS, CHUNK_ROWS + 1, 123_457])
 @pytest.mark.parametrize("sigma", [0.0, 0.3])
-def test_sample_instance_matches_row_path(design, noise, j, k, m, sigma):
-    """The fused pass gives the coefficients, exact rows, factors and every
-    estimator output of generate_model + observe bit for bit (m = 7 is
-    n + ell + 1), and their ground-truth Gram matrix to roundoff."""
+def test_stack_of_one_matches_row_path(design, noise, j, k, m, sigma):
+    """A fused pass of one seed pair gives the coefficients, exact rows,
+    factors and every estimator output of generate_model + observe bit for
+    bit (m = 7 is n + ell + 1), and their ground-truth Gram matrix to
+    roundoff."""
     p = PartitionSpec(j=j, k=k, n=4, ell=2, m=m)
     model = generate_model(p, sigma, m + j, design)
     rows = observe(model, m + k, noise)
-    x_true, fused, gram = sample_instance(p, sigma, m + j, m + k, design, noise)
+    x_true, fused, gram = sample_stack(p, sigma, [(m + j, m + k)], design, noise)
     assert fused.a is None and fused.b is None and fused.partition == p
-    assert np.array_equal(x_true, model.x_true)
+    assert fused.stack_size == 1 and len(x_true) == 1 and len(gram) == 1
+    assert np.array_equal(x_true[0], model.x_true)
     for got, want in zip(fused.exact_rows, rows.exact_rows):
-        assert np.array_equal(got, want) and got.flags.c_contiguous
-    assert np.array_equal(fused.r_noisy, rows.r_noisy)
-    assert np.array_equal(fused.r_all, rows.r_all)
+        assert np.array_equal(got[0], want) and got.flags.c_contiguous
+    assert np.array_equal(fused.r_noisy[0], rows.r_noisy)
+    assert np.array_equal(fused.r_all[0], rows.r_all)
     assert estimator_outcomes(fused) == estimator_outcomes(rows)
     want = model.truth_gram()
-    assert np.max(np.abs(gram - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.max(np.abs(gram[0] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_grid_design_chunks_match_linspace():
@@ -491,23 +507,23 @@ def test_grid_design_chunks_match_linspace():
         (PartitionSpec(j=1, k=1, n=3, ell=1, m=40), float("nan")),
     ],
 )
-def test_sample_instance_rejects_what_generate_model_rejects(args):
+def test_sample_stack_rejects_what_generate_model_rejects(args):
     with pytest.raises(InvalidPartitionError) as rows:
         generate_model(*args, seed=1)
     with pytest.raises(InvalidPartitionError) as fused:
-        sample_instance(*args, 1, 2)
+        sample_stack(*args, [(1, 2)])
     assert str(fused.value) == str(rows.value)
 
 
 @pytest.mark.parametrize("m", [40, 2 * CHUNK_ROWS])
-def test_sample_instance_rank_deficient_exact_rows(monkeypatch, m):
+def test_stack_of_one_rank_deficient_exact_rows(monkeypatch, m):
     """Both paths check the exact rows of [a_bar | b_bar] with the same
     rank decision and raise the same InvalidPartitionError."""
     seen = []
 
     def deficient(rows):
         seen.append(rows.copy())
-        return len(rows) - 1
+        return rows.shape[-2] - 1
 
     monkeypatch.setattr(model_mod, "matrix_rank", deficient)
     p = PartitionSpec(j=2, k=1, n=4, ell=2, m=m)
@@ -515,10 +531,10 @@ def test_sample_instance_rank_deficient_exact_rows(monkeypatch, m):
         generate_model(p, 0.1, 9)
     before = helper_state()
     with pytest.raises(InvalidPartitionError) as fused:
-        sample_instance(p, 0.1, 9, 10)
+        sample_stack(p, 0.1, [(9, 10)])
     assert helper_state() == before
     assert str(fused.value) == str(rows.value)
-    assert len(seen) == 2 and np.array_equal(seen[0], seen[1])
+    assert len(seen) == 2 and np.array_equal(seen[1], seen[0][None])
     assert seen[0].shape == (2, 6)
 
 
@@ -529,17 +545,17 @@ def helper_state():
     return threading.active_count(), mask
 
 
-def test_sample_instance_leaves_no_helper_behind():
+def test_sample_stack_leaves_no_helper_behind():
     """A pass of three chunks returns with the thread count and the
     caller's affinity mask it found, whatever helper it ran."""
     p = PartitionSpec(j=2, k=3, n=10, ell=2, m=2 * CHUNK_ROWS + 5)
     before = helper_state()
-    sample_instance(p, 0.3, 1, 2)
+    sample_stack(p, 0.3, [(1, 2)])
     assert helper_state() == before
 
 
 @pytest.mark.parametrize("noise", list(NoiseKind))
-def test_sample_instance_helper_per_mask(monkeypatch, noise):
+def test_sample_stack_helper_per_mask(monkeypatch, noise):
     """Under a mask of one CPU no thread starts; under two or three, one
     helper pinned to the second CPU, with the caller pinned to the first
     and then given its mask back.  The outputs are the same bit for bit,
@@ -565,7 +581,7 @@ def test_sample_instance_helper_per_mask(monkeypatch, noise):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                                 raising=False)
             monkeypatch.setattr(os, "sched_setaffinity", pin, raising=False)
-            x_true, data, gram = sample_instance(p, 0.3, 1, 2, noise=noise)
+            x_true, data, gram = sample_stack(p, 0.3, [(1, 2)], noise=noise)
             outputs.append([x_true, *data.exact_rows, data.r_noisy, data.r_all, gram])
             if cpus == 1:
                 assert started == [] and pins == []
@@ -582,8 +598,8 @@ def test_sample_instance_helper_per_mask(monkeypatch, noise):
 @pytest.mark.parametrize("noise", list(NoiseKind))
 @pytest.mark.parametrize("j,k", [(0, 0), (1, 1), (2, 3), (2, 0)])
 @pytest.mark.parametrize("m,trials", [(30, 5), (600, 5), (6000, 5), (2 * CHUNK_ROWS + 5, 2)])
-def test_sample_stack_slices_match_sample_instance(design, noise, j, k, m, trials):
-    """Each slice of a stack is sample_instance with its seeds bit for bit:
+def test_sample_stack_slices_match_stacks_of_one(design, noise, j, k, m, trials):
+    """Each slice of a stack is the stack of its seeds alone bit for bit:
     at m = 30 the rows are factored flat, at m = 6000 five instances run in
     groups of two, two and one, and 2 * CHUNK_ROWS + 5 rows take three
     chunks.  Without all_rows the stack holds no factor of all rows."""
@@ -591,9 +607,9 @@ def test_sample_stack_slices_match_sample_instance(design, noise, j, k, m, trial
     seeds = [(m + 10 * t + j, m + 10 * t + k) for t in range(trials)]
     x_true, stack, grams = sample_stack(p, 0.3, seeds, design, noise)
     assert stack.stack_size == trials and stack.partition == p
-    for s, (model_seed, noise_seed) in enumerate(seeds):
-        x, data, gram = sample_instance(p, 0.3, model_seed, noise_seed, design, noise)
-        want = [x, *data.exact_rows, data.r_noisy, data.r_all, gram]
+    for s, seed in enumerate(seeds):
+        x, data, gram = sample_stack(p, 0.3, [seed], design, noise)
+        want = [x[0], *(y[0] for y in data.exact_rows), data.r_noisy[0], data.r_all[0], gram[0]]
         got = [x_true[s], *(x[s] for x in stack.exact_rows), stack.r_noisy[s], stack.r_all[s],
                grams[s]]
         for g, w in zip(got, want):
@@ -607,7 +623,7 @@ def test_sample_stack_slices_match_sample_instance(design, noise, j, k, m, trial
 @pytest.mark.parametrize("m", [40, 2 * CHUNK_ROWS])
 def test_sample_stack_rank_deficient_exact_rows(monkeypatch, m):
     """One rank decision covers the exact rows of every slice, and one
-    rank-deficient slice raises the InvalidPartitionError of sample_instance,
+    rank-deficient slice raises the InvalidPartitionError of generate_model,
     with no helper thread left behind."""
     seen = []
 
@@ -620,7 +636,7 @@ def test_sample_stack_rank_deficient_exact_rows(monkeypatch, m):
     monkeypatch.setattr(model_mod, "matrix_rank", deficient)
     p = PartitionSpec(j=2, k=1, n=4, ell=2, m=m)
     with pytest.raises(InvalidPartitionError) as one:
-        sample_instance(p, 0.1, 9, 10)
+        generate_model(p, 0.1, 9)
     before = helper_state()
     with pytest.raises(InvalidPartitionError) as stacked:
         sample_stack(p, 0.1, [(9, 10), (11, 12), (13, 14)])
@@ -629,35 +645,44 @@ def test_sample_stack_rank_deficient_exact_rows(monkeypatch, m):
     assert seen == [(2, 6), (3, 2, 6)]
 
 
-def test_from_factor_rejects_exact_rows_of_other_shapes():
+def test_stacked_rejects_mis_shaped_inputs():
+    """A stack's exact rows must be (S, j, n) and (S, j, ell) and each of
+    its factors (S, d, d), with one S; anything else is a ShapeError."""
     p = PartitionSpec(j=2, k=1, n=3, ell=1, m=40)
     g = np.random.default_rng(4)
     c = g.standard_normal((40, 4))
-    pair = tall_r_pair((c,), 2)
-    with pytest.raises(ShapeError, match="exact rows"):
-        ObservedData.from_factor(c[:2, :3], c[:1, 3:], pair, p)
-    with pytest.raises(ShapeError, match="exact rows"):
-        ObservedData.from_factor(c[:2, :2], c[:2, 3:], pair, p)
-    data = ObservedData.from_factor(c[:2, :3], c[:2, 3:], pair, p)
-    assert np.array_equal(data.r_all, tall_r(c))
+    a, b, r = c[None, :2, :3], c[None, :2, 3:], tall_r(c)[None]
+    bad = [
+        (a, c[None, :1, 3:], r, r),  # one exact row of b
+        (c[None, :2, :2], b, r, r),  # exact rows of a with two columns
+        (a, b, r[:, :3, :3], None),  # r_noisy of the wrong size
+        (a, b, r, r[:, 1:, 1:]),  # r_all of the wrong size
+        (a, b, np.concatenate([r, r]), None),  # two factors for one instance
+        (a, b[0], r, r),  # exact rows of b without the stack axis
+    ]
+    for exact_a, exact_b, r_noisy, r_all in bad:
+        with pytest.raises(ShapeError, match="do not match the partition"):
+            ObservedData.stacked(exact_a, exact_b, p, r_noisy, r_all)
+    data = ObservedData.stacked(a, b, p, r, r)
+    assert data.stack_size == 1 and np.array_equal(data.r_all[0], tall_r(c))
 
 
 def test_row_readers_reject_a_factor_built_instance():
     """whiten and build_blocks read the rows, which a factor-built instance
     does not hold: a ShapeError says so, not a TypeError on None."""
-    data = sample_instance(PartitionSpec(j=1, k=1, n=3, ell=1, m=50), 0.1, 1, 2)[1]
+    p = PartitionSpec(j=1, k=1, n=3, ell=1, m=50)
+    data = sample_stack(p, 0.1, [(1, 2)])[1]
     for call in (lambda: whiten(data, np.eye(3)), lambda: estimators.build_blocks(data)):
         with pytest.raises(ShapeError, match="needs a row-built instance"):
             call()
-    stack = ObservedData.stacked(*(x[None] for x in data.exact_rows), data.partition,
-                                 data.r_noisy[None])
+    stack = sample_stack(p, 0.1, [(1, 2)], all_rows=False)[1]
     with pytest.raises(ShapeError, match="needs a row-built instance"):
         stack.r_all
 
 
-def test_sample_instance_holds_no_row_array():
-    """A 1e6-row instance, its factors read, peaks under 16 MB: the rows of
-    [A | B] alone would take 96 MB."""
+def test_sample_stack_holds_no_row_array():
+    """A stack of one 1e6-row instance, its factors read, peaks under 16 MB:
+    the rows of [A | B] alone would take 96 MB."""
     p = PartitionSpec(j=2, k=3, n=10, ell=2, m=1_000_000)
-    peak = traced_peak(lambda: sample_instance(p, 0.1, 1, 2)[1].r_all)
+    peak = traced_peak(lambda: sample_stack(p, 0.1, [(1, 2)])[1].r_all)
     assert peak < 16 * MB
