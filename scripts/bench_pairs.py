@@ -11,7 +11,8 @@ live or what build products lie beside them.  Then, for each ``--workload``
 in turn, it runs ``perfbench/run.py --trace 0`` from each copy in turn,
 ``--pairs`` times.  Pair ``i`` gives
 both sides the seed ``--seed + i`` and swaps which side runs first on every
-other pair, so a slow phase of a shared machine lands on both sides.  For
+other pair, so a slow phase of a shared machine lands on both sides; each
+pair's ``op_p50_s`` and ``setup_s`` are printed as it ends.  For
 each workload and each end-to-end metric of the working tree's
 ``BENCHMARK.json`` it prints the median and quartiles on each side, the pairs
 the working tree won and a verdict: a gain holds when the working tree wins
@@ -150,10 +151,10 @@ def main() -> int:
                     order.reverse()
                 for side, tree in order:
                     sides[side].append(run_once(tree, workload, seed, args.seconds))
-                base, change = sides["base"][-1], sides["change"][-1]
+                base, change = sides["base"][-1]["metrics"], sides["change"][-1]["metrics"]
                 print(f"{workload} pair {i + 1}/{args.pairs} seed {seed} {order[0][0]} first: "
-                      f"op_p50_s {base['metrics']['op_p50_s']:.4g} -> "
-                      f"{change['metrics']['op_p50_s']:.4g}", flush=True)
+                      + ", ".join(f"{name} {base[name]:.4g} -> {change[name]:.4g}"
+                                  for name in ("op_p50_s", "setup_s")), flush=True)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 

@@ -20,9 +20,10 @@ Trials derive their seeds from the base seed and the cell coordinates alone
 instances and any single cell can be reproduced in isolation.  Instances
 run on the fork pool of :mod:`ctls.parallel`, keyed by task, so the output is
 byte-identical whatever the process count (``taskset -c 0`` runs serially).
-A sweep with exactly one sampling pass of several chunks skips the pool: that
-pass then has both CPUs (:func:`ctls.parallel.beside`), shared with no child.
-A worker samples its instances of one ``m`` as one stack of exact rows,
+Only :func:`run_sweep` starts the helper thread of :func:`ctls.parallel.beside`,
+for the sampling passes of several chunks of a sweep that runs in this
+process: one with exactly one such pass, or whose pool would not fork.  A
+worker samples its instances of one ``m`` as one stack of exact rows,
 factors and ground-truth Gram matrices (:func:`ctls.model.sample_stack`, in
 groups that fill a chunk where one chunk holds an instance) and runs each
 estimator and :func:`gram_residuals` once on that stack
@@ -37,6 +38,7 @@ import json
 import math
 import numbers
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -57,9 +59,9 @@ from .estimators import (
     stacked,
     tls_from_data,
 )
-from .linalg import gram_condition, solve_upper_triangular, sym_eigen
-from .model import DesignKind, NoiseKind, ObservedData, PartitionSpec, sample_stack, several_chunks
-from .parallel import run_shares
+from .linalg import chunk_bounds, gram_condition, solve_upper_triangular, sym_eigen
+from .model import DesignKind, NoiseKind, ObservedData, PartitionSpec, sample_stack
+from .parallel import beside, run_shares, worker_count
 
 #: Flat-file column order for trace CSV output (stable public interface).
 CSV_COLUMNS = (
@@ -423,16 +425,17 @@ def run_sweep(config: SweepConfig) -> ConvergenceTrace:
     out of the aggregates, never dropped silently.
     """
 
-    def run_share(share: list) -> list[list[TrialRecord]]:
+    def run_share(share: list, run=partial) -> list[list[TrialRecord]]:
         return [recs for m, cell in itertools.groupby(share, key=lambda task: task[0])
-                for recs in run_cell(m, [trial for _, trial in cell])]
+                for recs in run_cell(m, [trial for _, trial in cell], run)]
 
-    def run_cell(m: int, trials: list[int]) -> list[list[TrialRecord]]:
+    def run_cell(m: int, trials: list[int], run) -> list[list[TrialRecord]]:
         """The records of each trial of one ``m``, from one stack of its instances."""
         seeds = [(trial_seed(config.base_seed, "model", m, t),
                   trial_seed(config.base_seed, "noise", m, t)) for t in trials]
         x_true, stack, grams = sample_stack(config.partition_for(m), config.sigma, seeds,
-                                            config.design, config.noise, all_rows)
+                                            config.design, config.noise, all_rows,
+                                            run if m in several else partial)
         results = {name: _run_estimator(name, stack) for name in config.estimators}
         residuals = [{}] * len(trials)
         if any(not isinstance(out, CtlsError)
@@ -446,9 +449,14 @@ def run_sweep(config: SweepConfig) -> ConvergenceTrace:
 
     all_rows = any(name in ALL_ROWS for name in config.estimators)
     tasks = [(m, t) for m in config.m_values for t in range(config.trials)]
-    # Two passes of several chunks run faster side by side, one CPU each.
-    passes = config.trials * sum(several_chunks(config.partition_for(m)) for m in config.m_values)
-    by_task = run_share(tasks) if passes == 1 else run_shares(run_share, tasks)
+    # Passes of several chunks alone get a runner; two run faster side by side.
+    several = [m for m in config.m_values if len(chunk_bounds(m, config.n + config.ell)) > 1]
+    passes = config.trials * len(several)
+    if passes == 1 or passes and worker_count(len(tasks)) == 1:
+        with beside() as run:
+            by_task = run_share(tasks, run)
+    else:
+        by_task = run_shares(run_share, tasks)
     records = [rec for recs in by_task for rec in recs]
 
     aggregates: dict[str, dict[int, dict[str, float]]] = {}

@@ -8,8 +8,8 @@
   over a chunk source, which ``tall_r_pair`` feeds from the column blocks
   of ``C`` and ``ctls.model`` from its generators (a chunk of one instance
   or a group of whole ones), and shares it between the factors of all rows
-  and of the rows below an offset; a sampling pass hands each chunk's block
-  QRs to a helper thread (``ctls.parallel.beside``).
+  and of the rows below an offset; a sweep's large sampling pass hands each
+  chunk's block QRs to a helper thread (``ctls.parallel.beside``).
 * ``gram_eigen`` takes the eigenpairs of ``R.T @ R`` from the SVD of ``R``.
   Forming the Gram matrix first would square the condition number and lose
   the relative accuracy of the small eigenvalues that the TLS solutions are
@@ -261,13 +261,18 @@ def tall_r_pair(blocks, j: int) -> TallRPair:
     return tall_r_chunks(lambda lo, hi: np.hstack([x[lo:hi] for x in parts]), rows, cols, j)
 
 
+def _full_blocks(rows: int, cols: int) -> int:
+    """The full blocks of a ``rows x cols`` matrix that :func:`tall_r_chunks`
+    factors: 0 (flat) below two, or with ``BLOCK_ROWS`` or more columns."""
+    return 0 if rows < 2 * BLOCK_ROWS or cols >= BLOCK_ROWS else rows // BLOCK_ROWS
+
+
 def chunk_bounds(rows: int, cols: int) -> list[tuple[int, int]]:
     """The row ranges ``(lo, hi)`` in which :func:`tall_r_chunks` asks for a
     ``rows x cols`` matrix, in order: ``CHUNK_ROWS`` rows each, the leftover
-    below the last full block in the last; all rows below two full blocks
-    or with ``BLOCK_ROWS`` or more columns."""
-    full = rows // BLOCK_ROWS
-    if full < 2 or cols >= BLOCK_ROWS:
+    below the last full block in the last; all rows where it is factored
+    flat."""
+    if not (full := _full_blocks(rows, cols)):
         return [(0, rows)]
     cuts = [*range(CHUNK_ROWS, full * BLOCK_ROWS, CHUNK_ROWS), rows]
     return list(zip([0, *cuts[:-1]], cuts))
@@ -287,22 +292,21 @@ def tall_r_chunks(chunk_of, rows: int, cols: int, j: int, run=_at_once,
     matrix of a stack of them whose leading axes ``lead`` the pair keeps.
     It is called on the ranges of :func:`chunk_bounds` in order, so it may
     build each chunk when asked; below two full blocks, or with
-    ``BLOCK_ROWS`` or more columns, ``C`` is factored flat.  Each chunk's batched block QR is
-    a job of the runner ``run`` (of :func:`ctls.parallel.beside`; by default
-    it runs at once, while the chunk is in cache), awaited once the next
-    chunk's is handed over, so at most two chunks are held.  The per-block
-    QRs are independent, so the triangles depend neither on the chunking
-    nor on where they ran.  ``r_low`` stacks the same triangles with those
-    above row ``j`` replaced by the triangle of the block rows from ``j`` on
-    (TSQR, Demmel, Grigori, Hoemmen & Langou 2012), so it equals
-    ``tall_r(C[j:])`` up to roundoff and row signs.  Raises ShapeError if
-    ``C`` has a zero dimension or ``j`` is not in ``[0, rows)``,
-    NonFiniteError on a NaN or infinite entry.
+    ``BLOCK_ROWS`` or more columns, ``C`` is factored flat.  Each chunk's
+    batched block QR is a job of the runner ``run`` (of
+    :func:`ctls.parallel.beside`; by default it runs at once, while the
+    chunk is in cache), awaited once the next chunk's is handed over, so at
+    most two chunks are held.  The per-block QRs are independent, so the
+    triangles depend neither on the chunking nor on where they ran.
+    ``r_low`` stacks the same triangles with those above row ``j`` replaced
+    by the triangle of the block rows from ``j`` on (TSQR, Demmel, Grigori,
+    Hoemmen & Langou 2012), so it equals ``tall_r(C[j:])`` up to roundoff
+    and row signs.  Raises ShapeError if ``C`` has a zero dimension or ``j``
+    is not in ``[0, rows)``, NonFiniteError on a NaN or infinite entry.
     """
     if not 0 <= j < rows:
         raise ShapeError(f"row offset j={j} is outside [0, {rows})")
-    full = rows // BLOCK_ROWS
-    if full < 2 or cols >= BLOCK_ROWS:
+    if not (full := _full_blocks(rows, cols)):
         return TallRPair(stack=as_matrix(chunk_of(0, rows), "C", stack=True), skip=j, head=None)
     # Held to the end, so allocated before the chunks come and go: placed
     # after the first chunk, it let the heap shrink and refault mid-pass.
@@ -330,9 +334,7 @@ def tall_r_chunks(chunk_of, rows: int, cols: int, j: int, run=_at_once,
 def first_level_rows(rows: int, cols: int) -> int:
     """The rows of the first level of :func:`tall_r_chunks` of a ``rows x
     cols`` matrix: ``rows`` where it is factored flat."""
-    full = rows // BLOCK_ROWS
-    if full < 2 or cols >= BLOCK_ROWS:
-        return rows
+    full = _full_blocks(rows, cols)
     return full * cols + rows - full * BLOCK_ROWS
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property, partial, wraps
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .linalg import (
     tall_r_chunks,
     tall_r_pair,
 )
-from .parallel import beside
 
 
 class DesignKind(enum.Enum):
@@ -138,16 +137,16 @@ class ObservedData:
     column blocks ``(a, b)``.  Do not modify ``a`` or ``b`` after that.
     Each factor's small second level runs on its own first read, so a
     caller that reads only ``r_noisy`` never factors all rows.  Both are
-    cached read-only and shared by the estimators run on one instance.
-    ``r_all`` is bit-identical to ``tall_r(np.hstack([a, b]))``; with
-    ``j = 0``, ``r_noisy is r_all``.
+    cached read-only.  ``r_all`` is bit-identical to
+    ``tall_r(np.hstack([a, b]))``; with ``j = 0``, ``r_noisy is r_all``.
 
     :meth:`stacked` holds ``stack_size`` instances of one partition, as their
     exact rows and factors with a leading stack axis, and no array of their
-    rows (``a`` and ``b`` are None); ``stack`` is an instance as a stack of
-    one that shares its factors.  The estimators run on stacks, and the
-    small decompositions of :func:`instance_stage` are cached on the stack,
-    so the estimators run on one stack share them.
+    rows (``a`` and ``b`` are None); ``stack``, cached, is a row-built
+    instance as a stack of one of its exact rows and both its factors.  The
+    estimators run on stacks, and the small decompositions of
+    :func:`instance_stage` are cached on the stack, so the estimators run on
+    one stack, or on one instance, share them.
 
     Raises ShapeError unless ``a`` is ``m x n`` and ``b`` is ``m x ell``.
     """
@@ -181,13 +180,9 @@ class ObservedData:
         shapes = [np.shape(x) for x in (exact_a, exact_b, *factors.values())]
         if shapes != [size + (p.j, p.n), size + (p.j, p.ell)] + [size + (d, d)] * len(factors):
             raise ShapeError(f"exact rows and factors {shapes} do not match the partition {p}")
-        return cls._built(partition=p, exact_rows=(exact_a, exact_b), stack_size=size[0],
-                          **factors)
-
-    @classmethod
-    def _built(cls, **attrs):
         data = object.__new__(cls)  # set past the frozen __setattr__, as cached_property does
-        data.__dict__.update(a=None, b=None, **attrs)
+        data.__dict__.update(a=None, b=None, partition=p, exact_rows=(exact_a, exact_b),
+                             stack_size=size[0], **factors)
         return data
 
     def take(self, index) -> ObservedData:
@@ -196,15 +191,12 @@ class ObservedData:
         return ObservedData.stacked(*(x[index] for x in self.exact_rows), self.partition,
                                     self.r_noisy[index], None if r_all is None else r_all[index])
 
-    @property
+    @cached_property
     def stack(self) -> ObservedData:
-        """This instance as a stack of one that reads its factors on first
-        use; a stack itself.  Not cached: a cached view would form a
-        reference cycle that keeps the rows alive until a garbage collection."""
-        if self.stack_size is not None:
-            return self
-        return self._built(partition=self.partition, stack_size=1, _single=self,
-                           exact_rows=tuple(x[None] for x in self.exact_rows))
+        """This row-built instance as a stack of one, of its exact rows and
+        both its factors, which it forms."""
+        return ObservedData.stacked(*(x[None] for x in self.exact_rows), self.partition,
+                                    self.r_noisy[None], self.r_all[None])
 
     @property
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -224,13 +216,11 @@ class ObservedData:
 
     @cached_property
     def r_all(self) -> np.ndarray:
-        single = self.__dict__.get("_single")
-        return self._pair.r_all if single is None else single.r_all[None]
+        return self._pair.r_all
 
     @cached_property
     def r_noisy(self) -> np.ndarray:
-        single = self.__dict__.get("_single")
-        return self._pair.r_low if single is None else single.r_noisy[None]
+        return self._pair.r_low
 
 
 def instance_stage(build):
@@ -302,11 +292,6 @@ def observe(
     return ObservedData(a=a, b=b, partition=p)
 
 
-def several_chunks(partition: PartitionSpec) -> bool:
-    """Whether :func:`sample_stack` samples ``partition`` in several chunks."""
-    return len(chunk_bounds(partition.m, partition.n + partition.ell)) > 1
-
-
 def sample_stack(
     partition: PartitionSpec,
     sigma: float,
@@ -314,6 +299,7 @@ def sample_stack(
     design: DesignKind = DesignKind.IID_ROWS,
     noise: NoiseKind = NoiseKind.GAUSS,
     all_rows: bool = True,
+    run=partial,
 ) -> tuple[np.ndarray, ObservedData, np.ndarray]:
     """``observe(generate_model(...), ...)`` of each ``(model_seed,
     noise_seed)`` of ``seeds`` (one pair for one instance) as one stack, in
@@ -324,17 +310,20 @@ def sample_stack(
     ``Generator`` calls, so each slice's ``x_true``, exact rows and factors
     are the row path's bit for bit, and its Gram matrix equals
     :meth:`RegressionModel.truth_gram` to roundoff.  Raises
-    InvalidPartitionError as :func:`generate_model` does, if on any slice.
+    InvalidPartitionError as :func:`generate_model` does, if on any slice,
+    and ShapeError without seeds.
 
     A pass of one chunk draws, noises and factors its instances in groups
     of ``CHUNK_ROWS // m`` (at least one) with batched calls over one row
     buffer, and runs the second TSQR level once per ``CHUNK_ROWS`` rows of
-    first levels.  A pass of several chunks (:func:`several_chunks`) runs
-    one instance at a time; where the caller's affinity mask has two CPUs, a
-    helper thread (:func:`ctls.parallel.beside`) meanwhile draws the next
-    chunk's noise and factors the blocks of the chunk before.
+    first levels.  A pass of several chunks (:func:`~ctls.linalg.chunk_bounds`)
+    runs one instance at a time.  Its chunks' noise draws and block QRs are
+    jobs of ``run``: by default each runs where it is awaited; on the helper
+    thread of :func:`ctls.parallel.beside`, beside the next chunk's draws.
     """
     p, d, count = partition, partition.n + partition.ell, len(seeds)
+    if not count:
+        raise ShapeError("sample_stack needs at least one (model_seed, noise_seed) pair")
     # Held to the end, so allocated before the pass's buffers come and go.
     r_noisy = np.empty((count, d, d))
     r_all = np.empty((count, d, d)) if all_rows else None
@@ -350,10 +339,10 @@ def sample_stack(
     batch = group * max(1, CHUNK_ROWS // (group * first_level_rows(p.m, d)))
     # One row buffer for all groups of a pass of one chunk.  Under several
     # chunks the rows of the chunk before may be in use on the helper thread.
-    one_chunk = not several_chunks(p)
+    one_chunk = len(bounds) == 1
     c_buf = np.empty((min(group, count), p.m, d)) if one_chunk else None
 
-    def chunks(index: slice, run):
+    def chunks(index: slice):
         """The chunk source of :func:`~ctls.linalg.tall_r_chunks` for the
         instances ``index``: their rows ``lo:hi`` drawn, their Gram products
         summed and their noise added."""
@@ -383,19 +372,18 @@ def sample_stack(
 
         return chunk_of
 
-    with beside(not one_chunk) as run:
-        for start in range(0, count, batch):
-            stop = min(start + batch, count)
-            pairs = []
-            for g in range(start, stop, group):
-                index = slice(g, min(g + group, stop))
-                pairs.append(tall_r_chunks(chunks(index, run), p.m, d, p.j, run, (index.stop - g,)))
-            heads = None if pairs[0].head is None else np.concatenate([q.head for q in pairs])
-            pair = pairs[0] if len(pairs) == 1 else TallRPair(
-                np.concatenate([q.stack for q in pairs]), pairs[0].skip, heads)
-            r_noisy[start:stop] = pair.r_low
-            if all_rows:
-                r_all[start:stop] = pair.r_all
+    for start in range(0, count, batch):
+        stop = min(start + batch, count)
+        pairs = []
+        for g in range(start, stop, group):
+            index = slice(g, min(g + group, stop))
+            pairs.append(tall_r_chunks(chunks(index), p.m, d, p.j, run, (index.stop - g,)))
+        heads = None if pairs[0].head is None else np.concatenate([q.head for q in pairs])
+        pair = pairs[0] if len(pairs) == 1 else TallRPair(
+            np.concatenate([q.stack for q in pairs]), pairs[0].skip, heads)
+        r_noisy[start:stop] = pair.r_low
+        if all_rows:
+            r_all[start:stop] = pair.r_all
     _check_exact_rows(exact)
     exact_a, exact_b = exact[..., : p.n].copy(), exact[..., p.n :].copy()
     return x_true, ObservedData.stacked(exact_a, exact_b, p, r_noisy, r_all), grams

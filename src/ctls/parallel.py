@@ -1,8 +1,8 @@
 """One fork pool for Monte-Carlo sweeps and the CSV reader: results come back
 in task order, so no output depends on the number of processes.  One pinned
-helper thread (:func:`beside`) for a long sampling pass; a sweep with only
-one such pass runs without the pool, so no child takes the helper's CPU, and
-a pool's calling process runs its share on one CPU, so it starts no helper."""
+helper thread (:func:`beside`) for a long sampling pass, which only
+:func:`ctls.harness.run_sweep` opens, where it runs a share in its own
+process.  The pool pins its forked children, never its caller."""
 
 from __future__ import annotations
 
@@ -35,8 +35,9 @@ def run_shares(run_share, tasks: list) -> list:
     """The results of every task, in task order, where ``run_share(share)``
     returns those of the tasks of ``share`` in its order.  Worker ``w`` of
     :func:`worker_count` runs the share ``tasks[w::workers]``: worker 0 here,
-    the others in children forked first; each is pinned to CPU ``w`` of the
-    mask while they run, and this process gets its mask back at the end."""
+    the others in children forked first, each pinned to CPU ``w`` of the
+    mask.  A child that fails, or cannot pickle its results, reports why in
+    the RuntimeError raised here."""
     mask = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     workers = worker_count(len(tasks))
     shares = [range(w, len(tasks), workers) for w in range(workers)]
@@ -55,17 +56,18 @@ def run_shares(run_share, tasks: list) -> list:
                     try:
                         if mask:  # else the scheduler may leave a new child on this CPU
                             os.sched_setaffinity(0, {mask[w]})
-                        payload, status = _results(run_share, tasks, shares[w]), 0
-                    except BaseException:
-                        payload = traceback.format_exc()
+                        data = pickle.dumps(_results(run_share, tasks, shares[w]),
+                                            pickle.HIGHEST_PROTOCOL)
+                        done = 0
+                    except BaseException:  # the share or the pickling of its results
+                        data, done = pickle.dumps(traceback.format_exc()), 1
                     with os.fdopen(write_fd, "wb") as pipe:
-                        pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
+                        pipe.write(data)
+                    status = done
                 finally:
                     os._exit(status)
             os.close(write_fd)
             children[pid] = read_fd
-        if workers > 1 and mask:  # so beside starts no helper on a child's CPU
-            os.sched_setaffinity(0, {mask[0]})
         results = _results(run_share, tasks, shares[0])
         for w, (pid, fd) in enumerate(list(children.items()), start=1):
             data = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
@@ -80,8 +82,6 @@ def run_shares(run_share, tasks: list) -> list:
                 raise RuntimeError(f"pool worker {w} exited with status {status}: {payload}")
             results.update(payload)
     finally:
-        if workers > 1 and mask:
-            os.sched_setaffinity(0, set(mask))
         for pid, fd in children.items():  # only when raising: stop, then reap
             os.close(fd)
             os.kill(pid, 9)  # SIGKILL; the signal module is not loaded
@@ -94,20 +94,21 @@ def _results(run_share, tasks: list, share: range) -> dict:
 
 
 @contextlib.contextmanager
-def beside(wanted: bool):
+def beside():
     """A runner for the block: ``run(fn, *args)`` returns a job, a function
     of no arguments that returns ``fn(*args)``.
 
-    With ``wanted`` and two or more CPUs in the affinity mask, the caller is
-    pinned to the mask's first CPU and the jobs run in order on one helper
-    thread pinned to its second; a job not yet started when called runs on
-    the caller, so a starved helper never holds it up.  Otherwise each job
-    runs when called (``functools.partial``), where a one-thread pass would
-    run it.  On exit, however the block ends, the helper is joined and the
-    caller's mask restored, so :func:`worker_count` forks again.  Jobs call
-    no public ``ctls`` function: perfbench's tracer is not thread-safe.
+    With two or more CPUs in the affinity mask, the caller is pinned to the
+    mask's first CPU and the jobs run in order on one helper thread pinned
+    to its second, started at the first job; a job not yet started when
+    called runs on the caller, so a starved helper never holds it up.
+    Otherwise each job runs when called (``functools.partial``), as a
+    one-thread pass runs it.  On exit, however the block ends, the helper
+    is joined and the caller's mask restored, so :func:`worker_count` forks
+    again.  Jobs call no public ``ctls`` function: perfbench's tracer is
+    not thread-safe.
     """
-    mask = sorted(os.sched_getaffinity(0)) if wanted and hasattr(os, "sched_getaffinity") else []
+    mask = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     if len(mask) < 2:
         yield functools.partial
         return

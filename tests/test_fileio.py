@@ -276,7 +276,7 @@ def test_split_reader_forks_one_worker_per_cpu_above_threshold(
 ):
     """``min(CPUs, size // MIN_SPAN_BYTES) - 1`` children, none for a file
     under the threshold; child ``w`` pins itself to CPU ``w`` of the mask,
-    and the parent to CPU 0 until it has their results."""
+    and the parent pins itself nowhere."""
     pins = tmp_path / "pins"
     pins.touch()
     set_cpus(monkeypatch, cpus, pins)
@@ -288,7 +288,7 @@ def test_split_reader_forks_one_worker_per_cpu_above_threshold(
     assert_reaped(forked)
     mine, pinned = read_pins(pins)
     assert pinned == {str(pid): f"[{w}]" for w, pid in enumerate(forked, start=1)}
-    assert mine == (["[0]", str(list(range(cpus)))] if forks else [])
+    assert mine == []
 
 
 def test_no_fork_while_another_thread_runs(tmp_path, monkeypatch):

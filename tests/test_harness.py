@@ -230,8 +230,8 @@ def test_sweep_forks_one_worker_per_cpu_up_to_tasks(
     """``min(CPUs, tasks) - 1`` children, the CPUs read from the affinity
     mask or, without one, from ``os.cpu_count``; a one-task sweep (as in the
     in-process call-counting tests) never forks.  With a mask, child ``w``
-    pins itself to its ``w``-th CPU and the parent to its first while they
-    run; without one, nothing is pinned."""
+    pins itself to its ``w``-th CPU and the parent pins itself nowhere;
+    without one, nothing is pinned."""
     pins = tmp_path / "pins"
     pins.touch()
     if affinity is None:
@@ -247,7 +247,7 @@ def test_sweep_forks_one_worker_per_cpu_up_to_tasks(
         assert pinned == {} and mine == []
     else:
         assert pinned == {str(pid): f"[{w}]" for w, pid in enumerate(forked, start=1)}
-        assert mine == (["[0]", str(list(range(affinity)))] if forks else [])
+        assert mine == []
     assert [(r.m, r.trial) for r in trace.records[::4]] == [
         (m, t) for m in m_values for t in range(trials)
     ]
@@ -289,9 +289,9 @@ def test_sweep_with_one_large_pass_runs_in_process(monkeypatch, tmp_path, forked
 
 def test_pool_parent_runs_its_share_on_one_cpu(monkeypatch, tmp_path, forked):
     """Two passes of several chunks run on the pool, one per worker.  The
-    parent pins itself to the first CPU of the mask while the child runs on
-    the second, so its pass starts no helper thread there, and it gets its
-    mask back; the records are those of a one-CPU run."""
+    child pins itself to the second CPU of the mask; the parent gets no
+    runner, so it pins itself nowhere, starts no helper thread and keeps
+    its mask; the records are those of a one-CPU run."""
     cfg = small_config(m_values=(2 * CHUNK_ROWS + 5,), trials=2, estimators=("projection",))
     set_cpus(monkeypatch, 1)
     serial = run_sweep(cfg).records
@@ -305,11 +305,50 @@ def test_pool_parent_runs_its_share_on_one_cpu(monkeypatch, tmp_path, forked):
     assert len(forked) == 1
     assert_reaped(forked)
     mine, pinned = read_pins(pins)
-    assert mine == ["[0]", "[0, 1]"] and pinned == {str(forked[0]): "[1]"}
+    assert mine == [] and pinned == {str(forked[0]): "[1]"}
     assert os.getpid() not in started
     assert os.sched_getaffinity(0) == {0, 1}
     assert threading.active_count() == 1
     assert trace.records == serial
+
+
+def test_sweep_that_would_not_fork_keeps_its_helper(monkeypatch, tmp_path, forked):
+    """While another thread runs the pool would not fork, so the sweep runs
+    its two passes of several chunks in this process on one helper thread,
+    pinned to the second CPU while this thread has the first; the records
+    are those of a one-CPU run."""
+    cfg = small_config(m_values=(2 * CHUNK_ROWS + 5,), trials=2, estimators=("projection",))
+    set_cpus(monkeypatch, 1)
+    serial = run_sweep(cfg).records
+    pins = tmp_path / "pins"
+    pins.touch()
+    set_cpus(monkeypatch, 2, pins)
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait, args=(60,))
+    waiting.start()
+    real_start, started = threading.Thread.start, []
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread) or real_start(thread))
+    try:
+        trace = run_sweep(cfg)
+    finally:
+        release.set()
+        waiting.join()
+    assert forked == []
+    assert len(started) == 1 and not started[0].is_alive()
+    assert read_pins(pins)[0] == ["[0]", "[1]", "[0, 1]"]
+    assert trace.records == serial
+
+
+def test_pool_child_that_cannot_pickle_its_results_says_why(monkeypatch, forked):
+    """A child whose results do not pickle exits nonzero and sends the
+    traceback of the pickling error, which the RuntimeError carries."""
+    set_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=r"(?s)pool worker 1 exited with status 1: "
+                                           r"Traceback.*pickle"):
+        parallel.run_shares(lambda share: [lambda: t for t in share], [1, 2])
+    assert len(forked) == 1
+    assert_reaped(forked)
 
 
 @pytest.mark.parametrize("where", ["child-raises", "child-dies", "parent-interrupted"])
@@ -574,7 +613,7 @@ def test_sweep_trace_matches_row_path(monkeypatch, j, k, noise):
     ))
     fused = run_sweep(cfg).to_json_dict()
 
-    def row_path(partition, sigma, seeds, design, noise, all_rows):
+    def row_path(partition, sigma, seeds, design, noise, all_rows, run):
         models = [generate_model(partition, sigma, model_seed, design) for model_seed, _ in seeds]
         datas = [observe(model, noise_seed, noise) for model, (_, noise_seed) in zip(models, seeds)]
         exact_a, exact_b, r_noisy, r_all = (np.stack(x) for x in zip(

@@ -16,6 +16,7 @@ from ctls.errors import CtlsError, InvalidPartitionError, NotPositiveDefiniteErr
 from ctls.estimators import ctls_rowcol, projection_estimator, tls_solve
 from ctls.harness import naive_ls
 from ctls.linalg import BLOCK_ROWS, CHUNK_ROWS, tall_r
+from ctls.parallel import beside
 from ctls.model import (
     DesignKind,
     NoiseKind,
@@ -28,7 +29,7 @@ from ctls.model import (
     whiten,
 )
 
-from conftest import fingerprint, make_instance
+from conftest import fingerprint, make_instance, set_cpus
 
 
 # --- PartitionSpec -----------------------------------------------------------
@@ -530,8 +531,8 @@ def test_stack_of_one_rank_deficient_exact_rows(monkeypatch, m):
     with pytest.raises(InvalidPartitionError) as rows:
         generate_model(p, 0.1, 9)
     before = helper_state()
-    with pytest.raises(InvalidPartitionError) as fused:
-        sample_stack(p, 0.1, [(9, 10)])
+    with pytest.raises(InvalidPartitionError) as fused, beside() as run:
+        sample_stack(p, 0.1, [(9, 10)], run=run)
     assert helper_state() == before
     assert str(fused.value) == str(rows.value)
     assert len(seen) == 2 and np.array_equal(seen[1], seen[0][None])
@@ -545,23 +546,58 @@ def helper_state():
     return threading.active_count(), mask
 
 
-def test_sample_stack_leaves_no_helper_behind():
-    """A pass of three chunks returns with the thread count and the
-    caller's affinity mask it found, whatever helper it ran."""
+def test_sample_stack_leaves_no_helper_behind(monkeypatch):
+    """A pass of three chunks on the runner of ``beside``, under masks of
+    one, two and three CPUs, returns with the thread count and the caller's
+    affinity mask it found, whatever helper it ran."""
     p = PartitionSpec(j=2, k=3, n=10, ell=2, m=2 * CHUNK_ROWS + 5)
-    before = helper_state()
-    sample_stack(p, 0.3, [(1, 2)])
-    assert helper_state() == before
+    for cpus in (1, 2, 3):
+        set_cpus(monkeypatch, cpus)
+        before = helper_state()
+        with beside() as run:
+            sample_stack(p, 0.3, [(1, 2)], run=run)
+        assert helper_state() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_sample_stack_without_a_runner_runs_in_its_thread(monkeypatch, cpus):
+    """Without a runner a pass of three chunks starts no thread and pins
+    nothing, whatever the mask, and gives the outputs of the runner of
+    ``beside`` bit for bit."""
+    p = PartitionSpec(j=2, k=3, n=10, ell=2, m=2 * CHUNK_ROWS + 5)
+    set_cpus(monkeypatch, cpus)
+    with beside() as run:
+        want = sample_stack(p, 0.3, [(1, 2)], run=run)
+    real_start, started, pins = threading.Thread.start, [], []
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread) or real_start(thread))
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: pins.append(mask))
+    x_true, data, gram = sample_stack(p, 0.3, [(1, 2)])
+    assert started == [] and pins == []
+    for got, expected in zip([x_true, *data.exact_rows, data.r_noisy, data.r_all, gram],
+                             [want[0], *want[1].exact_rows, want[1].r_noisy, want[1].r_all,
+                              want[2]]):
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_sample_stack_without_seeds_is_a_shape_error(monkeypatch):
+    """No seed pairs is a ShapeError (a ValueError too), raised before any
+    draw."""
+    monkeypatch.setattr(model_mod, "_start", lambda *args: pytest.fail("drew"))
+    p = PartitionSpec(j=1, k=1, n=3, ell=1, m=40)
+    with pytest.raises(ShapeError, match="at least one"):
+        sample_stack(p, 0.1, [])
+    assert issubclass(ShapeError, ValueError)
 
 
 @pytest.mark.parametrize("noise", list(NoiseKind))
 def test_sample_stack_helper_per_mask(monkeypatch, noise):
-    """Under a mask of one CPU no thread starts; under two or three, one
-    helper pinned to the second CPU, with the caller pinned to the first
-    and then given its mask back.  The outputs are the same bit for bit,
-    with thread switches every microsecond and, under three CPUs, a helper
-    that starts 5 ms late, as on a starved CPU, so the caller takes back
-    the jobs it has not started."""
+    """On the runner of ``beside``: under a mask of one CPU no thread
+    starts; under two or three, one helper pinned to the second CPU, with
+    the caller pinned to the first and then given its mask back.  The
+    outputs are the same bit for bit, with thread switches every
+    microsecond and, under three CPUs, a helper that starts 5 ms late, as
+    on a starved CPU, so the caller takes back the jobs it has not started."""
     p = PartitionSpec(j=2, k=3, n=10, ell=2, m=2 * CHUNK_ROWS + 5)
     real_start, outputs = threading.Thread.start, []
 
@@ -581,7 +617,8 @@ def test_sample_stack_helper_per_mask(monkeypatch, noise):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                                 raising=False)
             monkeypatch.setattr(os, "sched_setaffinity", pin, raising=False)
-            x_true, data, gram = sample_stack(p, 0.3, [(1, 2)], noise=noise)
+            with beside() as run:
+                x_true, data, gram = sample_stack(p, 0.3, [(1, 2)], noise=noise, run=run)
             outputs.append([x_true, *data.exact_rows, data.r_noisy, data.r_all, gram])
             if cpus == 1:
                 assert started == [] and pins == []
@@ -638,8 +675,8 @@ def test_sample_stack_rank_deficient_exact_rows(monkeypatch, m):
     with pytest.raises(InvalidPartitionError) as one:
         generate_model(p, 0.1, 9)
     before = helper_state()
-    with pytest.raises(InvalidPartitionError) as stacked:
-        sample_stack(p, 0.1, [(9, 10), (11, 12), (13, 14)])
+    with pytest.raises(InvalidPartitionError) as stacked, beside() as run:
+        sample_stack(p, 0.1, [(9, 10), (11, 12), (13, 14)], run=run)
     assert helper_state() == before and threading.active_count() == 1
     assert str(stacked.value) == str(one.value)
     assert seen == [(2, 6), (3, 2, 6)]
