@@ -21,7 +21,8 @@ more than the base's interquartile range.  Then it prints whether the output
 digests of each pair were equal and the CPUs each side could use
 (``provenance.nproc``), with a warning for every pair whose sides differ:
 ``ctls sweep`` runs one process per available CPU, so its gain scales with
-them.  The temporary directories are removed at the end.
+them.  The temporary directories are removed at the end, also on SIGINT,
+SIGTERM or a run's timeout, which kill the running run's process group.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -60,11 +62,21 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` run from ``tree``: its metrics, digest and CPUs."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
-                          timeout=seconds + RUN_SLACK_S)
+    # In its own session, so that killing its process group on a timeout or
+    # a signal also stops the worker.py that it starts.
+    proc = subprocess.Popen(cmd, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=seconds + RUN_SLACK_S)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:  # the group has exited
+            pass
+        proc.wait()
     if proc.returncode != 0:
-        sys.exit(f"error: {' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
-    lines = proc.stdout.splitlines()
+        sys.exit(f"error: {' '.join(cmd)} in {tree} exited {proc.returncode}:\n{stderr}")
+    lines = stdout.splitlines()
     summary = json.loads(lines[-1])
     result_path = next(line.split(": ", 1)[1] for line in lines
                        if line.startswith("full result: "))
@@ -132,6 +144,9 @@ def main() -> int:
     with open(os.path.join(here, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)["end_to_end"]
 
+    # SIGTERM exits like SIGINT does, through the finally clauses that stop
+    # the running pair and remove the temporary directory.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     scratch = tempfile.mkdtemp(prefix="bench-pairs-")
     base_tree, change_tree = os.path.join(scratch, "base"), os.path.join(scratch, "change")
     runs = {workload: {"base": [], "change": []} for workload in args.workload}

@@ -19,7 +19,7 @@ from .estimators import (
     ctls_rowcol,
     ctls_rows,
     projection_estimator,
-    tls_solve,
+    tls_from_data,
 )
 from .fileio import format_csv, read_matrices, write_matrix
 from .harness import SweepConfig, run_sweep
@@ -34,7 +34,9 @@ from .model import (
     whiten,
 )
 
-METHODS = ("tls", "ctls-cols", "ctls-rows", "ctls-rowcol", "projection")
+#: ``--method`` -> its estimator, run on a stack of one instance.
+METHODS = {"tls": tls_from_data, "ctls-cols": ctls_columns, "ctls-rows": ctls_rows,
+           "ctls-rowcol": ctls_rowcol, "projection": projection_estimator}
 
 
 class _UsageError(Exception):
@@ -97,22 +99,14 @@ def _cmd_estimate(args) -> int:
         return 1
 
     try:
-        transform = None
-        if cov:
-            data, transform = whiten(data, cov[0])
-        if args.method == "tls":
-            result = tls_solve(data.a, data.b)
-        elif args.method == "ctls-cols":
-            result = ctls_columns(data)
-        elif args.method == "ctls-rows":
-            result = ctls_rows(data)
-        elif args.method == "ctls-rowcol":
-            result = ctls_rowcol(data)
-        else:
-            result = projection_estimator(data, mu_rule=args.mu)
-        x_hat = result.x_hat
+        stack, transform = whiten(data, cov[0]) if cov else (data.stack, None)
+        options = {"mu_rule": args.mu} if args.method == "projection" else {}
+        # Through this module's globals, so that a rebound estimator runs.
+        (result,) = globals()[METHODS[args.method].__name__](stack, **options)
+        if isinstance(result, CtlsError):
+            raise result
         if transform is not None:
-            x_hat = unwhiten_estimate(x_hat, partition, transform)
+            result.x_hat = unwhiten_estimate(result.x_hat, partition, transform)
     except ValueError as exc:  # a --sigma-cov of the wrong shape
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -140,9 +134,9 @@ def _cmd_estimate(args) -> int:
 
     try:
         if args.out:
-            write_matrix(args.out, x_hat, args.format)
+            write_matrix(args.out, result.x_hat, args.format)
         else:
-            sys.stdout.write(format_csv(x_hat))
+            sys.stdout.write(format_csv(result.x_hat))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

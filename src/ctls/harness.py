@@ -153,6 +153,11 @@ class SweepConfig:
             )
         object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        try:
+            object.__setattr__(self, "design", DesignKind(self.design))
+            object.__setattr__(self, "noise", NoiseKind(self.noise))
+        except ValueError as exc:
+            raise IncompatibleConfigError(str(exc)) from exc
         if not self.m_values:
             raise IncompatibleConfigError("m_values must not be empty")
         if any(b <= a for a, b in zip(self.m_values, self.m_values[1:])):
@@ -201,10 +206,7 @@ class SweepConfig:
         missing = known - optional - set(d)
         if missing:
             raise IncompatibleConfigError(f"missing config keys: {sorted(missing)}")
-        kwargs = dict(d)
-        kwargs["design"] = DesignKind(d.get("design", "iid"))
-        kwargs["noise"] = NoiseKind(d.get("noise", "gauss"))
-        return cls(**kwargs)
+        return cls(**d)
 
 
 def _require_int(name: str, value) -> None:

@@ -4,7 +4,7 @@ A ground-truth instance is an exact linear relation ``a_bar @ x_true = b_bar``
 together with a block structure declaring which leading rows and columns of
 the observed data are noise free.  ``observe`` injects i.i.d. noise into the
 unconstrained blocks only, and ``whiten`` reduces a general noise covariance
-to the scalar case via its Cholesky factor.
+to the scalar case by a column transform of the exact rows and R factors.
 
 ``generate_model`` then ``observe`` return rows (``ObservedData(a=, b=,
 partition=)``).  ``sample_stack``, which sweeps use, samples many instances
@@ -28,6 +28,7 @@ from .errors import InvalidPartitionError, ShapeError
 from .linalg import (
     CHUNK_ROWS,
     TallRPair,
+    _flat_r,
     as_matrix,
     chunk_bounds,
     cholesky_lower,
@@ -406,7 +407,7 @@ def _draw_noise(rng, noise: NoiseKind, sigma: float, shape: tuple[int, int],
         e -= 1.0
         e *= sigma
     else:
-        raise ValueError(f"unknown noise kind: {noise!r}")
+        raise InvalidPartitionError(f"unknown noise kind: {noise!r}")
     return e
 
 
@@ -464,32 +465,33 @@ def whiten(data: ObservedData, sigma_cov) -> tuple[ObservedData, np.ndarray]:
 
     ``sigma_cov`` is the (noisy_cols x noisy_cols) symmetric positive
     definite covariance of each noise row.  With ``sigma_cov = L @ L.T``,
-    the noisy column block is right-multiplied by ``inv(L).T``; the returned
-    factor ``L`` is what :func:`unwhiten_estimate` needs to map an estimate
-    computed on the whitened data back to the original coordinates.
+    whitening is the column transform ``W = blockdiag(I_k, inv(L).T)``.  The
+    result is the stack of the exact rows ``C1 @ W`` and the factors of
+    ``R @ W``, for ``r_noisy`` and, where ``data`` (an instance or a stack)
+    has it, ``r_all``.  :func:`unwhiten_estimate` maps an estimate back with
+    the returned ``L``.
 
     Raises
     ------
     ShapeError
-        If ``data`` is built from factors or ``sigma_cov`` is not
-        ``noisy_cols x noisy_cols``.
+        If ``sigma_cov`` is not ``noisy_cols x noisy_cols``.
     NotPositiveDefiniteError
         If ``sigma_cov`` is not positive definite.
     """
     p = data.partition
-    a, b = data.rows
     cov = as_matrix(sigma_cov, "sigma_cov")
     w = p.noisy_cols
     if cov.shape != (w, w):
         raise ShapeError(f"sigma_cov must be {w}x{w}, got {cov.shape}")
     lower = cholesky_lower(0.5 * (cov + cov.T))
-    noisy = np.hstack([a[:, p.k :], b])
-    # noisy @ inv(L).T computed column-block-wise as solve(L, noisy.T).T
-    white = solve_lower_triangular(lower, noisy.T).T
-    a = a.copy()
-    a[:, p.k :] = white[:, : p.n_free]
-    b = white[:, p.n_free :].copy()
-    return ObservedData(a=a, b=b, partition=p), lower
+    stack = data.stack if data.stack_size is None else data
+    factors = [stack.r_noisy] + ([stack.r_all] if "r_all" in stack.__dict__ else [])
+    # [C1; R] @ W: the noisy columns times inv(L).T, as solve(L, noisy.T).T.
+    c = np.concatenate([np.concatenate(stack.exact_rows, axis=-1), *factors], axis=-2)
+    c[..., p.k :] = solve_lower_triangular(lower, c[..., p.k :].swapaxes(-1, -2)).swapaxes(-1, -2)
+    exact, *factors = np.split(c, range(p.j, c.shape[-2], p.n + p.ell), axis=-2)
+    return ObservedData.stacked(exact[..., : p.n].copy(), exact[..., p.n :].copy(), p,
+                                *map(_flat_r, factors)), lower
 
 
 def unwhiten_estimate(

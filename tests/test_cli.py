@@ -247,6 +247,44 @@ def test_estimate_estimator_error_exits_2(tmp_path, capsys):
     assert "RankDeficientFixedColumns" in err
 
 
+@pytest.mark.parametrize("cov, expect", [(np.eye(2), "RankDeficientFixedColumns"),
+                                         (-np.eye(2), "NotPositiveDefiniteError")],
+                         ids=["estimator", "cov-indefinite"])
+def test_estimate_whitened_errors_exit_2(tmp_path, capsys, cov, expect):
+    """An estimator error on the whitened stack, and a covariance that is
+    not positive definite, exit 2 and name the error."""
+    g = np.random.default_rng(9)
+    a = g.standard_normal((20, 3))
+    a[:, 1] = a[:, 0]
+    paths = {name: tmp_path / f"{name}.csv" for name in ("a", "b", "cov")}
+    for name, matrix in zip(paths, (a, g.standard_normal((20, 1)), cov)):
+        write_matrix(str(paths[name]), matrix, "csv")
+    code, _, err = run_cli(
+        capsys, "estimate", "--a", str(paths["a"]), "--b", str(paths["b"]),
+        "--j", "0", "--k", "2", "--method", "ctls-cols", "--sigma-cov", str(paths["cov"]),
+    )
+    assert code == 2
+    assert err.startswith("error: ") and expect in err
+
+
+@pytest.mark.parametrize("method, j, k", [("tls", 1, 1), ("ctls-cols", 0, 1), ("ctls-rows", 1, 0),
+                                          ("ctls-rowcol", 1, 1), ("projection", 1, 1)])
+def test_estimate_identity_sigma_cov_changes_no_byte(tmp_path, capsys, method, j, k):
+    """Every method run on the stack whitened by an identity covariance
+    prints what it prints on the instance itself."""
+    g = np.random.default_rng(11)
+    paths = {name: tmp_path / f"{name}.csv" for name in ("a", "b", "cov")}
+    for name, matrix in zip(paths, (g.standard_normal((40, 3)), g.standard_normal((40, 1)),
+                                    np.eye(4 - k))):
+        write_matrix(str(paths[name]), matrix, "csv")
+    base = ["estimate", "--a", str(paths["a"]), "--b", str(paths["b"]),
+            "--j", str(j), "--k", str(k), "--method", method]
+    code1, out1, _ = run_cli(capsys, *base)
+    code2, out2, _ = run_cli(capsys, *base, "--sigma-cov", str(paths["cov"]))
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
 def test_estimate_rowcol_without_exact_blocks_needs_more_rows_than_columns(
     tmp_path, capsys
 ):

@@ -20,7 +20,7 @@ from ctls.harness import (
     trial_seed,
 )
 from ctls.linalg import CHUNK_ROWS
-from ctls.model import DesignKind, ObservedData, generate_model, observe
+from ctls.model import DesignKind, NoiseKind, ObservedData, generate_model, observe
 
 from conftest import assert_reaped, fingerprint, make_instance, read_pins, set_cpus
 
@@ -69,6 +69,28 @@ def test_config_roundtrips_through_dict():
     assert again == cfg
     with pytest.raises(IncompatibleConfigError):
         SweepConfig.from_dict({**cfg.to_dict(), "bogus": 1})
+
+
+@pytest.mark.parametrize("key, value", [("design", "bogus"), ("noise", "gaussian"),
+                                        ("design", None), ("noise", 3)])
+def test_config_rejects_unknown_kinds(key, value):
+    """A design or noise kind that names no member is a config error, from
+    the constructor and from a dict alike."""
+    with pytest.raises(IncompatibleConfigError, match="is not a valid"):
+        small_config(**{key: value})
+    with pytest.raises(IncompatibleConfigError, match="is not a valid"):
+        SweepConfig.from_dict({**small_config().to_dict(), key: value})
+
+
+def test_config_takes_kinds_by_value():
+    """A kind given by its value builds the config of its member, and the
+    sweep runs it as that config."""
+    by_value = small_config(design="grid", noise="uniform", m_values=(30,), trials=2)
+    assert by_value.design is DesignKind.FIXED_GRID and by_value.noise is NoiseKind.UNIFORM
+    by_member = small_config(design=DesignKind.FIXED_GRID, noise=NoiseKind.UNIFORM,
+                             m_values=(30,), trials=2)
+    assert by_value == by_member
+    assert run_sweep(by_value).csv_rows() == run_sweep(by_member).csv_rows()
 
 
 # --- naive_ls ----------------------------------------------------------------------

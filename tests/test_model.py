@@ -1,5 +1,6 @@
 """Model generation, noise injection and covariance whitening."""
 
+import math
 import os
 import sys
 import threading
@@ -13,7 +14,7 @@ import pytest
 import ctls.model as model_mod
 from ctls import estimators
 from ctls.errors import CtlsError, InvalidPartitionError, NotPositiveDefiniteError, ShapeError
-from ctls.estimators import ctls_rowcol, projection_estimator, tls_solve
+from ctls.estimators import ctls_rowcol, projection_estimator, tls_from_data, tls_solve
 from ctls.harness import naive_ls
 from ctls.linalg import BLOCK_ROWS, CHUNK_ROWS, tall_r
 from ctls.parallel import beside
@@ -180,6 +181,19 @@ def test_noise_second_moment_converges():
     assert np.median(vals) < 0.05 * sigma**2
 
 
+def test_unknown_kinds_are_invalid_partitions():
+    """A design or noise kind that is not a member is an InvalidPartitionError
+    on the row path and in the fused pass alike, not a bare ValueError."""
+    p = PartitionSpec(j=1, k=1, n=3, ell=1, m=40)
+    model = generate_model(p, 0.1, 1)
+    calls = [lambda: generate_model(p, 0.1, 1, "iid"), lambda: observe(model, 2, "gauss"),
+             lambda: sample_stack(p, 0.1, [(1, 2)], design="iid"),
+             lambda: sample_stack(p, 0.1, [(1, 2)], noise="gauss")]
+    for call in calls:
+        with pytest.raises(InvalidPartitionError, match="unknown"):
+            call()
+
+
 # --- ObservedData ----------------------------------------------------------------
 
 
@@ -237,21 +251,38 @@ def test_observed_factors_share_one_pass(j, rows):
             factor[0, 0] = 1.0
 
 
+def _gram(r: np.ndarray) -> np.ndarray:
+    """``R.T @ R`` of the factor of a stack of one."""
+    return r[0].T @ r[0]
+
+
+def _exact(data: ObservedData) -> np.ndarray:
+    """``[A | B][:j]`` of a stack of one."""
+    return np.concatenate(data.exact_rows, axis=-1)[0]
+
+
 def test_whiten_identity_covariance_is_noop():
     _, data = make_instance(j=1, k=1, n=3, ell=1, m=30, sigma=0.2)
     white, transform = whiten(data, np.eye(data.partition.noisy_cols))
-    assert np.array_equal(white.a, data.a)
-    assert np.array_equal(white.b, data.b)
+    assert white.stack_size == 1
+    for got, want in zip(white.exact_rows, data.exact_rows):
+        assert np.array_equal(got[0], want)
+    assert np.array_equal(white.r_noisy[0], data.r_noisy)
+    assert np.array_equal(white.r_all[0], data.r_all)
     assert np.array_equal(transform, np.eye(data.partition.noisy_cols))
 
 
 def test_whiten_diagonal_scales_columns():
-    _, data = make_instance(j=0, k=1, n=3, ell=1, m=30, sigma=0.2)
+    _, data = make_instance(j=1, k=1, n=3, ell=1, m=30, sigma=0.2)
     cov = np.diag([4.0, 1.0, 1.0])
     white, transform = whiten(data, cov)
-    assert np.allclose(white.a[:, 1], data.a[:, 1] / 2.0)
-    assert np.allclose(white.a[:, 2], data.a[:, 2])
-    assert np.allclose(white.b, data.b)
+    c = np.hstack([data.a, data.b])
+    c[:, 1] /= 2.0
+    assert np.allclose(_exact(white), c[:1])
+    assert np.allclose(_gram(white.r_all), c.T @ c)
+    assert np.allclose(_gram(white.r_noisy), c[1:].T @ c[1:])
+    scaled = ObservedData(a=c[:, :3], b=c[:, 3:], partition=data.partition)
+    assert np.allclose(ctls_rowcol(white)[0].x_hat, ctls_rowcol(scaled).x_hat)
     assert np.allclose(transform, np.diag([2.0, 1.0, 1.0]))
 
 
@@ -289,13 +320,11 @@ def test_whiten_commutes_with_estimation():
 
     colored = _color(data_white, lower)
     rewhite, transform = whiten(colored, cov)
-    assert np.max(np.abs(rewhite.a - data_white.a)) <= 1e-10 * (
-        1.0 + np.max(np.abs(data_white.a))
-    )
+    c = np.hstack([data_white.a, data_white.b])
+    gram = c.T @ c
+    assert np.max(np.abs(_gram(rewhite.r_all) - gram)) <= 1e-10 * (1.0 + np.max(np.abs(gram)))
 
-    x_pipeline = unwhiten_estimate(
-        tls_solve(rewhite.a, rewhite.b).x_hat, p, transform
-    )
+    x_pipeline = unwhiten_estimate(tls_from_data(rewhite)[0].x_hat, p, transform)
     x_direct = unwhiten_estimate(
         tls_solve(data_white.a, data_white.b).x_hat, p, lower
     )
@@ -309,10 +338,95 @@ def test_whiten_commutes_exactly_at_zero_noise():
     lower = np.linalg.cholesky(cov)
     colored = _color(data, lower)
     rewhite, transform = whiten(colored, cov)
-    x_hat = unwhiten_estimate(tls_solve(rewhite.a, rewhite.b).x_hat, p, transform)
+    c = np.hstack([data.a, data.b])
+    assert np.max(np.abs(_exact(rewhite) - c[:1])) <= 1e-8
+    for r, rows in ((rewhite.r_all, c), (rewhite.r_noisy, c[1:])):
+        gram = rows.T @ rows
+        assert np.max(np.abs(_gram(r) - gram)) <= 1e-8 * (1.0 + np.max(np.abs(gram)))
     x_colored_true = unwhiten_estimate(model.x_true, p, lower)
     assert np.max(np.abs(colored.a @ x_colored_true - colored.b)) <= 1e-8
-    assert np.max(np.abs(x_hat - x_colored_true)) <= 1e-8
+    for estimator in (tls_from_data, ctls_rowcol):
+        x_hat = unwhiten_estimate(estimator(rewhite)[0].x_hat, p, transform)
+        assert np.max(np.abs(x_hat - x_colored_true)) <= 1e-8
+
+
+@pytest.mark.parametrize("all_rows", [True, False])
+def test_whiten_takes_a_sampled_stack(all_rows):
+    """whiten on a sample_stack stack is, slice for slice and bit for bit,
+    whiten on the row-path instance of that slice's seeds; a stack without
+    r_all whitens to one without it."""
+    p = PartitionSpec(j=1, k=1, n=3, ell=1, m=50)
+    seeds = [(1, 2), (3, 4), (5, 6)]
+    g = np.random.default_rng(4)
+    a = g.standard_normal((p.noisy_cols, p.noisy_cols))
+    cov = a @ a.T + np.eye(p.noisy_cols)
+    white, lower = whiten(sample_stack(p, 0.1, seeds, all_rows=all_rows)[1], cov)
+    assert white.stack_size == len(seeds)
+    for s, (model_seed, noise_seed) in enumerate(seeds):
+        row, row_lower = whiten(observe(generate_model(p, 0.1, model_seed), noise_seed), cov)
+        assert np.array_equal(lower, row_lower)
+        for got, want in zip(white.exact_rows, row.exact_rows):
+            assert np.array_equal(got[s], want[0])
+        assert np.array_equal(white.r_noisy[s], row.r_noisy[0])
+        if all_rows:
+            assert np.array_equal(white.r_all[s], row.r_all[0])
+    if not all_rows:
+        with pytest.raises(ShapeError, match="needs a row-built instance"):
+            white.r_all
+
+
+def _sign_band(trials: int, miss: float) -> tuple[int, int]:
+    """The band ``[lo, trials - lo]`` that ``Binomial(trials, 1/2)`` leaves
+    with probability at most ``miss``: the count of ``trials`` independent
+    pairs in which the second of two draws of one continuous distribution
+    is the larger."""
+    tail, lo = 0.0, 0
+    while 2.0 * (tail + math.comb(trials, lo) / 2.0**trials) <= miss:
+        tail += math.comb(trials, lo) / 2.0**trials
+        lo += 1
+    return lo, trials - lo
+
+
+def test_whitening_restores_consistency():
+    """AR(1) noise across the noisy columns (rho = 0.6, variance 0.09), with
+    an exact first row and column, at m = 1e3, 1e4 and 1e5 with 60 trials
+    each, every instance from its own seeds.  Whitened, ctls_rowcol and
+    projection keep one distribution of sqrt(m) * err: from one m to the
+    next, the count of trials whose sqrt(m) * err is the larger stays in
+    the band :func:`_sign_band` gives for a miss of 1e-3 (a sign test).
+    Not whitened, ctls_rowcol's grows: that count lies above the band at
+    every step."""
+    trials, rho, var = 60, 0.6, 0.09
+    noisy = np.arange(3)
+    cov = var * rho ** np.abs(noisy[:, None] - noisy[None, :])
+    lower = np.linalg.cholesky(cov)
+    errs = {"ctls_rowcol": [], "projection": [], "not whitened": []}
+    for i, m in enumerate((1_000, 10_000, 100_000)):
+        p = PartitionSpec(j=1, k=1, n=3, ell=1, m=m)
+        for values in errs.values():
+            values.append([])
+        for t in range(trials):
+            model = generate_model(p, 0.0, 100 * i + t)
+            g = np.random.default_rng(10_000 + 100 * i + t)
+            e = g.standard_normal((m - p.j, p.noisy_cols)) @ lower.T
+            a, b = model.a_bar.copy(), model.b_bar.copy()
+            a[p.j :, p.k :] += e[:, : p.n_free]
+            b[p.j :] += e[:, p.n_free :]
+            data = ObservedData(a=a, b=b, partition=p)
+            white, transform = whiten(data, cov)
+            for name, x_hat in (
+                ("ctls_rowcol", unwhiten_estimate(ctls_rowcol(white)[0].x_hat, p, transform)),
+                ("projection",
+                 unwhiten_estimate(projection_estimator(white)[0].x_hat, p, transform)),
+                ("not whitened", ctls_rowcol(data).x_hat),
+            ):
+                errs[name][-1].append(np.sqrt(m) * np.linalg.norm(x_hat - model.x_true))
+    lo, hi = _sign_band(trials, 1e-3)
+    grew = {name: [int(np.sum(np.greater(after, before)))
+                   for before, after in zip(values, values[1:])]
+            for name, values in errs.items()}
+    assert all(lo <= count <= hi for count in grew["ctls_rowcol"] + grew["projection"]), grew
+    assert all(count > hi for count in grew["not whitened"]), grew
 
 
 # --- the chunked O(m) pass ----------------------------------------------------
@@ -705,13 +819,13 @@ def test_stacked_rejects_mis_shaped_inputs():
 
 
 def test_row_readers_reject_a_factor_built_instance():
-    """whiten and build_blocks read the rows, which a factor-built instance
-    does not hold: a ShapeError says so, not a TypeError on None."""
+    """build_blocks reads the rows, which a factor-built instance does not
+    hold: a ShapeError says so, not a TypeError on None (whiten takes such
+    an instance: test_whiten_takes_a_sampled_stack)."""
     p = PartitionSpec(j=1, k=1, n=3, ell=1, m=50)
     data = sample_stack(p, 0.1, [(1, 2)])[1]
-    for call in (lambda: whiten(data, np.eye(3)), lambda: estimators.build_blocks(data)):
-        with pytest.raises(ShapeError, match="needs a row-built instance"):
-            call()
+    with pytest.raises(ShapeError, match="needs a row-built instance"):
+        estimators.build_blocks(data)
     stack = sample_stack(p, 0.1, [(1, 2)], all_rows=False)[1]
     with pytest.raises(ShapeError, match="needs a row-built instance"):
         stack.r_all
