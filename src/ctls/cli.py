@@ -14,15 +14,9 @@ import sys
 import numpy as np
 
 from .errors import CtlsError
-from .estimators import (
-    ctls_columns,
-    ctls_rowcol,
-    ctls_rows,
-    projection_estimator,
-    tls_from_data,
-)
+from .estimators import tls_solve
 from .fileio import format_csv, read_matrices, write_matrix
-from .harness import SweepConfig, run_sweep
+from .harness import SweepConfig, _run_estimator, run_sweep
 from .model import (
     DesignKind,
     NoiseKind,
@@ -34,9 +28,9 @@ from .model import (
     whiten,
 )
 
-#: ``--method`` -> its estimator, run on a stack of one instance.
-METHODS = {"tls": tls_from_data, "ctls-cols": ctls_columns, "ctls-rows": ctls_rows,
-           "ctls-rowcol": ctls_rowcol, "projection": projection_estimator}
+#: ``--method`` -> its name in ``harness.ESTIMATORS``.
+METHODS = {"tls": "tls", "ctls-cols": "ctls_columns", "ctls-rows": "ctls_rows",
+           "ctls-rowcol": "ctls_rowcol", "projection": "projection"}
 
 
 class _UsageError(Exception):
@@ -99,14 +93,16 @@ def _cmd_estimate(args) -> int:
         return 1
 
     try:
-        stack, transform = whiten(data, cov[0]) if cov else (data.stack, None)
-        options = {"mu_rule": args.mu} if args.method == "projection" else {}
-        # Through this module's globals, so that a rebound estimator runs.
-        (result,) = globals()[METHODS[args.method].__name__](stack, **options)
-        if isinstance(result, CtlsError):
-            raise result
-        if transform is not None:
+        name = METHODS[args.method]
+        options = {"mu_rule": args.mu} if name == "projection" else {}
+        if cov:
+            stack, transform = whiten(data, cov[0])
+            (result,) = _run_estimator(name, stack, **options)
+            if isinstance(result, CtlsError):
+                raise result
             result.x_hat = unwhiten_estimate(result.x_hat, partition, transform)
+        else:  # tls as tls_solve, which perfbench's self-test perturbs and its tracer times
+            result = tls_solve(a, b) if name == "tls" else _run_estimator(name, data, **options)
     except ValueError as exc:  # a --sigma-cov of the wrong shape
         print(f"error: {exc}", file=sys.stderr)
         return 1

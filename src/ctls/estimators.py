@@ -356,7 +356,7 @@ def ctls_columns(data: ObservedData) -> EstimateResult:
                  lambda i: RankDeficientFixedColumnsError(
                      f"fixed columns have singular values {sv[i]}; full column rank required"
                  ))
-    return ctls_rowcol.body(data)
+    return _rowcol(data)
 
 
 @dataclass(frozen=True)
@@ -571,6 +571,10 @@ def ctls_rowcol(data: ObservedData) -> EstimateResult:
     )
 
 
+#: ctls_rowcol's body, bound once, so a wrapper rebound over ``ctls_rowcol`` needs no ``.body``.
+_rowcol = ctls_rowcol.body
+
+
 @stacked
 def ctls_rows(data: ObservedData) -> EstimateResult:
     """Constrained TLS with exactly-known leading rows (k = 0, 0 < j < n).
@@ -583,7 +587,7 @@ def ctls_rows(data: ObservedData) -> EstimateResult:
         raise InvalidPartitionError(
             f"ctls_rows needs k=0 and j>0, got j={p.j}, k={p.k}"
         )
-    return ctls_rowcol.body(data)
+    return _rowcol(data)
 
 
 @instance_stage

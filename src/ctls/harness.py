@@ -222,11 +222,11 @@ def _compatible(name: str, j: int, k: int, n: int) -> bool:
     return True
 
 
-def _run_estimator(name: str, data: ObservedData) -> EstimateResult:
+def _run_estimator(name: str, data: ObservedData, **options) -> EstimateResult:
     # Resolved through this module's global of the same name at call time,
     # so a function rebound there (perfbench's tracer wraps them) is the
     # one that runs.
-    return globals()[ESTIMATORS[name].__name__](data)
+    return globals()[ESTIMATORS[name].__name__](data, **options)
 
 
 def trial_seed(base_seed: int, tag: str, m: int, trial: int) -> int:
