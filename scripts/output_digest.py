@@ -42,13 +42,20 @@ partition, by the projection estimator under each ``mu_rule`` and by
 ``gram_residuals``; each slice's result, or its error type and message, is
 hashed.
 
+Each case also hashes every field on its own: ``x_hat``, ``sigma2_hat``,
+``smallest_eigs``, ``mu``, each ``Diagnostics`` field, each key of
+``gram_residuals``, each key of a sweep's records and aggregates, the error
+a call raises, and the exit code, stdout, stderr and X file of an estimate.
+
 ``--base REV`` writes the ``src/`` files of ``REV`` into a temporary
 directory with ``git show``, runs this script on them and on the working tree
-(uncommitted changes included) and names every case whose digest differs.
-It prints the line count of both trees' ``src/`` Python files, in total and
-per file, and exits 1 if any case differs.  ``gram_residuals`` took the
-model, not its Gram matrix, in trees without ``RegressionModel.truth_gram``;
-both forms run.
+(uncommitted changes included) and names every case whose digest differs,
+with the fields that differ in it.  It prints the line count of both trees'
+``src/`` Python files, in total and per file, and exits 1 if any case
+differs.  Older trees run too: ``gram_residuals`` took the model, not its
+Gram matrix, in trees without ``RegressionModel.truth_gram``, and the
+partition rule of each estimator was ``harness._compatible`` in trees
+without ``estimators.accepts_partition``.
 
 Digests depend on the numpy and BLAS build, so they are compared between
 two trees on one machine, never against a stored value.  The BLAS thread
@@ -131,6 +138,9 @@ def case_digests() -> list[tuple[str, str]]:
         observe,
     )
 
+    # The partition rule of each estimator, where the tree has it.
+    accepts = getattr(est, "accepts_partition", None) or harness._compatible
+
     def residuals_of(model, data) -> dict:
         if not hasattr(model, "truth_gram"):  # a tree from before truth_gram
             return gram_residuals(model, data)
@@ -139,10 +149,9 @@ def case_digests() -> list[tuple[str, str]]:
     def runs_for(p: PartitionSpec) -> dict:
         runs = {"naive_ls": naive_ls, "tls": est.tls_from_data,
                 "ctls_rowcol": est.ctls_rowcol}
-        if p.j == 0 and 0 < p.k < p.n:
-            runs["ctls_columns"] = est.ctls_columns
-        if p.k == 0 and p.j > 0:
-            runs["ctls_rows"] = est.ctls_rows
+        for name in ("ctls_columns", "ctls_rows"):
+            if accepts(name, p.j, p.k, p.n):
+                runs[name] = getattr(est, name)
         for rule in est.MU_RULES:
             runs[f"projection_{rule}"] = (
                 lambda d, rule=rule: est.projection_estimator(d, mu_rule=rule))
@@ -154,22 +163,31 @@ def case_digests() -> list[tuple[str, str]]:
         arr = np.asarray(value, dtype=float)
         return f"{arr.shape}:{np.ascontiguousarray(arr).tobytes().hex()}"
 
-    def describe(result) -> str:
+    def describe(result) -> dict:
         if isinstance(result, dict):  # gram_residuals
-            return repr(sorted(result.items()))
+            return {key: repr(value) for key, value in sorted(result.items())}
         diag = result.diagnostics
-        parts = [encode(result.x_hat), repr(result.sigma2_hat),
-                 encode(result.smallest_eigs), repr(result.mu)]
-        parts += [f"{f.name}={encode(getattr(diag, f.name))}"
-                  for f in dataclasses.fields(diag)]
-        return "|".join(parts)
+        return {"x_hat": encode(result.x_hat), "sigma2_hat": repr(result.sigma2_hat),
+                "smallest_eigs": encode(result.smallest_eigs), "mu": repr(result.mu),
+                **{f.name: encode(getattr(diag, f.name)) for f in dataclasses.fields(diag)}}
 
-    def outcome(fn, data) -> tuple[bool, str]:
+    def outcome(fn, data) -> tuple[bool, dict]:
         try:
             result = fn(data)
         except CtlsError as exc:
-            return False, type(exc).__name__
+            return False, {"error": type(exc).__name__}
         return True, describe(result)
+
+    def entries_of(cells: list) -> list:
+        """One entry per dict of ``cells``, a field per key."""
+        return [(str(i), {key: json.dumps(value, sort_keys=True) for key, value in sorted(cell.items())})
+                for i, cell in enumerate(cells)]
+
+    def trace_entries(trace: dict) -> list:
+        """A sweep trace's config, records and aggregates, one entry each."""
+        return entries_of([{"config": trace["config"]}, *trace["records"],
+                           *(stats for per_m in trace["aggregates"].values()
+                             for stats in per_m.values())])
 
     def mutated(j: int, k: int, name: str, seed: int):
         """A row-built instance in which ``name`` fails, and its model's Gram matrix."""
@@ -187,21 +205,21 @@ def case_digests() -> list[tuple[str, str]]:
             a[:j, :k] = 0.0
         return ObservedData(a=a, b=b, partition=p), model.truth_gram()
 
-    def instance_lines(model, data_of) -> list[str]:
+    def instance_entries(model, data_of) -> list:
         """Every run on one fresh instance per call order."""
         runs = runs_for(model.partition)
-        lines = []
+        entries = []
         for order in (list(runs), list(reversed(runs))):
             data = data_of()
             residuals = False
             for name in order:
-                ok, line = outcome(runs[name], data)
+                ok, fields = outcome(runs[name], data)
                 residuals |= ok and name in ("ctls_rowcol", "projection_mean")
-                lines.append(f"{name}: {line}")
+                entries.append((name, fields))
             if residuals:
-                _, line = outcome(lambda d: residuals_of(model, d), data)
-                lines.append(f"gram_residuals: {line}")
-        return lines
+                entries.append(("gram_residuals",
+                                outcome(lambda d: residuals_of(model, d), data)[1]))
+        return entries
 
     cases = []
     for design in DesignKind:
@@ -211,8 +229,8 @@ def case_digests() -> list[tuple[str, str]]:
                     p = PartitionSpec(j=j, k=k, n=N, ell=ELL, m=m)
                     seed = 1000 * j + 100 * k + m
                     model = generate_model(p, SIGMA, seed, design)
-                    lines = instance_lines(model, lambda: observe(model, seed + 1, noise))
-                    cases.append((f"{design.value}/{noise.value}/j{j}k{k}/m{m}", lines))
+                    entries = instance_entries(model, lambda: observe(model, seed + 1, noise))
+                    cases.append((f"{design.value}/{noise.value}/j{j}k{k}/m{m}", entries))
 
     # Hand-built exact rows: dependent rows of [A | B], dependent rows of A
     # only, and an exact corner of zeros.
@@ -229,14 +247,12 @@ def case_digests() -> list[tuple[str, str]]:
             a[:j, :k] = 0.0
         model = dataclasses.replace(model, a_bar=np.vstack([a[:j], model.a_bar[j:]]),
                                     b_bar=np.vstack([b[:j], model.b_bar[j:]]))
-        lines = instance_lines(model, lambda: ObservedData(a=a.copy(), b=b.copy(), partition=p))
-        cases.append((f"{name}/j{j}k{k}", lines))
+        entries = instance_entries(model, lambda: ObservedData(a=a.copy(), b=b.copy(), partition=p))
+        cases.append((f"{name}/j{j}k{k}", entries))
 
     for j, k in SWEEP_PARTITIONS:
         names = [n for n in ("naive_ls", "tls", "ctls_columns", "ctls_rows",
-                             "ctls_rowcol", "projection")
-                 if (n != "ctls_columns" or (j == 0 and 0 < k < N))
-                 and (n != "ctls_rows" or (k == 0 and j > 0))]
+                             "ctls_rowcol", "projection") if accepts(n, j, k, N)]
         config = SweepConfig(n=N, ell=ELL, j=j, k=k, m_values=(50, 500, 5000), trials=3,
                              sigma=SIGMA, estimators=tuple(names), base_seed=99)
         trace = run_sweep(config).to_json_dict()
@@ -244,8 +260,8 @@ def case_digests() -> list[tuple[str, str]]:
                                     for stats in per_m.values()]
         residuals = [{key: cell.pop(key) for key in RESIDUAL_KEYS if key in cell}
                      for cell in cells]
-        cases.append((f"sweep/j{j}k{k}", [json.dumps(trace, sort_keys=True)]))
-        cases.append((f"sweep/j{j}k{k}/residuals", [json.dumps(residuals, sort_keys=True)]))
+        cases.append((f"sweep/j{j}k{k}", trace_entries(trace)))
+        cases.append((f"sweep/j{j}k{k}/residuals", entries_of(residuals)))
 
     for name, n, ell, j, k in GRID_SWEEPS:
         config = SweepConfig(n=n, ell=ell, j=j, k=k, m_values=(50, 500), trials=3, sigma=0.0,
@@ -254,7 +270,7 @@ def case_digests() -> list[tuple[str, str]]:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EstimatorWarning)
             trace = run_sweep(config).to_json_dict()
-        cases.append((name, [json.dumps(trace, sort_keys=True)]))
+        cases.append((name, trace_entries(trace)))
 
     for noise in NoiseKind:
         for name, m_values in (("large", (2 * CHUNK_ROWS + 5,)),
@@ -263,7 +279,7 @@ def case_digests() -> list[tuple[str, str]]:
                                  estimators=("naive_ls", "tls", "ctls_rowcol", "projection"),
                                  base_seed=5, noise=noise)
             trace = run_sweep(config).to_json_dict()
-            cases.append((f"sweep/{name}/{noise.value}", [json.dumps(trace, sort_keys=True)]))
+            cases.append((f"sweep/{name}/{noise.value}", trace_entries(trace)))
 
     for design, noise in CELL_SWEEPS:
         config = SweepConfig(n=N, ell=ELL, j=1, k=1, m_values=(30, 600, 6000), trials=5,
@@ -271,7 +287,7 @@ def case_digests() -> list[tuple[str, str]]:
                              noise=NoiseKind(noise),
                              estimators=("naive_ls", "tls", "ctls_rowcol", "projection"))
         trace = run_sweep(config).to_json_dict()
-        cases.append((f"sweep/cells/{design}-{noise}", [json.dumps(trace, sort_keys=True)]))
+        cases.append((f"sweep/cells/{design}-{noise}", trace_entries(trace)))
 
     for (j, k), failures in STACK_FAILURES.items():
         names = ["healthy", *failures]
@@ -281,15 +297,16 @@ def case_digests() -> list[tuple[str, str]]:
         exact_a, exact_b, r_noisy, r_all = (np.stack(x) for x in zip(*parts))
         stack = ObservedData.stacked(exact_a, exact_b, datas[0].partition, r_noisy, r_all)
         runs = {name: fn for name, fn in harness.ESTIMATORS.items()
-                if name != "projection" and harness._compatible(name, j, k, N)}
+                if name != "projection" and accepts(name, j, k, N)}
         for rule in est.MU_RULES:
             runs[f"projection_{rule}"] = (
                 lambda d, rule=rule: est.projection_estimator(d, mu_rule=rule))
         runs["gram_residuals"] = lambda d: gram_residuals(np.stack(grams), STACK_SIGMA, d)
         for name, run in runs.items():
-            lines = [f"{s}: {type(out).__name__}: {out}" if isinstance(out, CtlsError)
-                     else f"{s}: {describe(out)}" for s, out in enumerate(run(stack))]
-            cases.append((f"stack/j{j}k{k}/{name}", lines))
+            entries = [(str(s), {"error": f"{type(out).__name__}: {out}"}
+                        if isinstance(out, CtlsError) else describe(out))
+                       for s, out in enumerate(run(stack))]
+            cases.append((f"stack/j{j}k{k}/{name}", entries))
 
     # ``ctls estimate`` on CSV files in three layouts, below and above the
     # size at which the reader splits a file into spans.
@@ -302,7 +319,7 @@ def case_digests() -> list[tuple[str, str]]:
                 for name, mat in (("A.csv", data.a), ("B.csv", data.b)):
                     with open(os.path.join(tmp, name), "w", encoding="utf-8", newline="") as fh:
                         fh.write(relayout(format_csv(mat)))
-                cases.append((f"estimate/{layout}/m{m}", estimate_lines(tmp)))
+                cases.append((f"estimate/{layout}/m{m}", estimate_entries(tmp)))
         # Error paths and a CSV --sigma-cov; the cov fits the methods with k = 2.
         b_lines = format_csv(data.b).splitlines(keepends=True)
         bad_b = b_lines[:]
@@ -317,19 +334,33 @@ def case_digests() -> list[tuple[str, str]]:
                     with open(os.path.join(tmp, fname), "w", encoding="utf-8") as fh:
                         fh.write(text)
                 extra = ("--sigma-cov", "cov.csv") if "cov.csv" in files else ()
-                cases.append((f"estimate/{name}/m{m}", estimate_lines(tmp, extra)))
+                cases.append((f"estimate/{name}/m{m}", estimate_entries(tmp, extra)))
 
-    return [(name, hashlib.sha256("\n".join(lines).encode()).hexdigest())
-            for name, lines in cases]
+    return [(name, *digests(entries)) for name, entries in cases]
 
 
-def estimate_lines(workdir: str, extra: tuple = ()) -> list[str]:
+def digests(entries: list) -> tuple[str, dict[str, str]]:
+    """The digest of a case's ``(label, {field: value})`` entries, and the
+    digest of each field over the entries that have it."""
+    lines, fields = [], {}
+    for label, values in entries:
+        lines.append(f"{label}: " + "|".join(f"{key}={value}" for key, value in values.items()))
+        for key, value in values.items():
+            fields.setdefault(key, []).append(f"{label}: {value}")
+
+    def sha(texts):
+        return hashlib.sha256("\n".join(texts).encode()).hexdigest()
+
+    return sha(lines), {key: sha(texts)[:16] for key, texts in fields.items()}
+
+
+def estimate_entries(workdir: str, extra: tuple = ()) -> list:
     """Exit code, stdout, stderr and X file of ``ctls estimate`` on
     ``workdir``'s A.csv and B.csv, with the arguments ``extra``, for every
     method, run in-process."""
     from ctls.cli import main
 
-    lines, cwd = [], os.getcwd()
+    entries, cwd = [], os.getcwd()
     os.chdir(workdir)  # relative paths, so no message names the directory
     try:
         for method, j, k in ESTIMATE_METHODS:
@@ -342,21 +373,27 @@ def estimate_lines(workdir: str, extra: tuple = ()) -> list[str]:
                 with open("X.csv", "rb") as fh:
                     x_file = fh.read().hex()
                 os.remove("X.csv")
-            lines.append(f"{method}: {code} {out.getvalue()!r} {err.getvalue()!r} {x_file}")
+            entries.append((method, {"exit": repr(code), "stdout": repr(out.getvalue()),
+                                     "stderr": repr(err.getvalue()), "x_file": repr(x_file)}))
     finally:
         os.chdir(cwd)
-    return lines
+    return entries
 
 
-def run_on(src: str) -> list[tuple[str, str]]:
-    """The per-case digests of the package under ``src``, in a fresh interpreter."""
+def run_on(src: str) -> list[tuple[str, str, dict[str, str]]]:
+    """The per-case and per-field digests of the package under ``src``, in a
+    fresh interpreter."""
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--src", src, "--cases"],
         capture_output=True, text=True, check=False,
     )
     if proc.returncode != 0:
         sys.exit(f"error: digest of {src} failed:\n{proc.stderr}")
-    return [tuple(line.split()) for line in proc.stdout.splitlines()]
+    cases = []
+    for line in proc.stdout.splitlines():
+        name, digest, *fields = line.split()
+        cases.append((name, digest, dict(field.rsplit("=", 1) for field in fields)))
+    return cases
 
 
 def git(root: str, *args: str) -> bytes:
@@ -392,13 +429,16 @@ def compare(base: str) -> int:
     for path in sorted(lines_before.keys() | lines_after.keys()):
         old, new = lines_before.get(path, 0), lines_after.get(path, 0)
         print(f"  {path}: {old} -> {new} ({new - old:+d})")
-    if [name for name, _ in before] != [name for name, _ in after]:
+    if [case[0] for case in before] != [case[0] for case in after]:
         print("the two trees produce different case lists")
         return 1
-    differ = [name for (name, x), (_, y) in zip(before, after) if x != y]
+    differ = [(name, sorted(key for key in old_fields.keys() | new_fields.keys()
+                            if old_fields.get(key) != new_fields.get(key)))
+              for (name, old, old_fields), (_, new, new_fields) in zip(before, after)
+              if old != new]
     if differ:
         print(f"{len(differ)} of {len(after)} cases differ from {base}:")
-        print("\n".join(f"  {name}" for name in differ))
+        print("\n".join(f"  {name}: {', '.join(keys)}" for name, keys in differ))
         return 1
     print(f"all {len(after)} cases equal to {base}")
     return 0
@@ -409,18 +449,19 @@ def main() -> int:
     parser.add_argument("--base", help="git revision to compare the working tree with")
     parser.add_argument("--src", default=os.path.join(HERE, "..", "src"),
                         help="directory that holds the ctls package (default: this tree's)")
-    parser.add_argument("--cases", action="store_true", help="print one digest per case")
+    parser.add_argument("--cases", action="store_true",
+                        help="print one digest per case, then one per field of it")
     args = parser.parse_args()
     if args.base:
         return compare(args.base)
     sys.path.insert(0, os.path.abspath(args.src))
-    digests = case_digests()
+    cases = case_digests()
     if args.cases:
-        for name, digest in digests:
-            print(name, digest)
+        for name, digest, fields in cases:
+            print(name, digest, *(f"{key}={value}" for key, value in fields.items()))
     else:
-        total = hashlib.sha256("".join(d for _, d in digests).encode()).hexdigest()
-        print(f"{total}  ({len(digests)} cases)")
+        total = hashlib.sha256("".join(digest for _, digest, _ in cases).encode()).hexdigest()
+        print(f"{total}  ({len(cases)} cases)")
     return 0
 
 

@@ -1,11 +1,12 @@
 """Estimators for regression with noise in both sides of the system.
 
-Five estimators share one pipeline on ``C = [A | B]``:
+Four TLS-type estimators run one pipeline on ``C = [A | B]``, and the
+projection estimator shares its first and last steps:
 
 1. Factor the noisy rows once.  ``ObservedData.r_noisy`` caches the square
    ``R`` with ``R.T @ R = C_noisy.T @ C_noisy``.  It shares its first TSQR
    level (the triangles of the 256-row blocks) with ``ObservedData.r_all``,
-   the factor of all rows that TLS uses, so one instance makes one O(m)
+   the factor of all rows that TLS reads, so one instance makes one O(m)
    pass; everything after it costs O((n + ell)^3), independent of ``m``.
 2. Eliminate the exact ``j x k`` corner (:func:`precondition_rowcol`).
    The elimination is a column transform built from the exact rows only, so
@@ -24,10 +25,12 @@ Every partition runs these steps: with ``j = 0`` or ``k = 0`` the empty
 blocks are zero-size arrays, the corner elimination is the identity and,
 with ``j = 0``, ``P = I``.  Products with ``I`` are exact.
 
-* :func:`tls_solve` - no constraints; the factor covers all rows.
-* :func:`ctls_rowcol` - the first ``j`` rows and ``k`` columns are exact.
+* :func:`tls_solve` - no constraints: the pipeline on a ``j = k = 0`` view
+  whose noisy factor is ``r_all`` (:func:`tls_from_data`).
+* :func:`ctls_rowcol` - the first ``j`` rows and ``k`` columns are exact;
+  it checks that ``m > n + ell`` and that the exact rows are independent.
 * :func:`ctls_columns` (``j = 0``) and :func:`ctls_rows` (``k = 0``) - thin
-  wrappers over :func:`ctls_rowcol` that check the partition.
+  wrappers that check the partition (:func:`accepts_partition`).
 * :func:`projection_estimator` - shifts the noisy columns of ``R.T @ R`` by
   an estimate ``mu`` of the accumulated noise variance before projecting
   onto the null space of the exact rows; ``mu / m`` doubles as the
@@ -297,15 +300,14 @@ def _normalize_subspace(
 def tls_from_data(data: ObservedData) -> EstimateResult:
     """Classical TLS on all of ``[A | B]``, ignoring the partition.
 
-    Works from the cached factor ``data.r_all``, so a sweep shares it with
+    The pipeline of :func:`ctls_rowcol`, without its checks, on a view of
+    the stack with no exact rows, ``j = k = 0`` and the cached factor of all
+    rows ``data.r_all`` as its noisy factor, which a sweep shares with
     :func:`ctls.harness.naive_ls`; see :func:`tls_solve`.
     """
     p = data.partition
-    x, eigs, gap, z_min, flags = _normalize_subspace(
-        gram_eigen(data.r_all), np.eye(p.n + p.ell), p.n, p.ell
-    )
-    sigma2 = np.maximum(0.0, np.mean(eigs, axis=-1)) / p.m
-    return slice_estimates(x, sigma2, eigs, z_lower_smallest_sv=z_min, eig_gap=gap, flags=flags)
+    return _pipeline(ObservedData.stacked(*(x[:, :0] for x in data.exact_rows),
+                                          PartitionSpec(0, 0, p.n, p.ell, p.m), data.r_all))
 
 
 def tls_solve(a, b) -> EstimateResult:
@@ -321,11 +323,17 @@ def tls_solve(a, b) -> EstimateResult:
     LowerBlockSingularError
         Nongeneric instance: the solution subspace cannot be normalized.
     """
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
-    m, n = a.shape
-    partition = PartitionSpec(j=0, k=0, n=n, ell=b.shape[1], m=m)
-    return per_slice(tls_from_data.body, ObservedData(a=a, b=b, partition=partition))
+    a, b = as_matrix(a, "A"), as_matrix(b, "B")
+    p = PartitionSpec(j=0, k=0, n=a.shape[1], ell=b.shape[1], m=len(a))
+    return per_slice(tls_from_data.body, ObservedData(a=a, b=b, partition=p))
+
+
+def accepts_partition(name: str, j: int, k: int, n: int) -> bool:
+    """Whether the estimator ``name`` (a :data:`ctls.harness.ESTIMATORS`
+    name) takes ``j`` exact rows and ``k`` exact columns of ``n``:
+    ``ctls_columns`` needs ``j = 0`` and ``0 < k < n``, ``ctls_rows``
+    needs ``k = 0`` and ``j > 0``, and the others take any partition."""
+    return {"ctls_columns": j == 0 and 0 < k < n, "ctls_rows": k == 0 and j > 0}.get(name, True)
 
 
 @stacked
@@ -341,22 +349,21 @@ def ctls_columns(data: ObservedData) -> EstimateResult:
     ------
     InvalidPartitionError
         If the partition is not j = 0 with 0 < k < n (k = n would be
-        ordinary least squares, which is out of scope here).
+        ordinary least squares, which is out of scope here) or m <= n + ell.
     RankDeficientFixedColumnsError
         If the fixed columns are not of full column rank.
     """
     p = data.partition
-    if p.j != 0 or p.k == 0 or p.k >= p.n:
-        raise InvalidPartitionError(
-            f"ctls_columns needs j=0 and 0<k<n, got j={p.j}, k={p.k}, n={p.n}"
-        )
+    if not accepts_partition("ctls_columns", p.j, p.k, p.n):
+        raise InvalidPartitionError(f"ctls_columns needs j=0 and 0<k<n, "
+                                    f"got j={p.j}, k={p.k}, n={p.n}")
     p.require_overdetermined()
     sv = fixed_sv(data)
     check_slices((sv[:, 0] == 0.0) | (sv[:, -1] <= RANK_TOL * sv[:, 0]),
                  lambda i: RankDeficientFixedColumnsError(
                      f"fixed columns have singular values {sv[i]}; full column rank required"
                  ))
-    return _rowcol(data)
+    return _pipeline(data)  # j = 0: ctls_rowcol's exact-row check has no rows
 
 
 @dataclass(frozen=True)
@@ -506,15 +513,15 @@ def reduced_factor(
 def ctls_rowcol(data: ObservedData) -> EstimateResult:
     """Constrained TLS with exact leading rows and columns.
 
-    Pipeline: eliminate the exact corner inside the factor
-    (:func:`reduced_factor`), restrict the Schur-complement factor ``R22``
-    to the null space ``P`` of the remaining exact rows, take the ``ell``
-    smallest Ritz pairs from the SVD of ``R22 @ P``, normalize them into
-    the free-column coefficients, then solve the fixed-column least-squares
-    problem with ``R11`` and undo the preconditioning.  Every partition
-    runs this pipeline; without exact rows or columns its steps are
-    identities, and acceptance check C09 finds ``j = k = 0`` bit for bit
-    equal to :func:`tls_solve`.
+    Checks that ``m > n + ell`` and that the exact rows of ``A`` are
+    independent, then runs the pipeline: eliminate the exact corner inside
+    the factor (:func:`reduced_factor`), restrict the Schur-complement
+    factor ``R22`` to the null space ``P`` of the remaining exact rows, take
+    the ``ell`` smallest Ritz pairs from the SVD of ``R22 @ P``, normalize
+    them into the free-column coefficients, then solve the fixed-column
+    least-squares problem with ``R11`` and undo the preconditioning.
+    Without exact rows or columns its steps are identities, and
+    :func:`tls_from_data` runs it, unchecked, on a ``j = k = 0`` view.
 
     Raises
     ------
@@ -533,16 +540,18 @@ def ctls_rowcol(data: ObservedData) -> EstimateResult:
     if p.j:
         check_slices(matrix_rank(data.exact_rows[0]) != p.j,
                      lambda i: _exact_rows_error(p.j, p.n - 1))
+    return _pipeline(data)
+
+
+def _pipeline(data: ObservedData) -> list[EstimateResult]:
+    """The pipeline of :func:`ctls_rowcol` on a stack, without its checks."""
+    p = data.partition
     blocks, record, r, basis = reduced_factor(data)
     rp = blocks.partition
     k = rp.k
 
-    notes = []
-    if p.j > 0 and p.k > 0:
-        notes.append(
-            f"fixed-corner rank {record.rank} eliminated (j {p.j}->{rp.j}, "
-            f"k {p.k}->{k})"
-        )
+    notes = ([f"fixed-corner rank {record.rank} eliminated (j {p.j}->{rp.j}, k {p.k}->{k})"]
+             if p.j and p.k else [])
     # With no pivot eliminated, r is data.r_noisy.
     sv = fixed_sv(data) if k > 0 and record.rank == 0 else None
     cond21 = gram_condition(r[..., :k, :k], sv) if k > 0 else None
@@ -583,10 +592,8 @@ def ctls_rows(data: ObservedData) -> EstimateResult:
     block, so this is a thin wrapper that validates the partition.
     """
     p = data.partition
-    if p.k != 0 or p.j == 0:
-        raise InvalidPartitionError(
-            f"ctls_rows needs k=0 and j>0, got j={p.j}, k={p.k}"
-        )
+    if not accepts_partition("ctls_rows", p.j, p.k, p.n):
+        raise InvalidPartitionError(f"ctls_rows needs k=0 and j>0, got j={p.j}, k={p.k}")
     return _rowcol(data)
 
 

@@ -45,6 +45,7 @@ import numpy as np
 from .errors import CtlsError, IncompatibleConfigError, InvalidPartitionError
 from .estimators import (
     EstimateResult,
+    accepts_partition,
     ctls_columns,
     ctls_rowcol,
     ctls_rows,
@@ -171,7 +172,7 @@ class SweepConfig:
         for name in self.estimators:
             if name not in ESTIMATOR_NAMES:
                 raise IncompatibleConfigError(f"unknown estimator {name!r}")
-            if not _compatible(name, self.j, self.k, self.n):
+            if not accepts_partition(name, self.j, self.k, self.n):
                 raise IncompatibleConfigError(
                     f"estimator {name!r} is incompatible with partition "
                     f"(j={self.j}, k={self.k}, n={self.n})"
@@ -212,14 +213,6 @@ class SweepConfig:
 def _require_int(name: str, value) -> None:
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise IncompatibleConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def _compatible(name: str, j: int, k: int, n: int) -> bool:
-    if name == "ctls_columns":
-        return j == 0 and 0 < k < n
-    if name == "ctls_rows":
-        return k == 0 and j > 0
-    return True
 
 
 def _run_estimator(name: str, data: ObservedData, **options) -> EstimateResult:

@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 
+from ctls.errors import LowerBlockSingularError
 from ctls.estimators import (
     build_blocks,
     ctls_columns,
@@ -337,3 +338,89 @@ def test_c12_determinism():
     t2 = run_sweep(config)
     assert t1.records == t2.records
     ok("C12 bit-level determinism")
+
+
+#: C15's instances: n = 2 + j, ell = 1, two seeds per (j, k, m, sigma).
+GLOBAL_CASES = [(j, k, m, sigma) for j, k in ((0, 1), (1, 0), (1, 1))
+                for m, sigma in ((8, 0.7), (30, 0.5), (200, 0.3)) for _ in range(2)]
+#: The first grid covers [-12, 12]^2 around the least-norm feasible point;
+#: each later one spans +-10 steps of the one before around its argmin.
+SCAN_HALF_WIDTH, SCAN_POINTS, SCAN_WINDOW, SCAN_GRIDS = 12.0, 201, 10, 8
+#: Above this condition number of the Hessian on the plane the minimum is a
+#: flat valley, and the grid argmin says little about where in it x_hat lies.
+HESSIAN_COND_MAX = 1e6
+
+
+def test_c15_global_minimum():
+    """C15: with exact rows and columns active, ``ctls_rowcol`` returns the
+    global minimiser of the constrained TLS objective.
+
+    On the feasible plane ``x0 + N t`` of the exact rows (``t`` in R^2), a
+    grid scan refined around its argmin finds the minimum of the oracle's
+    closed form ``|C2 w|^2 / (1 + |x[k:]|^2)``, ``w = [x; -1]`` over the
+    noisy rows ``C2``.  No grid point beats the estimate by more than the
+    rounding of the objective, and the scan comes within ``lambda_max h^2 / 2``
+    of it (``h`` the last grid step; the nearest grid point is within
+    ``h / sqrt(2)`` of the minimiser).  Where the Hessian on the plane is
+    well conditioned, the grid argmin is within ``h sqrt(cond / 2)`` of the
+    estimate, with twice that as slack.  Estimator failures are counted.
+    """
+    eps = np.finfo(float).eps
+    singular, compared = [], 0
+    for idx, (j, k, m, sigma) in enumerate(GLOBAL_CASES):
+        n = 2 + j
+        _, data = make_instance(j=j, k=k, n=n, ell=1, m=m, sigma=sigma,
+                                model_seed=15_000 + idx, noise_seed=15_500 + idx)
+        blocks = build_blocks(data)
+        a1, b1 = data.a[:j], data.b[:j]
+        x0 = np.linalg.lstsq(a1, b1, rcond=None)[0] if j else np.zeros((n, 1))
+        plane = np.linalg.svd(a1)[2][j:].T if j else np.eye(n)
+        c2 = np.hstack([data.a[j:], data.b[j:]])
+        gram = c2.T @ c2
+        w0 = np.append(x0[:, 0], -1.0)
+        dw = np.vstack([plane, np.zeros((1, 2))])  # w(t) = w0 + dw @ t
+
+        def objective(t):
+            w = w0 + t @ dw.T
+            return np.sum((w @ gram) * w, axis=-1) / (1.0 + np.sum(w[..., k:n] ** 2, axis=-1))
+
+        centre, half = np.zeros(2), SCAN_HALF_WIDTH
+        for grid in range(SCAN_GRIDS):
+            axis = np.linspace(-half, half, SCAN_POINTS)
+            points = centre + np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+            best = int(np.argmin(objective(points)))
+            if grid == 0:  # an edge argmin would leave the minimum outside the box
+                assert np.max(np.abs(points[best])) < half - (axis[1] - axis[0]), idx
+            centre, step = points[best], axis[1] - axis[0]
+            half = SCAN_WINDOW * step
+        x_grid = x0 + plane @ centre[:, None]
+
+        try:
+            x_hat = ctls_rowcol(data).x_hat
+        except LowerBlockSingularError:
+            singular.append(idx)
+            continue
+        probe_hat = constrained_objective(blocks, x_hat)
+        probe_grid = constrained_objective(blocks, x_grid)
+        assert probe_hat.feasible and probe_grid.feasible, idx
+        f_hat, f_grid = probe_hat.objective, probe_grid.objective
+
+        # Rounding of the objective: gamma_(m + n + 1) times the sum of the
+        # absolute terms of |C2 w|^2, over its denominator.
+        w_hat = np.append(x_hat[:, 0], -1.0)
+        terms = np.abs(c2) @ np.abs(w_hat)
+        rounding = 2 * (len(c2) + n + 1) * eps * (terms @ terms) / (1.0 + w_hat[k:n] @ w_hat[k:n])
+        # Hessian of q(t) / d(t) on the plane at its minimum: 2 (Q - f D) / d.
+        d_grid = 1.0 + float(np.sum(x_grid[k:] ** 2))
+        hessian = 2.0 * (dw.T @ gram @ dw - f_grid * dw[k:n].T @ dw[k:n]) / d_grid
+        low, high = np.linalg.eigvalsh(hessian)
+        assert f_hat <= f_grid + rounding, (idx, f_hat, f_grid)
+        assert f_grid <= f_hat + high * step**2 / 2 + rounding, (idx, f_hat, f_grid)
+        if low > 0 and high / low <= HESSIAN_COND_MAX:
+            compared += 1
+            slack = 2 * (step * np.sqrt(high / low / 2) + np.sqrt(2 * rounding / low))
+            assert np.linalg.norm(x_hat - x_grid) <= slack, (idx, np.linalg.norm(x_hat - x_grid))
+    assert singular == [], f"LowerBlockSingularError on instances {singular}"
+    assert compared >= len(GLOBAL_CASES) // 2, compared
+    ok(f"C15 global minimum ({len(GLOBAL_CASES)} instances, {compared} argmins compared, "
+       f"{len(singular)} singular)")

@@ -630,7 +630,7 @@ def test_sweep_trace_matches_row_path(monkeypatch, j, k, noise):
     cfg = SweepConfig.from_dict(dict(
         n=4, ell=2, j=j, k=k, m_values=[20, 700, CHUNK_ROWS + 300], trials=2, sigma=0.2,
         estimators=[name for name in harness.ESTIMATOR_NAMES
-                    if harness._compatible(name, j, k, 4)],
+                    if estimators.accepts_partition(name, j, k, 4)],
         base_seed=31, design="iid", noise=noise,
     ))
     fused = run_sweep(cfg).to_json_dict()
