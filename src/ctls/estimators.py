@@ -411,10 +411,6 @@ class PreconditionRecord:
     def recover(self, x_reduced: np.ndarray) -> np.ndarray:
         """Map a solution of the reduced problem back to original coordinates."""
         k, n_free = self.partition.k, self.partition.n_free
-        if not (self.partition.j and k):
-            # No corner: a copy of x_reduced would change the memory layout
-            # that the constraint residual's product with one row rounds by.
-            return x_reduced
         x_free = x_reduced[..., k - self.rank :, :]
         pivot_a = self.pivot_c12[..., :n_free]
         pivot_b = self.pivot_c12[..., n_free:]
@@ -481,12 +477,13 @@ def _exact_rows_error(j: int, max_rows: int) -> RankDeficientUpperRowsError:
 
 def _constraint_residual(data: ObservedData, x_hat: np.ndarray) -> np.ndarray | None:
     """``|A1 @ x_hat - B1|_F`` per slice over the exact rows; None without
-    exact rows.  The sum of squares is a dot product of the flat residual,
-    as ``np.linalg.norm`` takes it."""
+    exact rows.  The product takes a C-contiguous ``x_hat``: with one exact
+    row BLAS rounds it by the memory layout.  The sum of squares is a dot
+    product of the flat residual, as ``np.linalg.norm`` takes it."""
     a1, b1 = data.exact_rows
     if not a1.shape[-2]:
         return None
-    flat = (a1 @ x_hat - b1).reshape(len(a1), 1, -1)
+    flat = (a1 @ np.ascontiguousarray(x_hat) - b1).reshape(len(a1), 1, -1)
     return np.sqrt(flat @ flat.swapaxes(-1, -2))[:, 0, 0]
 
 
@@ -558,8 +555,6 @@ def _pipeline(data: ObservedData) -> list[EstimateResult]:
     x_lower, ritz, gap, z_min, flags = _normalize_subspace(
         gram_eigen(r[..., k:, k:] @ basis), basis, p.n_free, p.ell
     )
-    # Without exact columns left, x_lower itself, not a copy: recover's
-    # products round by its memory layout.
     x_reduced = x_lower
     if k > 0:
         eye = np.broadcast_to(np.eye(p.ell), x_lower.shape[:-2] + (p.ell, p.ell))

@@ -22,7 +22,7 @@ from ctls.estimators import (
     tls_solve,
 )
 from ctls.linalg import null_space_basis, sym_eigen
-from ctls.model import ObservedData, PartitionSpec, RegressionModel, observe
+from ctls.model import ObservedData, PartitionSpec, RegressionModel, observe, sample_stack
 from ctls.oracle import grid_scan_tls_1d
 
 from conftest import make_instance
@@ -412,6 +412,21 @@ def test_ctls_rowcol_hard_constraints_with_noise():
         scale = 1.0 + np.linalg.norm(data.b[:j], "fro")
         assert constraint_gap(data, result.x_hat) <= 1e-8 * scale
         assert result.diagnostics.constraint_residual <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_constraint_residual_ignores_memory_layout(k):
+    """With one exact row, BLAS rounds ``A1 @ x_hat`` by the memory layout
+    of ``x_hat``; the residual takes it on a C-contiguous copy, so C- and
+    F-ordered copies of one estimate give the same residuals."""
+    p = PartitionSpec(j=1, k=k, n=4, ell=2, m=60)
+    _, stack, _ = sample_stack(p, 0.3, [(s, s + 100) for s in range(20)])
+    x_hat = np.stack([result.x_hat for result in ctls_rowcol(stack)])
+    c_order = np.ascontiguousarray(x_hat)
+    f_order = x_hat.swapaxes(-1, -2).copy().swapaxes(-1, -2)
+    assert c_order.flags.c_contiguous and f_order[0].flags.f_contiguous
+    assert np.array_equal(estimators._constraint_residual(stack, c_order),
+                          estimators._constraint_residual(stack, f_order))
 
 
 def test_ctls_rowcol_ritz_sum_equals_objective():
