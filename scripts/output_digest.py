@@ -81,8 +81,8 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
-#: (j, k) partitions of the instance grid; (1, 0) multiplies ``x_hat`` with
-#: a single exact row, where products round by the layout of ``x_hat``.
+#: (j, k) partitions of the instance grid; with one exact row, as in (1, 0),
+#: BLAS rounds the constraint residual's product by the layout of its operand.
 PARTITIONS = ((0, 0), (0, 2), (2, 0), (1, 0), (1, 1), (2, 3), (3, 1), (1, 3), (3, 3))
 #: The Gram-residual fields of a sweep record and of a cell's aggregates.
 RESIDUAL_KEYS = ("shifted_gram_residual", "projected_gram_residual",

@@ -323,9 +323,11 @@ def tls_solve(a, b) -> EstimateResult:
     LowerBlockSingularError
         Nongeneric instance: the solution subspace cannot be normalized.
     """
-    a, b = as_matrix(a, "A"), as_matrix(b, "B")
-    p = PartitionSpec(j=0, k=0, n=a.shape[1], ell=b.shape[1], m=len(a))
-    return per_slice(tls_from_data.body, ObservedData(a=a, b=b, partition=p))
+    a = as_matrix(a, "A")
+    b = as_matrix(b, "B")
+    m, n = a.shape
+    partition = PartitionSpec(j=0, k=0, n=n, ell=b.shape[1], m=m)
+    return per_slice(tls_from_data.body, ObservedData(a=a, b=b, partition=partition))
 
 
 def accepts_partition(name: str, j: int, k: int, n: int) -> bool:
@@ -355,8 +357,9 @@ def ctls_columns(data: ObservedData) -> EstimateResult:
     """
     p = data.partition
     if not accepts_partition("ctls_columns", p.j, p.k, p.n):
-        raise InvalidPartitionError(f"ctls_columns needs j=0 and 0<k<n, "
-                                    f"got j={p.j}, k={p.k}, n={p.n}")
+        raise InvalidPartitionError(
+            f"ctls_columns needs j=0 and 0<k<n, got j={p.j}, k={p.k}, n={p.n}"
+        )
     p.require_overdetermined()
     sv = fixed_sv(data)
     check_slices((sv[:, 0] == 0.0) | (sv[:, -1] <= RANK_TOL * sv[:, 0]),

@@ -13,6 +13,7 @@ import pytest
 
 from ctls.errors import LowerBlockSingularError
 from ctls.estimators import (
+    accepts_partition,
     build_blocks,
     ctls_columns,
     ctls_rowcol,
@@ -62,10 +63,8 @@ def applicable_estimators(j, k, n):
             ("tls", lambda d: tls_solve(d.a, d.b)),
             ("ctls_rowcol", ctls_rowcol),
             ("projection", projection_estimator)]
-    if j == 0 and 0 < k < n:
-        ests.append(("ctls_columns", ctls_columns))
-    if k == 0 and j > 0:
-        ests.append(("ctls_rows", ctls_rows))
+    ests += [(name, fn) for name, fn in (("ctls_columns", ctls_columns), ("ctls_rows", ctls_rows))
+             if accepts_partition(name, j, k, n)]
     return ests
 
 

@@ -564,10 +564,9 @@ def estimator_outcomes(data):
     p = data.partition
     runs = {"naive_ls": naive_ls, "tls": estimators.tls_from_data,
             "ctls_rowcol": ctls_rowcol}
-    if p.j == 0 and 0 < p.k < p.n:
-        runs["ctls_columns"] = estimators.ctls_columns
-    if p.k == 0 and p.j > 0:
-        runs["ctls_rows"] = estimators.ctls_rows
+    for name in ("ctls_columns", "ctls_rows"):
+        if estimators.accepts_partition(name, p.j, p.k, p.n):
+            runs[name] = getattr(estimators, name)
     for rule in estimators.MU_RULES:
         runs[f"projection_{rule}"] = lambda d, rule=rule: projection_estimator(d, rule)
     if data.stack_size is not None:
