@@ -50,12 +50,14 @@ a call raises, and the exit code, stdout, stderr and X file of an estimate.
 ``--base REV`` writes the ``src/`` files of ``REV`` into a temporary
 directory with ``git show``, runs this script on them and on the working tree
 (uncommitted changes included) and names every case whose digest differs,
-with the fields that differ in it.  It prints the line count of both trees'
-``src/`` Python files, in total and per file, and exits 1 if any case
-differs.  Older trees run too: ``gram_residuals`` took the model, not its
-Gram matrix, in trees without ``RegressionModel.truth_gram``, and the
-partition rule of each estimator was ``harness._compatible`` in trees
-without ``estimators.accepts_partition``.
+with the fields that differ in it, then the number of such cases per field,
+so a key that moves in every case reads as one line.  It prints the line
+count of both trees' ``src/`` Python files, in total and per file, and
+exits 1 if any case differs.  Older trees run too: ``gram_residuals`` took
+the model, not its Gram matrix, in trees without
+``RegressionModel.truth_gram``, and the partition rule of each estimator
+was ``harness._compatible`` in trees without
+``estimators.accepts_partition``.
 
 Digests depend on the numpy and BLAS build, so they are compared between
 two trees on one machine, never against a stored value.  The BLAS thread
@@ -70,6 +72,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import hashlib
@@ -439,6 +442,9 @@ def compare(base: str) -> int:
     if differ:
         print(f"{len(differ)} of {len(after)} cases differ from {base}:")
         print("\n".join(f"  {name}: {', '.join(keys)}" for name, keys in differ))
+        counts = collections.Counter(key for _, keys in differ for key in keys)
+        print("cases that differ, by field:")
+        print("\n".join(f"  {key}: {count}" for key, count in sorted(counts.items())))
         return 1
     print(f"all {len(after)} cases equal to {base}")
     return 0
