@@ -412,7 +412,10 @@ class PreconditionRecord:
         )
 
     def recover(self, x_reduced: np.ndarray) -> np.ndarray:
-        """Map a solution of the reduced problem back to original coordinates."""
+        """Map a solution of the reduced problem back to original coordinates.
+        Works on a C-contiguous ``x_reduced``: with one pivot row BLAS rounds
+        ``pivot_a @ x_free`` by the memory layout."""
+        x_reduced = np.ascontiguousarray(x_reduced)
         k, n_free = self.partition.k, self.partition.n_free
         x_free = x_reduced[..., k - self.rank :, :]
         pivot_a = self.pivot_c12[..., :n_free]
@@ -558,13 +561,11 @@ def _pipeline(data: ObservedData) -> list[EstimateResult]:
     x_lower, ritz, gap, z_min, flags = _normalize_subspace(
         gram_eigen(r[..., k:, k:] @ basis), basis, p.n_free, p.ell
     )
-    x_reduced = x_lower
-    if k > 0:
-        eye = np.broadcast_to(np.eye(p.ell), x_lower.shape[:-2] + (p.ell, p.ell))
-        y = np.concatenate([-x_lower, eye], axis=-2)
-        x_top = solve_upper_triangular(r[..., :k, :k], r[..., :k, k:] @ y)
-        x_reduced = np.concatenate([x_top, x_lower], axis=-2)
-    x_hat = record.recover(x_reduced)
+    # The exact-column coefficients; with k = 0 a 0 x 0 solve.
+    eye = np.broadcast_to(np.eye(p.ell), x_lower.shape[:-2] + (p.ell, p.ell))
+    y = np.concatenate([-x_lower, eye], axis=-2)
+    x_top = solve_upper_triangular(r[..., :k, :k], r[..., :k, k:] @ y)
+    x_hat = record.recover(np.concatenate([x_top, x_lower], axis=-2))
     return slice_estimates(
         x_hat,
         np.maximum(0.0, np.mean(ritz, axis=-1)) / p.m,

@@ -342,6 +342,20 @@ def test_precondition_rank_deficient_corner_zeroes_upper_left():
     assert np.array_equal(reduced.c11, np.zeros((1, 2)))
 
 
+def test_recover_ignores_memory_layout():
+    """A rank-1 corner leaves one pivot row, whose product with the reduced
+    solution BLAS rounds by the solution's layout: C- and F-ordered copies
+    of one reduced solution recover to the same bits."""
+    _, data = make_instance(j=1, k=1, n=4, ell=2, m=20, sigma=0.3)
+    _, record = precondition_rowcol(build_blocks(data))
+    assert record.rank == 1 and record.reduced_partition.k == 0
+    g = np.random.default_rng(1)
+    for _ in range(10):
+        x = g.standard_normal((3, 2))
+        c, f = record.recover(np.ascontiguousarray(x)), record.recover(np.asfortranarray(x))
+        assert c.tobytes() == f.tobytes()
+
+
 # --- ctls_rows / ctls_rowcol ----------------------------------------------------------
 
 
