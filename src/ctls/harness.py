@@ -49,7 +49,6 @@ from .estimators import (
     ctls_columns,
     ctls_rowcol,
     ctls_rows,
-    fixed_sv,
     noisy_factor,
     per_slice,
     projection_estimator,
@@ -340,9 +339,9 @@ def gram_residuals(gram_bar: np.ndarray, sigma: float, data: ObservedData) -> di
     """Structural residuals comparing data Gram matrices with ground truth.
 
     Returns max-norm residuals for the shifted Gram matrix of the projection
-    pipeline and for the row-projected column-eliminated Gram matrix, plus
-    the smallest eigenvalue of ``C21.T @ C21 / m`` as a positive-definiteness
-    diagnostic (reported, never enforced).  The data side reads the stages
+    pipeline and for the row-projected column-eliminated Gram matrix (the
+    conditioning of ``C21.T @ C21`` is every estimate's
+    ``Diagnostics.c21_gram_condition``).  The data side reads the stages
     the estimators cache on ``data``, so no decomposition of it runs twice.
     The ground truth enters through its noise level ``sigma`` and the Gram
     matrix ``gram_bar = G`` of its rows ``j:`` (from
@@ -358,8 +357,7 @@ def gram_residuals(gram_bar: np.ndarray, sigma: float, data: ObservedData) -> di
 
 
 def _gram_residuals(gram_bar: np.ndarray, sigma: float, data: ObservedData) -> list[dict]:
-    p = data.partition
-    m, k = p.m, p.k
+    m = data.partition.m
 
     # Shifted-Gram residual (projection pipeline, mean shift).
     _, _, f_data = shifted_gram(data)
@@ -376,13 +374,10 @@ def _gram_residuals(gram_bar: np.ndarray, sigma: float, data: ObservedData) -> l
     lhs, rhs = lhs.swapaxes(-1, -2) @ lhs, rhs.swapaxes(-1, -2) @ rhs
     target = rhs / m + sigma**2 * np.eye(lhs.shape[-1])
     projected_resid = np.max(np.abs(lhs / m - target), axis=(-2, -1))
-
-    c21_eig = fixed_sv(data)[:, -1] ** 2 / m if k > 0 else None
     return [
         {
             "shifted_gram_residual": float(shifted_resid[s]),
             "projected_gram_residual": float(projected_resid[s]),
-            "c21_gram_smallest_eig": None if c21_eig is None else float(c21_eig[s]),
         }
         for s in range(len(gram_bar))
     ]
