@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from .errors import CtlsError
-from .estimators import tls_solve
-from .fileio import format_csv, read_matrices, write_matrix
+from .estimators import MU_RULES, tls_solve
+from .fileio import FORMATS, format_csv, read_matrices, write_matrix
 from .harness import SweepConfig, _run_estimator, run_sweep
 from .model import (
     DesignKind,
@@ -54,10 +54,10 @@ def _build_parser() -> _Parser:
     est.add_argument("--j", type=int, default=0, help="number of exact leading rows")
     est.add_argument("--k", type=int, default=0, help="number of exact leading columns")
     est.add_argument("--method", required=True, choices=METHODS)
-    est.add_argument("--mu", choices=("min", "mean", "max"), default="mean")
+    est.add_argument("--mu", choices=MU_RULES, default="mean")
     est.add_argument("--sigma-cov", help="noise covariance file (whitened before estimation)")
     est.add_argument("--out", help="write X to this file instead of stdout")
-    est.add_argument("--format", choices=("csv", "mtxjson"), default="csv")
+    est.add_argument("--format", choices=FORMATS, default="csv")
 
     sim = sub.add_parser("simulate", help="generate a synthetic instance")
     sim.add_argument("--n", type=int, required=True)
@@ -67,10 +67,8 @@ def _build_parser() -> _Parser:
     sim.add_argument("--m", type=int, required=True)
     sim.add_argument("--sigma", type=float, required=True)
     sim.add_argument("--seed", type=int, required=True)
-    sim.add_argument("--design", choices=("iid", "grid"), default="iid")
-    sim.add_argument(
-        "--noise", choices=("gauss", "uniform", "rademacher"), default="gauss"
-    )
+    sim.add_argument("--design", choices=[kind.value for kind in DesignKind], default="iid")
+    sim.add_argument("--noise", choices=[kind.value for kind in NoiseKind], default="gauss")
     sim.add_argument("--out-dir", required=True)
 
     swp = sub.add_parser("sweep", help="run a Monte-Carlo sweep from a JSON config")

@@ -74,7 +74,6 @@ from .errors import (
     RankDeficientUpperRowsError,
 )
 from .linalg import (
-    RANK_TOL,
     SymEigenResult,
     _flat_r,
     as_matrix,
@@ -362,10 +361,9 @@ def ctls_columns(data: ObservedData) -> EstimateResult:
         )
     p.require_overdetermined()
     sv = fixed_sv(data)
-    check_slices((sv[:, 0] == 0.0) | (sv[:, -1] <= RANK_TOL * sv[:, 0]),
-                 lambda i: RankDeficientFixedColumnsError(
-                     f"fixed columns have singular values {sv[i]}; full column rank required"
-                 ))
+    check_slices(rank_of(sv) != p.k, lambda i: RankDeficientFixedColumnsError(
+        f"fixed columns have singular values {sv[i]}; full column rank required"
+    ))
     return _pipeline(data)  # j = 0: ctls_rowcol's exact-row check has no rows
 
 
@@ -537,13 +535,18 @@ def ctls_rowcol(data: ObservedData) -> EstimateResult:
     LowerBlockSingularError
         Nongeneric instance (see :func:`tls_solve`).
     """
+    _check_rowcol(data)
+    return _pipeline(data)
+
+
+def _check_rowcol(data: ObservedData) -> None:
+    """The checks of :func:`ctls_rowcol`: ``m > n + ell`` and exact rows of
+    ``A`` that are independent on their own (``j < n``)."""
     p = data.partition
     p.require_overdetermined()
-    # j < n: the exact rows of A must be independent on their own.
     if p.j:
         check_slices(matrix_rank(data.exact_rows[0]) != p.j,
                      lambda i: _exact_rows_error(p.j, p.n - 1))
-    return _pipeline(data)
 
 
 def _pipeline(data: ObservedData) -> list[EstimateResult]:
@@ -579,10 +582,6 @@ def _pipeline(data: ObservedData) -> list[EstimateResult]:
     )
 
 
-#: ctls_rowcol's body, bound once, so a wrapper rebound over ``ctls_rowcol`` needs no ``.body``.
-_rowcol = ctls_rowcol.body
-
-
 @stacked
 def ctls_rows(data: ObservedData) -> EstimateResult:
     """Constrained TLS with exactly-known leading rows (k = 0, 0 < j < n).
@@ -593,7 +592,8 @@ def ctls_rows(data: ObservedData) -> EstimateResult:
     p = data.partition
     if not accepts_partition("ctls_rows", p.j, p.k, p.n):
         raise InvalidPartitionError(f"ctls_rows needs k=0 and j>0, got j={p.j}, k={p.k}")
-    return _rowcol(data)
+    _check_rowcol(data)
+    return _pipeline(data)
 
 
 @instance_stage

@@ -19,10 +19,13 @@ parses the spellings only ``float`` knows (``1_0``, non-ASCII digits).
 :func:`read_matrices` reads several files, as one ``ctls estimate`` does, in
 one pool call: the CSV files are laid end to end and the total is cut, so a
 small file shares the CPUs with a large one instead of parsing after it.
+:func:`read_matrix` is that reader on one file.
 
 The JSON container is ``{"rows": r, "cols": c, "data": [row-major floats]}``.
-Floats are written with 17 significant digits, so write-then-read
-round-trips exactly.  Files are UTF-8 text.
+A path ending in ``.json`` (any case) is read as the container, any other
+as CSV; :data:`FORMATS` names the two for :func:`write_matrix`.  Floats are
+written with 17 significant digits, so write-then-read round-trips exactly.
+Files are UTF-8 text.
 """
 
 from __future__ import annotations
@@ -181,12 +184,7 @@ def _read_csvs(paths: list[str]) -> Iterator[np.ndarray]:
             yield _scan_csv(_split_lines(_read_text(path)), path)
 
 
-def read_matrix_csv(path: str) -> np.ndarray:
-    """Read a headerless CSV matrix (grammar in the module docstring)."""
-    return next(_read_csvs([path]))
-
-
-def read_matrix_mtxjson(path: str) -> np.ndarray:
+def _read_mtxjson(path: str) -> np.ndarray:
     try:
         payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
@@ -216,23 +214,18 @@ def read_matrix_mtxjson(path: str) -> np.ndarray:
     return arr
 
 
-def read_matrix(path: str, fmt: str | None = None) -> np.ndarray:
-    """Read a matrix, inferring the format from the extension unless given."""
-    if fmt is None:
-        fmt = "mtxjson" if os.path.splitext(path)[1].lower() == ".json" else "csv"
-    if fmt == "csv":
-        return read_matrix_csv(path)
-    if fmt == "mtxjson":
-        return read_matrix_mtxjson(path)
-    raise MatrixFileError(f"unknown matrix format {fmt!r}")
+def read_matrix(path: str) -> np.ndarray:
+    """Read one matrix file (see :func:`read_matrices`)."""
+    return read_matrices([path])[0]
 
 
 def read_matrices(paths: list[str]) -> list[np.ndarray]:
-    """:func:`read_matrix` of each path, with every CSV among them parsed in
-    one pool call; the first bad file raises first."""
+    """The matrix of each path: a ``.json`` file (any case) is the JSON
+    container, any other file CSV.  Every CSV among them is parsed in one
+    pool call; the first bad file raises first."""
     json_at = [os.path.splitext(path)[1].lower() == ".json" for path in paths]
     csvs = _read_csvs([path for path, is_json in zip(paths, json_at) if not is_json])
-    return [read_matrix_mtxjson(path) if is_json else next(csvs)
+    return [_read_mtxjson(path) if is_json else next(csvs)
             for path, is_json in zip(paths, json_at)]
 
 

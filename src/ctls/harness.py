@@ -108,8 +108,6 @@ ESTIMATORS = {
     "projection": projection_estimator,
 }
 
-ESTIMATOR_NAMES = tuple(ESTIMATORS)
-
 #: The estimators that read ``data.r_all``, the factor of all rows.
 ALL_ROWS = ("naive_ls", "tls")
 
@@ -168,9 +166,11 @@ class SweepConfig:
             raise IncompatibleConfigError("sigma must be nonnegative")
         if not self.estimators:
             raise IncompatibleConfigError("at least one estimator is required")
-        for name in self.estimators:
-            if name not in ESTIMATOR_NAMES:
+        for i, name in enumerate(self.estimators):
+            if not isinstance(name, str) or name not in ESTIMATORS:
                 raise IncompatibleConfigError(f"unknown estimator {name!r}")
+            if name in self.estimators[:i]:
+                raise IncompatibleConfigError(f"estimator {name!r} is listed twice")
             if not accepts_partition(name, self.j, self.k, self.n):
                 raise IncompatibleConfigError(
                     f"estimator {name!r} is incompatible with partition "

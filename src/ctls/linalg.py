@@ -61,7 +61,7 @@ from .errors import (
 #: Magnitude below which an entry does not qualify as the sign-fixing pivot.
 SIGN_TOL = 1e-12
 
-#: Default relative tolerance for rank decisions (singular values below
+#: Relative tolerance for rank decisions (singular values at or below
 #: ``RANK_TOL * sigma_max`` count as zero).
 RANK_TOL = 1e-10
 
@@ -433,25 +433,25 @@ def singular_values(m) -> np.ndarray:
     return _lapack(np.linalg.svd, as_matrix(m, "M", stack=True), compute_uv=False)
 
 
-def rank_of(sv: np.ndarray, rank_tol: float = RANK_TOL):
+def rank_of(sv: np.ndarray):
     """The number of singular values in ``sv`` (nonincreasing, last axis)
-    above ``rank_tol * sigma_max``."""
-    return (sv > rank_tol * sv[..., :1]).sum(axis=-1)
+    above ``RANK_TOL * sigma_max``."""
+    return (sv > RANK_TOL * sv[..., :1]).sum(axis=-1)
 
 
-def matrix_rank(m, rank_tol: float = RANK_TOL):
-    """Rank by counting singular values above ``rank_tol * sigma_max``
+def matrix_rank(m):
+    """Rank by counting singular values above ``RANK_TOL * sigma_max``
     (an int, or an integer array for a stack)."""
-    rank = rank_of(singular_values(m), rank_tol)
+    rank = rank_of(singular_values(m))
     return rank if rank.ndim else int(rank)
 
 
-def null_space_basis(m, rank_tol: float = RANK_TOL) -> np.ndarray:
+def null_space_basis(m) -> np.ndarray:
     """Orthonormal basis of the null space of ``m``.
 
     Returned as a cols x (cols - rank) matrix ``P`` with ``P.T @ P = I`` and
     ``m @ P = 0`` up to roundoff; the basis vectors are the right singular
-    vectors paired with singular values at or below ``rank_tol * sigma_max``.
+    vectors paired with singular values at or below ``RANK_TOL * sigma_max``.
 
     Raises
     ------
@@ -460,11 +460,9 @@ def null_space_basis(m, rank_tol: float = RANK_TOL) -> np.ndarray:
     CtlsError
         On a stack whose slices differ in rank.
     """
-    if rank_tol <= 0.0:
-        raise ValueError("rank_tol must be positive")
     a = as_matrix(m, "M", stack=True)
     _, sv, vt = _lapack(np.linalg.svd, a)
-    rank = same_rank(rank_of(sv, rank_tol))
+    rank = same_rank(rank_of(sv))
     if rank == a.shape[-1]:
         raise FullRankError(f"matrix of shape {a.shape} has an empty null space")
     basis = vt[..., rank:, :].swapaxes(-1, -2)

@@ -11,7 +11,7 @@ import pytest
 import ctls.cli as cli
 from ctls import fileio
 from ctls.errors import MatrixFileError
-from ctls.fileio import read_matrix, read_matrix_csv, write_matrix
+from ctls.fileio import read_matrix, write_matrix
 from ctls.harness import ConvergenceTrace
 from ctls.linalg import CHUNK_ROWS
 
@@ -47,7 +47,7 @@ def test_csv_parse_error_carries_position(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\n3.0,oops\n")
     with pytest.raises(MatrixFileError) as exc:
-        read_matrix_csv(str(path))
+        read_matrix(str(path))
     assert f"{path}:2:2" in str(exc.value)
 
 
@@ -55,7 +55,7 @@ def test_csv_ragged_row_rejected(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("1.0,2.0\n3.0\n")
     with pytest.raises(MatrixFileError):
-        read_matrix_csv(str(path))
+        read_matrix(str(path))
 
 
 def test_mtxjson_shape_mismatch(tmp_path):

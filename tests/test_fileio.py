@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 from ctls import cli, fileio, harness
 from ctls.errors import MatrixFileError
-from ctls.fileio import read_matrix, read_matrix_csv, write_matrix
+from ctls.fileio import read_matrix, write_matrix
 
 from conftest import assert_reaped, read_pins, set_cpus
 
@@ -89,7 +89,7 @@ def outcome(read, path):
 
 def assert_reader_matches_scanner(path: Path):
     """Equal values bit for bit, or equal error type and message."""
-    got = outcome(read_matrix_csv, str(path))
+    got = outcome(read_matrix, str(path))
     want = outcome(scanner_reference, path)
     if isinstance(want, MatrixFileError):
         assert type(got) is type(want)
@@ -155,7 +155,7 @@ def test_csv_scanner_not_run_on_well_formed_file(tmp_path, monkeypatch):
         raise AssertionError("scanner ran on a well-formed file")
 
     monkeypatch.setattr(fileio, "_scan_csv", fail)
-    assert read_matrix_csv(str(path)).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert read_matrix(str(path)).tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".json"])
@@ -229,7 +229,7 @@ def test_split_reader_error_in_second_span(tmp_path, cpus, name):
         else:
             assert spans[1][1] <= bad < spans[1][2]
     with pytest.raises(MatrixFileError) as exc:
-        read_matrix_csv(str(path))
+        read_matrix(str(path))
     if name == "not_utf8":
         with pytest.raises(UnicodeDecodeError) as decode:
             data.decode("utf-8")
@@ -261,7 +261,7 @@ def test_split_reader_falls_back_when_a_span_raises(tmp_path, monkeypatch, where
     monkeypatch.setattr(fileio, "_scan_csv", scan)
     path = tmp_path / "m.csv"
     path.write_bytes(ENDING_FILES["lf"])
-    got = read_matrix_csv(str(path))
+    got = read_matrix(str(path))
     assert scans == [str(path)]
     assert got.tobytes() == scanner_reference(path).tobytes()
 
@@ -283,7 +283,7 @@ def test_split_reader_forks_one_worker_per_cpu_above_threshold(
     monkeypatch.setattr(fileio, "MIN_SPAN_BYTES", 64)
     path = tmp_path / "m.csv"
     path.write_bytes(b"1.5,2.5\n" * int(spans * 64 / 8))
-    assert read_matrix_csv(str(path)).tolist() == [[1.5, 2.5]] * int(spans * 64 / 8)
+    assert read_matrix(str(path)).tolist() == [[1.5, 2.5]] * int(spans * 64 / 8)
     assert len(forked) == forks
     assert_reaped(forked)
     mine, pinned = read_pins(pins)
@@ -304,7 +304,7 @@ def test_no_fork_while_another_thread_runs(tmp_path, monkeypatch):
     thread = threading.Thread(target=release.wait, args=(60,))
     thread.start()
     try:
-        got = read_matrix_csv(str(path))
+        got = read_matrix(str(path))
         trace = harness.run_sweep(harness.SweepConfig(
             n=3, ell=1, j=1, k=1, m_values=(30, 60), trials=2, sigma=0.1,
             estimators=("tls",), base_seed=5))
@@ -335,7 +335,7 @@ def read_each_alone(paths: list[Path]) -> list:
     or the first error, after checking the reader against the scanner."""
     for path in paths:
         assert_reader_matches_scanner(path)
-    return outcome(lambda names: [read_matrix_csv(name) for name in names],
+    return outcome(lambda names: [read_matrix(name) for name in names],
                    [str(path) for path in paths])
 
 
@@ -414,7 +414,7 @@ def test_joint_reader_reads_json_in_its_place(tmp_path, cpus):
     b.write_bytes(b"1.5\n2.5\n3.5\n")
     cov.write_bytes(b"2\n")
     got = fileio.read_matrices([str(a), str(b), str(cov)])
-    want = [read_matrix(str(a)), read_matrix_csv(str(b)), read_matrix_csv(str(cov))]
+    want = [read_matrix(str(a)), read_matrix(str(b)), read_matrix(str(cov))]
     assert_same_outcome(got, want)
     a.write_text('{"rows": 1}')
     with pytest.raises(MatrixFileError, match="missing key 'cols'"):

@@ -49,6 +49,15 @@ def test_config_rejects_unsorted_m():
 def test_config_rejects_unknown_estimator():
     with pytest.raises(IncompatibleConfigError):
         small_config(estimators=("ridge",))
+    with pytest.raises(IncompatibleConfigError):
+        small_config(estimators=(["tls"],))
+
+
+def test_config_rejects_a_repeated_estimator():
+    """A name listed twice would run twice on every instance and count each
+    trial twice in its cell."""
+    with pytest.raises(IncompatibleConfigError, match="'tls' is listed twice"):
+        small_config(estimators=("tls", "projection", "tls"), trials=2)
 
 
 def test_config_rejects_incompatible_partition():
@@ -628,7 +637,7 @@ def test_sweep_trace_matches_row_path(monkeypatch, j, k, noise):
     themselves they drift more as they shrink with m."""
     cfg = SweepConfig.from_dict(dict(
         n=4, ell=2, j=j, k=k, m_values=[20, 700, CHUNK_ROWS + 300], trials=2, sigma=0.2,
-        estimators=[name for name in harness.ESTIMATOR_NAMES
+        estimators=[name for name in harness.ESTIMATORS
                     if estimators.accepts_partition(name, j, k, 4)],
         base_seed=31, design="iid", noise=noise,
     ))

@@ -227,10 +227,10 @@ def test_flagged_estimates_warn_at_their_caller():
 
 
 def test_a_wrapped_estimator_adds_no_warning(monkeypatch):
-    """``ctls_rows`` runs ``ctls_rowcol``'s body, so a ``functools.wraps``
-    pass-through around ``ctls_rowcol`` (as perfbench's tracer installs)
-    nests no second per-slice run: a flagged estimate warns once, at the
-    caller."""
+    """``ctls_rows`` runs ``ctls_rowcol``'s checks and pipeline, not
+    ``ctls_rowcol``, so a ``functools.wraps`` pass-through around
+    ``ctls_rowcol`` (as perfbench's tracer installs) nests no second
+    per-slice run: a flagged estimate warns once, at the caller."""
     real = estimators.ctls_rowcol
 
     @functools.wraps(real)
