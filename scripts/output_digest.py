@@ -52,12 +52,15 @@ directory with ``git show``, runs this script on them and on the working tree
 (uncommitted changes included) and names every case whose digest differs,
 with the fields that differ in it, then the number of such cases per field,
 so a key that moves in every case reads as one line.  It prints the line
-count of both trees' ``src/`` Python files, in total and per file, and
-exits 1 if any case differs.  Older trees run too: ``gram_residuals`` took
-the model, not its Gram matrix, in trees without
-``RegressionModel.truth_gram``, and the partition rule of each estimator
-was ``harness._compatible`` in trees without
-``estimators.accepts_partition``.
+count of both trees' ``src/`` Python files, in total and per file, and their
+settable values: the CLI flags (``add_argument`` calls) and the parameters
+with a default of the functions in ``src/``.  It exits 1 if any case
+differs.  Older trees run too: ``gram_residuals`` took the model, not its
+Gram matrix, in trees without ``RegressionModel.truth_gram``, the partition
+rule of each estimator was ``harness._compatible`` in trees without
+``estimators.accepts_partition``, and ``ObservedData.stacked`` took the
+exact rows as two arrays, ``A1`` and ``B1``, in trees whose ``exact_rows``
+is the pair ``(A1, B1)``.
 
 Digests depend on the numpy and BLAS build, so they are compared between
 two trees on one machine, never against a stored value.  The BLAS thread
@@ -72,6 +75,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import ast
 import collections
 import contextlib
 import dataclasses
@@ -296,9 +300,12 @@ def case_digests() -> list[tuple[str, str]]:
         names = ["healthy", *failures]
         names = [name for pair in zip(names, ["healthy"] * len(names)) for name in pair]
         datas, grams = zip(*(mutated(j, k, name, seed) for seed, name in enumerate(names)))
-        parts = [(*d.exact_rows, d.r_noisy, d.r_all) for d in datas]
-        exact_a, exact_b, r_noisy, r_all = (np.stack(x) for x in zip(*parts))
-        stack = ObservedData.stacked(exact_a, exact_b, datas[0].partition, r_noisy, r_all)
+        if isinstance(datas[0].exact_rows, tuple):  # a tree with exact rows (A1, B1)
+            exact = [np.stack(x) for x in zip(*(d.exact_rows for d in datas))]
+        else:
+            exact = [np.stack([d.exact_rows for d in datas])]
+        r_noisy, r_all = np.stack([d.r_noisy for d in datas]), np.stack([d.r_all for d in datas])
+        stack = ObservedData.stacked(*exact, datas[0].partition, r_noisy, r_all)
         runs = {name: fn for name, fn in harness.ESTIMATORS.items()
                 if name != "projection" and accepts(name, j, k, N)}
         for rule in est.MU_RULES:
@@ -416,6 +423,23 @@ def src_lines(src: str) -> dict[str, int]:
     return counts
 
 
+def settable_values(src: str) -> tuple[int, int]:
+    """The CLI flags (``add_argument`` calls) and the parameters with a
+    default of the functions in the Python files under ``src``."""
+    flags = defaults = 0
+    for path in src_lines(src):
+        with open(os.path.join(src, path), "rb") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defaults += len(node.args.defaults)
+                defaults += sum(d is not None for d in node.args.kw_defaults)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "add_argument"):
+                flags += 1
+    return flags, defaults
+
+
 def compare(base: str) -> int:
     root = git(HERE, "rev-parse", "--show-toplevel").decode().strip()
     with tempfile.TemporaryDirectory(prefix="output-digest-") as tmp:
@@ -425,6 +449,7 @@ def compare(base: str) -> int:
                 fh.write(git(root, "show", f"{base}:{path}"))
         before = run_on(os.path.join(tmp, "src"))
         lines_before = src_lines(os.path.join(tmp, "src"))
+        settable_before = settable_values(os.path.join(tmp, "src"))
     after = run_on(os.path.join(root, "src"))
     lines_after = src_lines(os.path.join(root, "src"))
     print(f"src/ lines: {sum(lines_before.values())} at {base}, "
@@ -432,6 +457,9 @@ def compare(base: str) -> int:
     for path in sorted(lines_before.keys() | lines_after.keys()):
         old, new = lines_before.get(path, 0), lines_after.get(path, 0)
         print(f"  {path}: {old} -> {new} ({new - old:+d})")
+    for name, old, new in zip(("CLI flags", "defaulted parameters"), settable_before,
+                              settable_values(os.path.join(root, "src"))):
+        print(f"src/ {name}: {old} -> {new} ({new - old:+d})")
     if [case[0] for case in before] != [case[0] for case in after]:
         print("the two trees produce different case lists")
         return 1
