@@ -5,11 +5,12 @@
   level of TSQR), giving a square ``R`` with ``R.T @ R = C.T @ C``.  The
   estimators see their O(m) data only through such factors.
   ``tall_r_chunks`` runs the first level ``CHUNK_ROWS`` rows at a time
-  over a chunk source, which ``tall_r_pair`` feeds from the column blocks
-  of ``C`` and ``ctls.model`` from its generators (a chunk of one instance
-  or a group of whole ones), and shares it between the factors of all rows
-  and of the rows below an offset; a sweep's large sampling pass hands each
-  chunk's block QRs to a helper thread (``ctls.parallel.beside``).
+  over a chunk source, which ``tall_r`` feeds from ``C`` and ``ctls.model``
+  from the column blocks ``(A, B)`` of an instance or from its generators
+  (a chunk of one instance or a group of whole ones), and shares it between
+  the factors of all rows and of the rows below an offset; a sweep's large
+  sampling pass hands each chunk's block QRs to a helper thread
+  (``ctls.parallel.beside``).
 * ``gram_eigen`` takes the eigenpairs of ``R.T @ R`` from the SVD of ``R``.
   Forming the Gram matrix first would square the condition number and lose
   the relative accuracy of the small eigenvalues that the TLS solutions are
@@ -190,9 +191,11 @@ def tall_r(c) -> np.ndarray:
     the leftover rows once more; one flat QR of a 1e5 x 12 matrix took
     about twice as long (OpenBLAS 0.3.31, one thread, 2-CPU x86-64 VM).
     Row signs are LAPACK's.  With fewer rows than columns the trapezoidal
-    factor is padded with zero rows.  The result is read-only.
+    factor is padded with zero rows.  The result is read-only.  Raises as
+    :func:`as_matrix` does.
     """
-    return tall_r_pair([c], 0).r_all
+    c = as_matrix(c, "C")
+    return tall_r_chunks(lambda lo, hi: c[lo:hi], *c.shape, 0).r_all
 
 
 @dataclass(frozen=True)
@@ -241,24 +244,6 @@ class TallRPair:
 def _read_only(r: np.ndarray) -> np.ndarray:
     r.flags.writeable = False
     return r
-
-
-def tall_r_pair(blocks, j: int) -> TallRPair:
-    """:func:`tall_r_chunks` of ``C = np.hstack(blocks)``, fed from its column
-    blocks (for example ``(A, B)``) one chunk at a time, so the pass copies
-    no more of ``C`` than a chunk (except where ``C`` is factored flat).
-
-    Raises ShapeError if a block is not 2-D, the blocks differ in rows, ``C``
-    has a zero dimension or ``j`` is not in ``[0, rows)``, and NonFiniteError
-    if any entry is NaN or infinite.
-    """
-    parts = [np.asarray(x, dtype=float) for x in blocks]
-    if any(x.ndim != 2 for x in parts) or len({x.shape[0] for x in parts}) != 1:
-        raise ShapeError(
-            f"column blocks of C must be 2-D with equal rows, got {[x.shape for x in parts]}"
-        )
-    rows, cols = parts[0].shape[0], sum(x.shape[1] for x in parts)
-    return tall_r_chunks(lambda lo, hi: np.hstack([x[lo:hi] for x in parts]), rows, cols, j)
 
 
 def _full_blocks(rows: int, cols: int) -> int:

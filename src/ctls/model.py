@@ -38,7 +38,6 @@ from .linalg import (
     solve_lower_triangular,
     solve_upper_triangular,
     tall_r_chunks,
-    tall_r_pair,
 )
 
 
@@ -134,8 +133,10 @@ class ObservedData:
     and ``r_noisy`` (rows ``j:``), plus the block structure.
 
     ``ObservedData(a=, b=, partition=)`` holds the rows; the first read of a
-    factor runs the one O(m) pass, :func:`~ctls.linalg.tall_r_pair` over the
-    column blocks ``(a, b)``.  Do not modify ``a`` or ``b`` after that.
+    factor runs the one O(m) pass, :func:`~ctls.linalg.tall_r_chunks` over
+    chunks of ``[a | b]`` built from the column blocks ``(a, b)``, so the pass
+    copies no more of the rows than a chunk (except where they are factored
+    flat).  Do not modify ``a`` or ``b`` after that.
     Each factor's small second level runs on its own first read, so a
     caller that reads only ``r_noisy`` never factors all rows.  Both are
     cached read-only.  ``r_all`` is bit-identical to
@@ -213,7 +214,8 @@ class ObservedData:
 
     @cached_property
     def _pair(self) -> TallRPair:
-        return tall_r_pair(self.rows, self.partition.j)
+        (a, b), p = self.rows, self.partition
+        return tall_r_chunks(lambda lo, hi: np.hstack([a[lo:hi], b[lo:hi]]), p.m, p.n + p.ell, p.j)
 
     @cached_property
     def r_all(self) -> np.ndarray:

@@ -40,7 +40,7 @@ from ctls.linalg import (
     svd,
     sym_eigen,
     tall_r,
-    tall_r_pair,
+    tall_r_chunks,
 )
 
 from conftest import seeded_symmetric
@@ -416,10 +416,21 @@ def test_tall_r_rejects_non_finite():
         tall_r(c)
 
 
+def chunked_pair(c, j):
+    """:func:`tall_r_chunks` of the rows of ``c``."""
+    return tall_r_chunks(lambda lo, hi: c[lo:hi], *c.shape, j)
+
+
+@pytest.mark.parametrize("shape", [(600,), (2, 600, 3), (0, 3)])
+def test_tall_r_rejects_non_matrix(shape):
+    with pytest.raises(ShapeError):
+        tall_r(np.ones(shape))
+
+
 @pytest.mark.parametrize("j", [0, 1, 255, 256, 300, 799])
-def test_tall_r_pair_offsets(j):
+def test_tall_r_chunks_offsets(j):
     c = np.random.default_rng(42).standard_normal((800, 4))
-    pair = tall_r_pair((c[:, :1], c[:, 1:]), j)
+    pair = chunked_pair(c, j)
     r_all, r_low = pair.r_all, pair.r_low
     assert np.array_equal(r_all, tall_r(c))
     assert (r_low is r_all) == (j == 0)
@@ -427,18 +438,18 @@ def test_tall_r_pair_offsets(j):
     assert np.allclose(r_low.T @ r_low, c[j:].T @ c[j:], rtol=1e-12, atol=1e-10)
     # Read in the other order, r_low factors its head in place of rows of
     # the stack and restores them for r_all.
-    low_first = tall_r_pair((c[:, :1], c[:, 1:]), j)
+    low_first = chunked_pair(c, j)
     stack = low_first.stack.copy()
     assert np.array_equal(low_first.r_low, r_low)
     assert np.array_equal(low_first.stack, stack)
     assert np.array_equal(low_first.r_all, r_all)
 
 
-def test_tall_r_pair_low_factor_does_not_copy_the_stack():
+def test_tall_r_chunks_low_factor_does_not_copy_the_stack():
     """Read first, r_low allocates only the QR's own working copy of the
     stack (numpy's qr copies its input), not a stacked copy besides."""
     c = np.random.default_rng(44).standard_normal((200_000, 12))
-    pair = tall_r_pair((c[:, :10], c[:, 10:]), 2)
+    pair = chunked_pair(c, 2)
     tracemalloc.start()
     try:
         pair.r_low
@@ -449,16 +460,9 @@ def test_tall_r_pair_low_factor_does_not_copy_the_stack():
 
 
 @pytest.mark.parametrize("j", [-1, 800])
-def test_tall_r_pair_rejects_offset_outside_rows(j):
+def test_tall_r_chunks_rejects_offset_outside_rows(j):
     with pytest.raises(ShapeError):
-        tall_r_pair((np.ones((800, 3)), np.ones((800, 1))), j)
-
-
-@pytest.mark.parametrize("blocks", [(np.ones((800, 3)), np.ones((799, 1))),
-                                    (np.ones((800, 3)), np.ones(800))])
-def test_tall_r_pair_rejects_mismatched_blocks(blocks):
-    with pytest.raises(ShapeError):
-        tall_r_pair(blocks, 0)
+        chunked_pair(np.ones((800, 4)), j)
 
 
 def test_gram_eigen_keeps_small_eigenvalues():

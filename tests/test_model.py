@@ -203,7 +203,8 @@ def test_observed_data_rejects_partition_with_other_m():
         ObservedData(a=a, b=b, partition=PartitionSpec(j=0, k=0, n=2, ell=1, m=50))
 
 
-@pytest.mark.parametrize("a_shape,b_shape", [((20, 3), (20, 2)), ((20, 2), (20, 1)), ((20,), (20, 1))])
+@pytest.mark.parametrize("a_shape,b_shape", [((20, 3), (20, 2)), ((20, 2), (20, 1)), ((20,), (20, 1)),
+                                             ((20, 3), (20,))])
 def test_observed_data_rejects_columns_other_than_partition(a_shape, b_shape):
     with pytest.raises(ShapeError):
         ObservedData(a=np.ones(a_shape), b=np.ones(b_shape),
