@@ -206,7 +206,7 @@ class TallRPair:
     ``stack`` holds the triangles of the ``BLOCK_ROWS``-row blocks followed
     by the leftover rows (below two full blocks, or with ``BLOCK_ROWS`` or
     more columns, ``C`` itself).  The rows ``j:`` stack as the triangle of
-    ``head`` (the part of a block below row ``j``, or None) on top of
+    ``head`` (the rows ``j:`` of the first block, or None) on top of
     ``stack[skip:]``; ``r_low`` writes that triangle into the rows just
     above ``skip`` for its QR rather than copy the stack, then restores
     them.  With a leading axis on ``stack`` and ``head``, the pair is a
@@ -283,37 +283,33 @@ def tall_r_chunks(chunk_of, rows: int, cols: int, j: int, run=_at_once,
     chunk is in cache), awaited once the next chunk's is handed over, so at
     most two chunks are held.  The per-block QRs are independent, so the
     triangles depend neither on the chunking nor on where they ran.
-    ``r_low`` stacks the same triangles with those above row ``j`` replaced
-    by the triangle of the block rows from ``j`` on (TSQR, Demmel, Grigori,
-    Hoemmen & Langou 2012), so it equals ``tall_r(C[j:])`` up to roundoff
-    and row signs.  Raises ShapeError if ``C`` has a zero dimension or ``j``
-    is not in ``[0, rows)``, NonFiniteError on a NaN or infinite entry.
+    ``r_low`` stacks the same triangles with the first block's replaced by
+    the triangle of its rows from ``j`` on (TSQR, Demmel, Grigori, Hoemmen &
+    Langou 2012), so it equals ``tall_r(C[j:])`` up to roundoff and row
+    signs.  Raises ShapeError unless ``j`` is in ``[0, min(rows, cols))``,
+    as a partition's ``j < n`` is, NonFiniteError on a NaN or infinite
+    entry.
     """
-    if not 0 <= j < rows:
-        raise ShapeError(f"row offset j={j} is outside [0, {rows})")
+    if not 0 <= j < min(rows, cols):
+        raise ShapeError(f"row offset j={j} is outside [0, {min(rows, cols)})")
     if not (full := _full_blocks(rows, cols)):
         return TallRPair(stack=as_matrix(chunk_of(0, rows), "C", stack=True), skip=j, head=None)
     # Held to the end, so allocated before the chunks come and go: placed
     # after the first chunk, it let the heap shrink and refault mid-pass.
     stack = np.empty(lead + (first_level_rows(rows, cols), cols))
-    block, offset = divmod(j, BLOCK_ROWS)
     head, jobs = None, []
     for lo, end in chunk_bounds(rows, cols):
         hi = min(end, full * BLOCK_ROWS)
         chunk = as_matrix(chunk_of(lo, end), "C", stack=True)
         jobs.append(run(_block_triangles, chunk[..., : hi - lo, :],
                         stack[..., lo // BLOCK_ROWS * cols : hi // BLOCK_ROWS * cols, :]))
-        if offset and lo <= j < hi:
-            head = chunk[..., j - lo : (block + 1) * BLOCK_ROWS - lo, :].copy()
+        if j and not lo:  # j < cols < BLOCK_ROWS: row j is in the first block
+            head = chunk[..., j:BLOCK_ROWS, :].copy()
         if len(jobs) == 2:  # at most two chunks in flight
             jobs.pop(0)()
     stack[..., full * cols :, :] = chunk[..., hi - lo :, :]
     jobs.pop()()
-    if block >= full:
-        skip = full * cols + j - full * BLOCK_ROWS
-    else:
-        skip = (block + (head is not None)) * cols
-    return TallRPair(stack=stack, skip=skip, head=head)
+    return TallRPair(stack=stack, skip=cols if j else 0, head=head)
 
 
 def first_level_rows(rows: int, cols: int) -> int:

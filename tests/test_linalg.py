@@ -427,7 +427,7 @@ def test_tall_r_rejects_non_matrix(shape):
         tall_r(np.ones(shape))
 
 
-@pytest.mark.parametrize("j", [0, 1, 255, 256, 300, 799])
+@pytest.mark.parametrize("j", [0, 1, 3])
 def test_tall_r_chunks_offsets(j):
     c = np.random.default_rng(42).standard_normal((800, 4))
     pair = chunked_pair(c, j)
@@ -459,8 +459,8 @@ def test_tall_r_chunks_low_factor_does_not_copy_the_stack():
     assert peak < 1.5 * pair.stack.nbytes
 
 
-@pytest.mark.parametrize("j", [-1, 800])
-def test_tall_r_chunks_rejects_offset_outside_rows(j):
+@pytest.mark.parametrize("j", [-1, 4, 800])
+def test_tall_r_chunks_rejects_offset_outside_rows_and_columns(j):
     with pytest.raises(ShapeError):
         chunked_pair(np.ones((800, 4)), j)
 
