@@ -290,7 +290,7 @@ def observe(
         rng = np.random.default_rng(seed)
         for lo in range(p.j, p.m, CHUNK_ROWS):
             hi = min(lo + CHUNK_ROWS, p.m)
-            _add_noise(_draw_noise(rng, noise, model.sigma, (hi - lo, p.noisy_cols)),
+            _add_noise(_draw_noises([rng], noise, model.sigma, (hi - lo, p.noisy_cols))[0],
                        a[lo:hi, p.k :], b[lo:hi])
     return ObservedData(a=a, b=b, partition=p)
 
@@ -392,32 +392,23 @@ def sample_stack(
     return x_true, ObservedData.stacked(exact_a, exact_b, p, r_noisy, r_all), grams
 
 
-def _draw_noise(rng, noise: NoiseKind, sigma: float, shape: tuple[int, int],
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Noise entries with mean 0 and variance ``sigma^2``, drawn row by row,
-    into ``out`` where given."""
-    if noise is NoiseKind.GAUSS:
-        e = rng.standard_normal(shape, out=out)
-        e *= sigma
-    elif noise is NoiseKind.UNIFORM:
-        half = sigma * np.sqrt(3.0)
-        e = rng.uniform(-half, half, size=shape)
-        if out is not None:
-            out[...], e = e, out
-    elif noise is NoiseKind.RADEMACHER:
-        e = np.multiply(2.0, rng.integers(0, 2, size=shape), out=out)
-        e -= 1.0
-        e *= sigma
-    else:
-        raise InvalidPartitionError(f"unknown noise kind: {noise!r}")
-    return e
-
-
 def _draw_noises(rngs, noise: NoiseKind, sigma: float, shape: tuple[int, int]) -> np.ndarray:
-    """A stack of noise arrays of ``shape``, slice ``s`` drawn with ``rngs[s]``."""
+    """A stack of noise arrays of ``shape`` with mean 0 and variance
+    ``sigma^2``, slice ``s`` drawn row by row with ``rngs[s]``."""
     out = np.empty((len(rngs),) + shape)  # allocated where the draw runs
     for rng, e in zip(rngs, out):
-        _draw_noise(rng, noise, sigma, shape, e)
+        if noise is NoiseKind.GAUSS:
+            rng.standard_normal(shape, out=e)
+            e *= sigma
+        elif noise is NoiseKind.UNIFORM:
+            half = sigma * np.sqrt(3.0)
+            e[...] = rng.uniform(-half, half, size=shape)
+        elif noise is NoiseKind.RADEMACHER:
+            np.multiply(2.0, rng.integers(0, 2, size=shape), out=e)
+            e -= 1.0
+            e *= sigma
+        else:
+            raise InvalidPartitionError(f"unknown noise kind: {noise!r}")
     return out
 
 
