@@ -232,15 +232,13 @@ def split_blocks(data: ObservedData, noisy: np.ndarray) -> CBlocks:
     ``noisy`` is the noisy rows themselves or any matrix with the same Gram
     matrix, such as their R factor.
     """
-    p = data.partition
-    k = p.k
-    a1, b1 = data.exact_rows
+    k = data.partition.k
     return CBlocks(
-        c11=a1[..., :k].copy(),
-        c12=np.concatenate([a1[..., k:], b1], axis=-1),
+        c11=data.exact_rows[..., :k].copy(),
+        c12=data.exact_rows[..., k:],
         c21=noisy[..., :k],
         c22=noisy[..., k:],
-        partition=p,
+        partition=data.partition,
     )
 
 
@@ -305,7 +303,7 @@ def tls_from_data(data: ObservedData) -> EstimateResult:
     :func:`ctls.harness.naive_ls`; see :func:`tls_solve`.
     """
     p = data.partition
-    return _pipeline(ObservedData.stacked(*(x[:, :0] for x in data.exact_rows),
+    return _pipeline(ObservedData.stacked(data.exact_rows[:, :0],
                                           PartitionSpec(0, 0, p.n, p.ell, p.m), data.r_all))
 
 
@@ -481,13 +479,15 @@ def _exact_rows_error(j: int, max_rows: int) -> RankDeficientUpperRowsError:
 
 def _constraint_residual(data: ObservedData, x_hat: np.ndarray) -> np.ndarray | None:
     """``|A1 @ x_hat - B1|_F`` per slice over the exact rows; None without
-    exact rows.  The product takes a C-contiguous ``x_hat``: with one exact
-    row BLAS rounds it by the memory layout.  The sum of squares is a dot
-    product of the flat residual, as ``np.linalg.norm`` takes it."""
-    a1, b1 = data.exact_rows
-    if not a1.shape[-2]:
+    exact rows.  The product takes C-contiguous copies of ``A1`` and
+    ``x_hat``: with one exact row BLAS rounds it by the memory layout.  The
+    sum of squares is a dot product of the flat residual, as
+    ``np.linalg.norm`` takes it."""
+    rows, n = data.exact_rows, data.partition.n
+    if not rows.shape[-2]:
         return None
-    flat = (a1 @ np.ascontiguousarray(x_hat) - b1).reshape(len(a1), 1, -1)
+    a1 = rows[..., :n].copy()
+    flat = (a1 @ np.ascontiguousarray(x_hat) - rows[..., n:]).reshape(len(rows), 1, -1)
     return np.sqrt(flat @ flat.swapaxes(-1, -2))[:, 0, 0]
 
 
@@ -545,7 +545,7 @@ def _check_rowcol(data: ObservedData) -> None:
     p = data.partition
     p.require_overdetermined()
     if p.j:
-        check_slices(matrix_rank(data.exact_rows[0]) != p.j,
+        check_slices(matrix_rank(data.exact_rows[..., : p.n]) != p.j,
                      lambda i: _exact_rows_error(p.j, p.n - 1))
 
 
@@ -656,7 +656,7 @@ def projection_estimator(data: ObservedData, mu_rule: str = "mean") -> EstimateR
     m, n, ell, k = p.m, p.n, p.ell, p.k
 
     # j < n, so the exact rows never fill the n + ell columns.
-    basis = _exact_row_basis(np.concatenate(data.exact_rows, axis=-1), n - 1)
+    basis = _exact_row_basis(data.exact_rows, n - 1)
     cond21 = gram_condition(data.r_noisy[..., :k, :k], fixed_sv(data)) if k > 0 else None
     g_eigs, mu, f = shifted_gram(data, mu_rule)
     x_hat, ritz, gap, z_min, flags = _normalize_subspace(

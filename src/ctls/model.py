@@ -129,8 +129,9 @@ class RegressionModel:
 @dataclass(frozen=True)
 class ObservedData:
     """What an estimator sees: noisy ``[a | b]`` through its exact rows
-    ``exact_rows = (a[:j], b[:j])`` and its R factors ``r_all`` (all rows)
-    and ``r_noisy`` (rows ``j:``), plus the block structure.
+    ``exact_rows``, the C-contiguous ``[a | b][:j]``, and its R factors
+    ``r_all`` (all rows) and ``r_noisy`` (rows ``j:``), plus the block
+    structure.
 
     ``ObservedData(a=, b=, partition=)`` holds the rows; the first read of a
     factor runs the one O(m) pass, :func:`~ctls.linalg.tall_r_chunks` over
@@ -173,31 +174,31 @@ class ObservedData:
             )
 
     @classmethod
-    def stacked(cls, exact_a, exact_b, partition: PartitionSpec, r_noisy, r_all=None):
-        """A stack of instances of ``partition`` from their exact rows
-        ``(S, j, n)`` and ``(S, j, ell)`` and their factors ``(S, d, d)``, or
-        ShapeError; without ``r_all``, reading it raises ShapeError."""
+    def stacked(cls, exact_rows, partition: PartitionSpec, r_noisy, r_all=None):
+        """A stack of instances of ``partition`` from their C-contiguous exact
+        rows ``(S, j, d)`` and their factors ``(S, d, d)``, or ShapeError;
+        without ``r_all``, reading it raises ShapeError."""
         factors = {"r_noisy": r_noisy} if r_all is None else {"r_noisy": r_noisy, "r_all": r_all}
         p, d, size = partition, partition.n + partition.ell, np.shape(r_noisy)[:1]
-        shapes = [np.shape(x) for x in (exact_a, exact_b, *factors.values())]
-        if shapes != [size + (p.j, p.n), size + (p.j, p.ell)] + [size + (d, d)] * len(factors):
+        shapes = [np.shape(x) for x in (exact_rows, *factors.values())]
+        if shapes != [size + (p.j, d)] + [size + (d, d)] * len(factors):
             raise ShapeError(f"exact rows and factors {shapes} do not match the partition {p}")
         data = object.__new__(cls)  # set past the frozen __setattr__, as cached_property does
-        data.__dict__.update(a=None, b=None, partition=p, exact_rows=(exact_a, exact_b),
+        data.__dict__.update(a=None, b=None, partition=p, exact_rows=exact_rows,
                              stack_size=size[0], **factors)
         return data
 
     def take(self, index) -> ObservedData:
         """The stack of the slices ``index`` of this stack."""
         r_all = self.__dict__.get("r_all")
-        return ObservedData.stacked(*(x[index] for x in self.exact_rows), self.partition,
+        return ObservedData.stacked(self.exact_rows[index], self.partition,
                                     self.r_noisy[index], None if r_all is None else r_all[index])
 
     @cached_property
     def stack(self) -> ObservedData:
         """This row-built instance as a stack of one, of its exact rows and
         both its factors, which it forms."""
-        return ObservedData.stacked(*(x[None] for x in self.exact_rows), self.partition,
+        return ObservedData.stacked(self.exact_rows[None], self.partition,
                                     self.r_noisy[None], self.r_all[None])
 
     @property
@@ -208,9 +209,9 @@ class ObservedData:
         return self.a, self.b
 
     @cached_property
-    def exact_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(a[:j], b[:j])``: the noise-free rows."""
-        return tuple(x[: self.partition.j] for x in self.rows)
+    def exact_rows(self) -> np.ndarray:
+        """``[a | b][:j]``: the noise-free rows."""
+        return np.hstack([x[: self.partition.j] for x in self.rows])
 
     @cached_property
     def _pair(self) -> TallRPair:
@@ -388,8 +389,7 @@ def sample_stack(
         if all_rows:
             r_all[start:stop] = pair.r_all
     _check_exact_rows(exact)
-    exact_a, exact_b = exact[..., : p.n].copy(), exact[..., p.n :].copy()
-    return x_true, ObservedData.stacked(exact_a, exact_b, p, r_noisy, r_all), grams
+    return x_true, ObservedData.stacked(exact, p, r_noisy, r_all), grams
 
 
 def _draw_noises(rngs, noise: NoiseKind, sigma: float, shape: tuple[int, int]) -> np.ndarray:
@@ -480,11 +480,10 @@ def whiten(data: ObservedData, sigma_cov) -> tuple[ObservedData, np.ndarray]:
     stack = data.stack if data.stack_size is None else data
     factors = [stack.r_noisy] + ([stack.r_all] if "r_all" in stack.__dict__ else [])
     # [C1; R] @ W: the noisy columns times inv(L).T, as solve(L, noisy.T).T.
-    c = np.concatenate([np.concatenate(stack.exact_rows, axis=-1), *factors], axis=-2)
+    c = np.concatenate([stack.exact_rows, *factors], axis=-2)
     c[..., p.k :] = solve_lower_triangular(lower, c[..., p.k :].swapaxes(-1, -2)).swapaxes(-1, -2)
     exact, *factors = np.split(c, range(p.j, c.shape[-2], p.n + p.ell), axis=-2)
-    return ObservedData.stacked(exact[..., : p.n].copy(), exact[..., p.n :].copy(), p,
-                                *map(_flat_r, factors)), lower
+    return ObservedData.stacked(exact.copy(), p, *map(_flat_r, factors)), lower
 
 
 def unwhiten_estimate(

@@ -646,10 +646,10 @@ def test_sweep_trace_matches_row_path(monkeypatch, j, k, noise):
     def row_path(partition, sigma, seeds, design, noise, all_rows, run):
         models = [generate_model(partition, sigma, model_seed, design) for model_seed, _ in seeds]
         datas = [observe(model, noise_seed, noise) for model, (_, noise_seed) in zip(models, seeds)]
-        exact_a, exact_b, r_noisy, r_all = (np.stack(x) for x in zip(
-            *((*data.exact_rows, data.r_noisy, data.r_all) for data in datas)))
+        exact, r_noisy, r_all = (np.stack(x) for x in zip(
+            *((data.exact_rows, data.r_noisy, data.r_all) for data in datas)))
         return (np.stack([model.x_true for model in models]),
-                ObservedData.stacked(exact_a, exact_b, partition, r_noisy, r_all),
+                ObservedData.stacked(exact, partition, r_noisy, r_all),
                 np.stack([model.truth_gram() for model in models]))
 
     monkeypatch.setattr(harness, "sample_stack", row_path)

@@ -257,17 +257,11 @@ def _gram(r: np.ndarray) -> np.ndarray:
     return r[0].T @ r[0]
 
 
-def _exact(data: ObservedData) -> np.ndarray:
-    """``[A | B][:j]`` of a stack of one."""
-    return np.concatenate(data.exact_rows, axis=-1)[0]
-
-
 def test_whiten_identity_covariance_is_noop():
     _, data = make_instance(j=1, k=1, n=3, ell=1, m=30, sigma=0.2)
     white, transform = whiten(data, np.eye(data.partition.noisy_cols))
     assert white.stack_size == 1
-    for got, want in zip(white.exact_rows, data.exact_rows):
-        assert np.array_equal(got[0], want)
+    assert np.array_equal(white.exact_rows[0], data.exact_rows)
     assert np.array_equal(white.r_noisy[0], data.r_noisy)
     assert np.array_equal(white.r_all[0], data.r_all)
     assert np.array_equal(transform, np.eye(data.partition.noisy_cols))
@@ -279,7 +273,7 @@ def test_whiten_diagonal_scales_columns():
     white, transform = whiten(data, cov)
     c = np.hstack([data.a, data.b])
     c[:, 1] /= 2.0
-    assert np.allclose(_exact(white), c[:1])
+    assert np.allclose(white.exact_rows[0], c[:1])
     assert np.allclose(_gram(white.r_all), c.T @ c)
     assert np.allclose(_gram(white.r_noisy), c[1:].T @ c[1:])
     scaled = ObservedData(a=c[:, :3], b=c[:, 3:], partition=data.partition)
@@ -340,7 +334,7 @@ def test_whiten_commutes_exactly_at_zero_noise():
     colored = _color(data, lower)
     rewhite, transform = whiten(colored, cov)
     c = np.hstack([data.a, data.b])
-    assert np.max(np.abs(_exact(rewhite) - c[:1])) <= 1e-8
+    assert np.max(np.abs(rewhite.exact_rows[0] - c[:1])) <= 1e-8
     for r, rows in ((rewhite.r_all, c), (rewhite.r_noisy, c[1:])):
         gram = rows.T @ rows
         assert np.max(np.abs(_gram(r) - gram)) <= 1e-8 * (1.0 + np.max(np.abs(gram)))
@@ -362,12 +356,11 @@ def test_whiten_takes_a_sampled_stack(all_rows):
     a = g.standard_normal((p.noisy_cols, p.noisy_cols))
     cov = a @ a.T + np.eye(p.noisy_cols)
     white, lower = whiten(sample_stack(p, 0.1, seeds, all_rows=all_rows)[1], cov)
-    assert white.stack_size == len(seeds)
+    assert white.stack_size == len(seeds) and white.exact_rows.flags.c_contiguous
     for s, (model_seed, noise_seed) in enumerate(seeds):
         row, row_lower = whiten(observe(generate_model(p, 0.1, model_seed), noise_seed), cov)
         assert np.array_equal(lower, row_lower)
-        for got, want in zip(white.exact_rows, row.exact_rows):
-            assert np.array_equal(got[s], want[0])
+        assert np.array_equal(white.exact_rows[s], row.exact_rows[0])
         assert np.array_equal(white.r_noisy[s], row.r_noisy[0])
         if all_rows:
             assert np.array_equal(white.r_all[s], row.r_all[0])
@@ -594,8 +587,8 @@ def test_stack_of_one_matches_row_path(design, noise, j, k, m, sigma):
     assert fused.a is None and fused.b is None and fused.partition == p
     assert fused.stack_size == 1 and len(x_true) == 1 and len(gram) == 1
     assert np.array_equal(x_true[0], model.x_true)
-    for got, want in zip(fused.exact_rows, rows.exact_rows):
-        assert np.array_equal(got[0], want) and got.flags.c_contiguous
+    assert np.array_equal(fused.exact_rows[0], rows.exact_rows)
+    assert fused.exact_rows.flags.c_contiguous and rows.exact_rows.flags.c_contiguous
     assert np.array_equal(fused.r_noisy[0], rows.r_noisy)
     assert np.array_equal(fused.r_all[0], rows.r_all)
     assert estimator_outcomes(fused) == estimator_outcomes(rows)
@@ -688,8 +681,8 @@ def test_sample_stack_without_a_runner_runs_in_its_thread(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: pins.append(mask))
     x_true, data, gram = sample_stack(p, 0.3, [(1, 2)])
     assert started == [] and pins == []
-    for got, expected in zip([x_true, *data.exact_rows, data.r_noisy, data.r_all, gram],
-                             [want[0], *want[1].exact_rows, want[1].r_noisy, want[1].r_all,
+    for got, expected in zip([x_true, data.exact_rows, data.r_noisy, data.r_all, gram],
+                             [want[0], want[1].exact_rows, want[1].r_noisy, want[1].r_all,
                               want[2]]):
         assert got.tobytes() == expected.tobytes()
 
@@ -733,7 +726,7 @@ def test_sample_stack_helper_per_mask(monkeypatch, noise):
             monkeypatch.setattr(os, "sched_setaffinity", pin, raising=False)
             with beside() as run:
                 x_true, data, gram = sample_stack(p, 0.3, [(1, 2)], noise=noise, run=run)
-            outputs.append([x_true, *data.exact_rows, data.r_noisy, data.r_all, gram])
+            outputs.append([x_true, data.exact_rows, data.r_noisy, data.r_all, gram])
             if cpus == 1:
                 assert started == [] and pins == []
             else:
@@ -760,9 +753,8 @@ def test_sample_stack_slices_match_stacks_of_one(design, noise, j, k, m, trials)
     assert stack.stack_size == trials and stack.partition == p
     for s, seed in enumerate(seeds):
         x, data, gram = sample_stack(p, 0.3, [seed], design, noise)
-        want = [x[0], *(y[0] for y in data.exact_rows), data.r_noisy[0], data.r_all[0], gram[0]]
-        got = [x_true[s], *(x[s] for x in stack.exact_rows), stack.r_noisy[s], stack.r_all[s],
-               grams[s]]
+        want = [x[0], data.exact_rows[0], data.r_noisy[0], data.r_all[0], gram[0]]
+        got = [x_true[s], stack.exact_rows[s], stack.r_noisy[s], stack.r_all[s], grams[s]]
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
     _, low, _ = sample_stack(p, 0.3, seeds, design, noise, all_rows=False)
@@ -797,24 +789,24 @@ def test_sample_stack_rank_deficient_exact_rows(monkeypatch, m):
 
 
 def test_stacked_rejects_mis_shaped_inputs():
-    """A stack's exact rows must be (S, j, n) and (S, j, ell) and each of
-    its factors (S, d, d), with one S; anything else is a ShapeError."""
+    """A stack's exact rows must be (S, j, n + ell) and each of its factors
+    (S, d, d), with one S; anything else is a ShapeError."""
     p = PartitionSpec(j=2, k=1, n=3, ell=1, m=40)
     g = np.random.default_rng(4)
     c = g.standard_normal((40, 4))
-    a, b, r = c[None, :2, :3], c[None, :2, 3:], tall_r(c)[None]
+    exact, r = c[None, :2], tall_r(c)[None]
     bad = [
-        (a, c[None, :1, 3:], r, r),  # one exact row of b
-        (c[None, :2, :2], b, r, r),  # exact rows of a with two columns
-        (a, b, r[:, :3, :3], None),  # r_noisy of the wrong size
-        (a, b, r, r[:, 1:, 1:]),  # r_all of the wrong size
-        (a, b, np.concatenate([r, r]), None),  # two factors for one instance
-        (a, b[0], r, r),  # exact rows of b without the stack axis
+        (c[None, :1], r, r),  # one exact row
+        (c[None, :2, :3], r, r),  # exact rows without the column of b
+        (exact, r[:, :3, :3], None),  # r_noisy of the wrong size
+        (exact, r, r[:, 1:, 1:]),  # r_all of the wrong size
+        (exact, np.concatenate([r, r]), None),  # two factors for one instance
+        (exact[0], r, r),  # exact rows without the stack axis
     ]
-    for exact_a, exact_b, r_noisy, r_all in bad:
+    for exact_rows, r_noisy, r_all in bad:
         with pytest.raises(ShapeError, match="do not match the partition"):
-            ObservedData.stacked(exact_a, exact_b, p, r_noisy, r_all)
-    data = ObservedData.stacked(a, b, p, r, r)
+            ObservedData.stacked(exact_rows, p, r_noisy, r_all)
+    data = ObservedData.stacked(exact, p, r, r)
     assert data.stack_size == 1 and np.array_equal(data.r_all[0], tall_r(c))
 
 

@@ -41,9 +41,9 @@ def mutated(j, k, name, seed):
 
 
 def stack_of(datas):
-    parts = [(*d.exact_rows, d.r_noisy, d.r_all) for d in datas]
-    exact_a, exact_b, r_noisy, r_all = (np.stack(x) for x in zip(*parts))
-    return ObservedData.stacked(exact_a, exact_b, datas[0].partition, r_noisy, r_all)
+    parts = [(d.exact_rows, d.r_noisy, d.r_all) for d in datas]
+    exact, r_noisy, r_all = (np.stack(x) for x in zip(*parts))
+    return ObservedData.stacked(exact, datas[0].partition, r_noisy, r_all)
 
 
 def runs_for(j, k):
