@@ -130,14 +130,12 @@ class RegressionModel:
 class ObservedData:
     """What an estimator sees: noisy ``[a | b]`` through its exact rows
     ``exact_rows``, the C-contiguous ``[a | b][:j]``, and its R factors
-    ``r_all`` (all rows) and ``r_noisy`` (rows ``j:``), plus the block
-    structure.
+    ``r_all`` (all rows) and ``r_noisy`` (rows ``j:``), plus the block structure.
 
     ``ObservedData(a=, b=, partition=)`` holds the rows; the first read of a
     factor runs the one O(m) pass, :func:`~ctls.linalg.tall_r_chunks` over
-    chunks of ``[a | b]`` built from the column blocks ``(a, b)``, so the pass
-    copies no more of the rows than a chunk (except where they are factored
-    flat).  Do not modify ``a`` or ``b`` after that.
+    ``[a | b]`` stacked one chunk at a time.  Do not modify ``a`` or ``b``
+    after that.
     Each factor's small second level runs on its own first read, so a
     caller that reads only ``r_noisy`` never factors all rows.  Both are
     cached read-only.  ``r_all`` is bit-identical to
