@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CtlsError
 from .estimators import MU_RULES, tls_solve
-from .fileio import FORMATS, format_csv, read_matrices, write_matrix
+from .fileio import format_csv, read_matrices, write_matrix
 from .harness import SweepConfig, _run_estimator, run_sweep
 from .model import (
     DesignKind,
@@ -56,8 +56,7 @@ def _build_parser() -> _Parser:
     est.add_argument("--method", required=True, choices=METHODS)
     est.add_argument("--mu", choices=MU_RULES, default="mean")
     est.add_argument("--sigma-cov", help="noise covariance file (whitened before estimation)")
-    est.add_argument("--out", help="write X to this file instead of stdout")
-    est.add_argument("--format", choices=FORMATS, default="csv")
+    est.add_argument("--out", help="write X to this file, JSON if it ends in .json, else CSV")
 
     sim = sub.add_parser("simulate", help="generate a synthetic instance")
     sim.add_argument("--n", type=int, required=True)
@@ -128,7 +127,7 @@ def _cmd_estimate(args) -> int:
 
     try:
         if args.out:
-            write_matrix(args.out, result.x_hat, args.format)
+            write_matrix(args.out, result.x_hat)
         else:
             sys.stdout.write(format_csv(result.x_hat))
     except OSError as exc:
@@ -152,9 +151,9 @@ def _cmd_simulate(args) -> int:
         )
         data = observe(model, noise_seed, NoiseKind(args.noise))
         os.makedirs(args.out_dir, exist_ok=True)
-        write_matrix(os.path.join(args.out_dir, "A.csv"), data.a, "csv")
-        write_matrix(os.path.join(args.out_dir, "B.csv"), data.b, "csv")
-        write_matrix(os.path.join(args.out_dir, "X_true.csv"), model.x_true, "csv")
+        write_matrix(os.path.join(args.out_dir, "A.csv"), data.a)
+        write_matrix(os.path.join(args.out_dir, "B.csv"), data.b)
+        write_matrix(os.path.join(args.out_dir, "X_true.csv"), model.x_true)
         meta = {
             "n": args.n,
             "ell": args.ell,

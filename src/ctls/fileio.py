@@ -22,9 +22,9 @@ small file shares the CPUs with a large one instead of parsing after it.
 :func:`read_matrix` is that reader on one file.
 
 The JSON container is ``{"rows": r, "cols": c, "data": [row-major floats]}``.
-A path ending in ``.json`` (any case) is read as the container, any other
-as CSV; :data:`FORMATS` names the two for :func:`write_matrix`.  Floats are
-written with 17 significant digits, so write-then-read round-trips exactly.
+A path ending in ``.json`` (any case) is read and written as the container,
+any other as CSV.  Floats are written with 17 significant digits, so
+write-then-read round-trips exactly.
 Files are UTF-8 text.
 """
 
@@ -39,8 +39,6 @@ import numpy as np
 from .errors import MatrixFileError
 from .linalg import as_matrix
 from .parallel import run_tasks, worker_count
-
-FORMATS = ("csv", "mtxjson")
 
 #: Smallest CSV span worth a forked worker: the fork, the copy-on-write
 #: faults it causes and the pickled rows cost about what parsing this does.
@@ -223,10 +221,15 @@ def read_matrices(paths: list[str]) -> list[np.ndarray]:
     """The matrix of each path: a ``.json`` file (any case) is the JSON
     container, any other file CSV.  Every CSV among them is parsed in one
     pool call; the first bad file raises first."""
-    json_at = [os.path.splitext(path)[1].lower() == ".json" for path in paths]
+    json_at = [_is_json(path) for path in paths]
     csvs = _read_csvs([path for path, is_json in zip(paths, json_at) if not is_json])
     return [_read_mtxjson(path) if is_json else next(csvs)
             for path, is_json in zip(paths, json_at)]
+
+
+def _is_json(path: str) -> bool:
+    """Whether ``path`` ends in ``.json`` (any case): the JSON container."""
+    return os.path.splitext(path)[1].lower() == ".json"
 
 
 def format_csv(matrix: np.ndarray) -> str:
@@ -236,19 +239,14 @@ def format_csv(matrix: np.ndarray) -> str:
     return (row * mat.shape[0]) % tuple(mat.ravel().tolist())
 
 
-def write_matrix(path: str, matrix, fmt: str = "csv") -> None:
+def write_matrix(path: str, matrix) -> None:
+    """Write ``matrix`` as :func:`read_matrices` reads ``path``: the JSON
+    container to a ``.json`` path (any case), CSV to any other."""
     mat = as_matrix(matrix, "matrix")
-    if fmt == "csv":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(format_csv(mat))
-    elif fmt == "mtxjson":
-        payload = {
-            "rows": mat.shape[0],
-            "cols": mat.shape[1],
-            "data": mat.ravel().tolist(),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
+    if _is_json(path):
+        text = json.dumps({"rows": mat.shape[0], "cols": mat.shape[1],
+                           "data": mat.ravel().tolist()}) + "\n"
     else:
-        raise MatrixFileError(f"unknown matrix format {fmt!r}")
+        text = format_csv(mat)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)

@@ -29,7 +29,7 @@ def test_csv_roundtrip_exact(tmp_path):
     g = np.random.default_rng(1)
     mat = g.standard_normal((7, 3)) * 1e3
     path = tmp_path / "m.csv"
-    write_matrix(str(path), mat, "csv")
+    write_matrix(str(path), mat)
     again = read_matrix(str(path))
     assert np.array_equal(mat, again)
 
@@ -38,7 +38,7 @@ def test_mtxjson_roundtrip_exact(tmp_path):
     g = np.random.default_rng(2)
     mat = g.standard_normal((4, 5))
     path = tmp_path / "m.json"
-    write_matrix(str(path), mat, "mtxjson")
+    write_matrix(str(path), mat)
     again = read_matrix(str(path))
     assert np.array_equal(mat, again)
 
@@ -156,6 +156,24 @@ def test_estimate_recovers_exact_fixture(tmp_path, capsys):
     assert "sigma2_hat" in out
 
 
+def test_estimate_out_format_follows_the_extension(tmp_path, capsys):
+    """--out writes the JSON container to a .json path (any case) and CSV to
+    any other, so read_matrix reads each back as the same estimate bit for
+    bit; there is no --format flag."""
+    inst = simulate_exact(tmp_path, capsys)
+    base = ["estimate", "--a", str(inst / "A.csv"), "--b", str(inst / "B.csv"),
+            "--j", "1", "--k", "1", "--method", "ctls-rowcol"]
+    xs = []
+    for name in ("x.csv", "x.json", "x.JSON", "x.txt"):
+        code, _, err = run_cli(capsys, *base, "--out", str(tmp_path / name))
+        assert code == 0, err
+        xs.append(read_matrix(str(tmp_path / name)))
+    assert all(x.tobytes() == xs[0].tobytes() for x in xs)
+    assert (tmp_path / "x.json").read_text(encoding="utf-8").startswith('{"rows": ')
+    code, _, err = run_cli(capsys, *base, "--format", "csv")
+    assert code == 1 and "--format" in err
+
+
 @pytest.mark.parametrize("method", ["tls", "projection", "ctls-rowcol"])
 def test_estimate_methods_run_unconstrained(tmp_path, capsys, method):
     inst = simulate_exact(tmp_path, capsys, j=0, k=0, seed=4)
@@ -180,7 +198,7 @@ def test_estimate_degenerate_rowcol_equals_tls(tmp_path, capsys):
 def test_estimate_whitening_flag(tmp_path, capsys):
     inst = simulate_exact(tmp_path, capsys, j=0, k=1, seed=6)
     cov = tmp_path / "cov.csv"
-    write_matrix(str(cov), np.eye(3), "csv")
+    write_matrix(str(cov), np.eye(3))
     base = ["estimate", "--a", str(inst / "A.csv"), "--b", str(inst / "B.csv"),
             "--j", "0", "--k", "1", "--method", "ctls-cols"]
     code1, out1, _ = run_cli(capsys, *base)
@@ -196,7 +214,7 @@ def test_estimate_malformed_csv_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,nope\n")
     good = tmp_path / "b.csv"
-    write_matrix(str(good), np.ones((1, 1)), "csv")
+    write_matrix(str(good), np.ones((1, 1)))
     code, _, err = run_cli(
         capsys, "estimate", "--a", str(bad), "--b", str(good), "--method", "tls"
     )
@@ -209,16 +227,16 @@ def test_estimate_malformed_csv_exits_1(tmp_path, capsys):
     [
         ("--sigma-cov", None, "nope.csv"),
         ("--sigma-cov", lambda p: p.mkdir(), "nope.csv"),
-        ("--sigma-cov", lambda p: write_matrix(str(p), np.eye(2), "csv"), "sigma_cov must be 4x4"),
-        ("--b", lambda p: write_matrix(str(p), np.ones((19, 1)), "csv"), "same number of rows"),
+        ("--sigma-cov", lambda p: write_matrix(str(p), np.eye(2)), "sigma_cov must be 4x4"),
+        ("--b", lambda p: write_matrix(str(p), np.ones((19, 1))), "same number of rows"),
     ],
     ids=["cov-missing", "cov-directory", "cov-wrong-shape", "b-rows-mismatch"],
 )
 def test_estimate_bad_input_file_exits_1(tmp_path, capsys, flag, make, expect):
     g = np.random.default_rng(10)
     a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_matrix(str(a_path), g.standard_normal((20, 3)), "csv")
-    write_matrix(str(b_path), g.standard_normal((20, 1)), "csv")
+    write_matrix(str(a_path), g.standard_normal((20, 3)))
+    write_matrix(str(b_path), g.standard_normal((20, 1)))
     bad = tmp_path / "nope.csv"
     if make is not None:
         make(bad)
@@ -237,8 +255,8 @@ def test_estimate_estimator_error_exits_2(tmp_path, capsys):
     a[:, 1] = a[:, 0]
     b = g.standard_normal((20, 1))
     a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_matrix(str(a_path), a, "csv")
-    write_matrix(str(b_path), b, "csv")
+    write_matrix(str(a_path), a)
+    write_matrix(str(b_path), b)
     code, _, err = run_cli(
         capsys, "estimate", "--a", str(a_path), "--b", str(b_path),
         "--j", "0", "--k", "2", "--method", "ctls-cols",
@@ -258,7 +276,7 @@ def test_estimate_whitened_errors_exit_2(tmp_path, capsys, cov, expect):
     a[:, 1] = a[:, 0]
     paths = {name: tmp_path / f"{name}.csv" for name in ("a", "b", "cov")}
     for name, matrix in zip(paths, (a, g.standard_normal((20, 1)), cov)):
-        write_matrix(str(paths[name]), matrix, "csv")
+        write_matrix(str(paths[name]), matrix)
     code, _, err = run_cli(
         capsys, "estimate", "--a", str(paths["a"]), "--b", str(paths["b"]),
         "--j", "0", "--k", "2", "--method", "ctls-cols", "--sigma-cov", str(paths["cov"]),
@@ -276,7 +294,7 @@ def test_estimate_identity_sigma_cov_changes_no_byte(tmp_path, capsys, method, j
     paths = {name: tmp_path / f"{name}.csv" for name in ("a", "b", "cov")}
     for name, matrix in zip(paths, (g.standard_normal((40, 3)), g.standard_normal((40, 1)),
                                     np.eye(4 - k))):
-        write_matrix(str(paths[name]), matrix, "csv")
+        write_matrix(str(paths[name]), matrix)
     base = ["estimate", "--a", str(paths["a"]), "--b", str(paths["b"]),
             "--j", str(j), "--k", str(k), "--method", method]
     code1, out1, _ = run_cli(capsys, *base)
@@ -290,8 +308,8 @@ def test_estimate_rowcol_without_exact_blocks_needs_more_rows_than_columns(
 ):
     g = np.random.default_rng(10)
     a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_matrix(str(a_path), g.standard_normal((3, 2)), "csv")
-    write_matrix(str(b_path), g.standard_normal((3, 1)), "csv")
+    write_matrix(str(a_path), g.standard_normal((3, 2)))
+    write_matrix(str(b_path), g.standard_normal((3, 1)))
     code, _, err = run_cli(
         capsys, "estimate", "--a", str(a_path), "--b", str(b_path),
         "--j", "0", "--k", "0", "--method", "ctls-rowcol",

@@ -83,8 +83,8 @@ def test_estimate_runs_each_method_through_its_rebound_name(tmp_path, capsys, me
     )
     g = np.random.default_rng(4)
     paths = [str(tmp_path / f"{x}.csv") for x in ("a", "b", "x")]
-    write_matrix(paths[0], g.standard_normal((40, 3)), "csv")
-    write_matrix(paths[1], g.standard_normal((40, 1)), "csv")
+    write_matrix(paths[0], g.standard_normal((40, 3)))
+    write_matrix(paths[1], g.standard_normal((40, 1)))
     try:
         code = ctls.cli.main(["estimate", "--a", paths[0], "--b", paths[1], "--j", str(j),
                               "--k", str(k), "--method", method, "--out", paths[2]])
