@@ -212,6 +212,11 @@ def _read_mtxjson(path: str) -> np.ndarray:
     return arr
 
 
+def _is_json(path: str) -> bool:
+    """Whether ``path`` ends in ``.json`` (any case): the JSON container."""
+    return os.path.splitext(path)[1].lower() == ".json"
+
+
 def read_matrix(path: str) -> np.ndarray:
     """Read one matrix file (see :func:`read_matrices`)."""
     return read_matrices([path])[0]
@@ -225,11 +230,6 @@ def read_matrices(paths: list[str]) -> list[np.ndarray]:
     csvs = _read_csvs([path for path, is_json in zip(paths, json_at) if not is_json])
     return [_read_mtxjson(path) if is_json else next(csvs)
             for path, is_json in zip(paths, json_at)]
-
-
-def _is_json(path: str) -> bool:
-    """Whether ``path`` ends in ``.json`` (any case): the JSON container."""
-    return os.path.splitext(path)[1].lower() == ".json"
 
 
 def format_csv(matrix: np.ndarray) -> str:

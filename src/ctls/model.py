@@ -9,7 +9,9 @@ to the scalar case by a column transform of the exact rows and R factors.
 ``generate_model`` then ``observe`` return rows (``ObservedData(a=, b=,
 partition=)``).  ``sample_stack``, which sweeps use, samples many instances
 of one partition as one stack with the same numbers, ``CHUNK_ROWS`` rows at
-a time, and holds no array of the ``m`` rows.
+a time, and holds no array of the ``m`` rows.  Both draw noise with
+``_draw_noises``, factor with :func:`ctls.linalg.tall_r_chunks` and hold the
+exact rows as one C-contiguous ``[A1 | B1]`` array.
 
 Every stochastic operation takes an explicit seed and draws from
 ``numpy.random.Generator`` (PCG64), so regenerating an instance with the same
