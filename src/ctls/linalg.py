@@ -200,45 +200,31 @@ def tall_r(c) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TallRPair:
-    """The first TSQR level of ``C``, shared by the factors of its rows
-    ``0:`` and ``j:``; each second level runs on its first read.
+    """The first TSQR level of ``C``, written once and shared by the factors
+    of its rows ``0:`` and ``j:``; each second level runs on its first read.
 
-    ``stack`` holds the triangles of the ``BLOCK_ROWS``-row blocks followed
-    by the leftover rows (below two full blocks, or with ``BLOCK_ROWS`` or
-    more columns, ``C`` itself).  The rows ``j:`` stack as the triangle of
-    ``head`` (the rows ``j:`` of the first block, or None) on top of
-    ``stack[skip:]``; ``r_low`` writes that triangle into the rows just
-    above ``skip`` for its QR rather than copy the stack, then restores
-    them.  With a leading axis on ``stack`` and ``head``, the pair is a
-    stack of first levels and each factor a stack.  Both factors are
-    read-only.
+    ``stack`` holds the triangles of the ``BLOCK_ROWS``-row blocks, then the
+    leftover rows, then (when ``j > 0``) the triangle of the first block's
+    rows ``j:``; below two full blocks, or with ``BLOCK_ROWS`` or more
+    columns, it is ``C`` itself.  ``r_all`` factors ``stack[:end]`` and
+    ``r_low`` ``stack[low:]``, two slices of one array that nothing writes
+    after the pass.  With a leading axis on ``stack``, the pair is a stack
+    of first levels and each factor a stack.  Both factors are read-only.
     """
 
     stack: np.ndarray
-    skip: int
-    head: np.ndarray | None
+    low: int
+    end: int
 
     @cached_property
     def r_all(self) -> np.ndarray:
         """``tall_r(C)``."""
-        return _read_only(_flat_r(self.stack))
+        return _read_only(_flat_r(self.stack[..., : self.end, :]))
 
     @cached_property
     def r_low(self) -> np.ndarray:
         """The factor of the rows ``j:``; ``r_all`` itself when ``j = 0``."""
-        if self.skip == 0:
-            return self.r_all
-        if self.head is None:
-            return _read_only(_flat_r(self.stack[..., self.skip :, :]))
-        # Factor the head in place of the rows above skip, not in a copy of
-        # the stack, and restore those rows for r_all.
-        head = _lapack(np.linalg.qr, self.head, mode="r")
-        rows = self.stack[..., self.skip - head.shape[-2] : self.skip, :]
-        saved = rows.copy()
-        rows[...] = head
-        r = _flat_r(self.stack[..., self.skip - head.shape[-2] :, :])
-        rows[...] = saved
-        return _read_only(r)
+        return self.r_all if self.low == 0 else _read_only(_flat_r(self.stack[..., self.low :, :]))
 
 
 def _read_only(r: np.ndarray) -> np.ndarray:
@@ -282,34 +268,36 @@ def tall_r_chunks(chunk_of, rows: int, cols: int, j: int, run=_at_once,
     :func:`ctls.parallel.beside`; by default it runs at once, while the
     chunk is in cache), awaited once the next chunk's is handed over, so at
     most two chunks are held.  The per-block QRs are independent, so the
-    triangles depend neither on the chunking nor on where they ran.
-    ``r_low`` stacks the same triangles with the first block's replaced by
-    the triangle of its rows from ``j`` on (TSQR, Demmel, Grigori, Hoemmen &
-    Langou 2012), so it equals ``tall_r(C[j:])`` up to roundoff and row
-    signs.  Raises ShapeError unless ``j`` is in ``[0, min(rows, cols))``,
-    as a partition's ``j < n`` is, NonFiniteError on a NaN or infinite
-    entry.
+    triangles depend neither on the chunking nor on where they ran.  When
+    ``j > 0``, the triangle of the first block's rows ``j:`` is written
+    after the leftover rows, so ``r_low`` stacks the triangles of the other
+    blocks, the leftover and it (TSQR, Demmel, Grigori, Hoemmen & Langou
+    2012) and equals ``tall_r(C[j:])`` up to roundoff and row signs.  The
+    level is written once, during the pass.  Raises ShapeError unless ``j``
+    is in ``[0, min(rows, cols))``, as a partition's ``j < n`` is,
+    NonFiniteError on a NaN or infinite entry.
     """
     if not 0 <= j < min(rows, cols):
         raise ShapeError(f"row offset j={j} is outside [0, {min(rows, cols)})")
     if not (full := _full_blocks(rows, cols)):
-        return TallRPair(stack=as_matrix(chunk_of(0, rows), "C", stack=True), skip=j, head=None)
+        return TallRPair(as_matrix(chunk_of(0, rows), "C", stack=True), j, rows)
     # Held to the end, so allocated before the chunks come and go: placed
     # after the first chunk, it let the heap shrink and refault mid-pass.
-    stack = np.empty(lead + (first_level_rows(rows, cols), cols))
-    head, jobs = None, []
-    for lo, end in chunk_bounds(rows, cols):
-        hi = min(end, full * BLOCK_ROWS)
-        chunk = as_matrix(chunk_of(lo, end), "C", stack=True)
+    end = first_level_rows(rows, cols)
+    stack = np.empty(lead + (end + (cols if j else 0), cols))
+    jobs = []
+    for lo, last in chunk_bounds(rows, cols):
+        hi = min(last, full * BLOCK_ROWS)
+        chunk = as_matrix(chunk_of(lo, last), "C", stack=True)
         jobs.append(run(_block_triangles, chunk[..., : hi - lo, :],
                         stack[..., lo // BLOCK_ROWS * cols : hi // BLOCK_ROWS * cols, :]))
         if j and not lo:  # j < cols < BLOCK_ROWS: row j is in the first block
-            head = chunk[..., j:BLOCK_ROWS, :].copy()
+            stack[..., end:, :] = _lapack(np.linalg.qr, chunk[..., j:BLOCK_ROWS, :], mode="r")
         if len(jobs) == 2:  # at most two chunks in flight
             jobs.pop(0)()
-    stack[..., full * cols :, :] = chunk[..., hi - lo :, :]
+    stack[..., full * cols : end, :] = chunk[..., hi - lo :, :]
     jobs.pop()()
-    return TallRPair(stack=stack, skip=cols if j else 0, head=head)
+    return TallRPair(stack, cols if j else 0, end)
 
 
 def first_level_rows(rows: int, cols: int) -> int:

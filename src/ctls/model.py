@@ -382,9 +382,8 @@ def sample_stack(
         for g in range(start, stop, group):
             index = slice(g, min(g + group, stop))
             pairs.append(tall_r_chunks(chunks(index), p.m, d, p.j, run, (index.stop - g,)))
-        heads = None if pairs[0].head is None else np.concatenate([q.head for q in pairs])
         pair = pairs[0] if len(pairs) == 1 else TallRPair(
-            np.concatenate([q.stack for q in pairs]), pairs[0].skip, heads)
+            np.concatenate([q.stack for q in pairs]), pairs[0].low, pairs[0].end)
         r_noisy[start:stop] = pair.r_low
         if all_rows:
             r_all[start:stop] = pair.r_all

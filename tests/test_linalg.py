@@ -436,8 +436,8 @@ def test_tall_r_chunks_offsets(j):
     assert (r_low is r_all) == (j == 0)
     assert np.array_equal(r_low, np.triu(r_low))
     assert np.allclose(r_low.T @ r_low, c[j:].T @ c[j:], rtol=1e-12, atol=1e-10)
-    # Read in the other order, r_low factors its head in place of rows of
-    # the stack and restores them for r_all.
+    # Read in the other order, the factors are the same and the stack is
+    # left as the pass wrote it.
     low_first = chunked_pair(c, j)
     stack = low_first.stack.copy()
     assert np.array_equal(low_first.r_low, r_low)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ctls.model as model_mod
-from ctls import estimators
+from ctls import estimators, linalg
 from ctls.errors import CtlsError, InvalidPartitionError, NotPositiveDefiniteError, ShapeError
 from ctls.estimators import ctls_rowcol, projection_estimator, tls_from_data, tls_solve
 from ctls.harness import naive_ls
@@ -466,7 +466,7 @@ def one_batch_factors(c, j):
     if j == 0:
         return r_all, r_all
     first = np.linalg.qr(c[j:BLOCK_ROWS], mode="r")
-    rest = [first, triangles[1:].reshape(-1, cols), tail]
+    rest = [triangles[1:].reshape(-1, cols), tail, first]
     return r_all, np.linalg.qr(np.vstack(rest), mode="r")
 
 
@@ -478,13 +478,41 @@ def test_chunked_factors_match_one_batch(j, m):
     b = g.standard_normal((m, 2))
     p = PartitionSpec(j=j, k=3, n=10, ell=2, m=m)
     r_all, r_noisy = one_batch_factors(np.hstack([a, b]), j)
-    # Both read orders: r_noisy either copies the stack or reuses it.
     first_all = ObservedData(a=a, b=b, partition=p)
     first_noisy = ObservedData(a=a, b=b, partition=p)
     assert np.array_equal(first_all.r_all, r_all)
     assert np.array_equal(first_all.r_noisy, r_noisy)
     assert np.array_equal(first_noisy.r_noisy, r_noisy)
     assert np.array_equal(first_noisy.r_all, r_all)
+
+
+def test_threads_reading_both_factors_of_one_instance(monkeypatch):
+    """A thread reading r_all while another is inside r_noisy's second level
+    gets tall_r of all rows: the first level is not written after the pass."""
+    m, j = 2000, 2
+    g = np.random.default_rng(5)
+    a, b = g.standard_normal((m, 10)), g.standard_normal((m, 2))
+    data = ObservedData(a=a, b=b, partition=PartitionSpec(j=j, k=3, n=10, ell=2, m=m))
+    data._pair
+    real_flat, entered, read_all = linalg._flat_r, threading.Event(), threading.Event()
+
+    def paused(x):
+        if threading.current_thread() is not threading.main_thread() and not entered.is_set():
+            entered.set()
+            read_all.wait(timeout=30)
+        return real_flat(x)
+
+    monkeypatch.setattr(linalg, "_flat_r", paused)
+    reader = threading.Thread(target=lambda: data.r_noisy)
+    reader.start()
+    try:
+        assert entered.wait(timeout=30)
+        r_all = data.r_all
+    finally:
+        read_all.set()
+        reader.join()
+    assert np.array_equal(r_all, tall_r(np.hstack([a, b])))
+    assert np.array_equal(data.r_noisy, one_batch_factors(np.hstack([a, b]), j)[1])
 
 
 def test_reading_r_noisy_alone_skips_the_all_rows_factor(monkeypatch):
