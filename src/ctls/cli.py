@@ -115,14 +115,9 @@ def _cmd_estimate(args) -> int:
     ]
     if result.mu is not None:
         report.append(f"mu = {result.mu:.17g}")
-    if diag.eig_gap is not None:
-        report.append(f"eig_gap = {diag.eig_gap:.17g}")
-    if diag.z_lower_smallest_sv is not None:
-        report.append(f"z_lower_smallest_sv = {diag.z_lower_smallest_sv:.17g}")
-    if diag.c21_gram_condition is not None:
-        report.append(f"c21_gram_condition = {diag.c21_gram_condition:.17g}")
-    if diag.constraint_residual is not None:
-        report.append(f"constraint_residual = {diag.constraint_residual:.17g}")
+    for field in ("eig_gap", "z_lower_smallest_sv", "c21_gram_condition", "constraint_residual"):
+        if (value := getattr(diag, field)) is not None:
+            report.append(f"{field} = {value:.17g}")
     report.append(f"flags = {','.join(diag.flags) if diag.flags else 'none'}")
 
     try:
@@ -154,17 +149,8 @@ def _cmd_simulate(args) -> int:
         write_matrix(os.path.join(args.out_dir, "A.csv"), data.a)
         write_matrix(os.path.join(args.out_dir, "B.csv"), data.b)
         write_matrix(os.path.join(args.out_dir, "X_true.csv"), model.x_true)
-        meta = {
-            "n": args.n,
-            "ell": args.ell,
-            "j": args.j,
-            "k": args.k,
-            "m": args.m,
-            "sigma": args.sigma,
-            "seed": args.seed,
-            "design": args.design,
-            "noise": args.noise,
-        }
+        # The simulate flags as parsed, in their order.
+        meta = {key: value for key, value in vars(args).items() if key not in ("command", "out_dir")}
         with open(os.path.join(args.out_dir, "model.json"), "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=1)
             fh.write("\n")

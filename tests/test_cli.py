@@ -88,6 +88,18 @@ def test_simulate_writes_instance_and_is_reproducible(tmp_path, capsys):
     }
 
 
+def test_simulate_model_json_bytes(tmp_path, capsys):
+    """model.json lists the simulate flags in their fixed order, defaults
+    included, whatever order they were given in."""
+    code, _, _ = run_cli(capsys, "simulate", "--seed", "11", "--sigma", "0.2", "--m", "50",
+                         "--noise", "uniform", "--ell", "1", "--n", "3", "--out-dir", str(tmp_path))
+    assert code == 0
+    assert (tmp_path / "model.json").read_bytes() == (
+        b'{\n "n": 3,\n "ell": 1,\n "j": 0,\n "k": 0,\n "m": 50,\n "sigma": 0.2,\n'
+        b' "seed": 11,\n "design": "iid",\n "noise": "uniform"\n}\n'
+    )
+
+
 def test_simulate_rejects_bad_partition(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "simulate", "--n", "3", "--ell", "1", "--j", "5", "--k", "0",
