@@ -55,12 +55,7 @@ so a key that moves in every case reads as one line.  It prints the line
 count of both trees' ``src/`` Python files, in total and per file, and their
 settable values: the CLI flags (``add_argument`` calls) and the parameters
 with a default of the functions in ``src/``.  It exits 1 if any case
-differs.  Older trees run too: ``gram_residuals`` took the model, not its
-Gram matrix, in trees without ``RegressionModel.truth_gram``, the partition
-rule of each estimator was ``harness._compatible`` in trees without
-``estimators.accepts_partition``, and ``ObservedData.stacked`` took the
-exact rows as two arrays, ``A1`` and ``B1``, in trees whose ``exact_rows``
-is the pair ``(A1, B1)``.
+differs.
 
 Digests depend on the numpy and BLAS build, so they are compared between
 two trees on one machine, never against a stored value.  The BLAS thread
@@ -145,19 +140,11 @@ def case_digests() -> list[tuple[str, str]]:
         observe,
     )
 
-    # The partition rule of each estimator, where the tree has it.
-    accepts = getattr(est, "accepts_partition", None) or harness._compatible
-
-    def residuals_of(model, data) -> dict:
-        if not hasattr(model, "truth_gram"):  # a tree from before truth_gram
-            return gram_residuals(model, data)
-        return gram_residuals(model.truth_gram(), model.sigma, data)
-
     def runs_for(p: PartitionSpec) -> dict:
         runs = {"naive_ls": naive_ls, "tls": est.tls_from_data,
                 "ctls_rowcol": est.ctls_rowcol}
         for name in ("ctls_columns", "ctls_rows"):
-            if accepts(name, p.j, p.k, p.n):
+            if est.accepts_partition(name, p.j, p.k, p.n):
                 runs[name] = getattr(est, name)
         for rule in est.MU_RULES:
             runs[f"projection_{rule}"] = (
@@ -224,8 +211,9 @@ def case_digests() -> list[tuple[str, str]]:
                 residuals |= ok and name in ("ctls_rowcol", "projection_mean")
                 entries.append((name, fields))
             if residuals:
-                entries.append(("gram_residuals",
-                                outcome(lambda d: residuals_of(model, d), data)[1]))
+                truth = model.truth_gram()
+                entries.append(("gram_residuals", outcome(
+                    lambda d: gram_residuals(truth, model.sigma, d), data)[1]))
         return entries
 
     cases = []
@@ -259,7 +247,7 @@ def case_digests() -> list[tuple[str, str]]:
 
     for j, k in SWEEP_PARTITIONS:
         names = [n for n in ("naive_ls", "tls", "ctls_columns", "ctls_rows",
-                             "ctls_rowcol", "projection") if accepts(n, j, k, N)]
+                             "ctls_rowcol", "projection") if est.accepts_partition(n, j, k, N)]
         config = SweepConfig(n=N, ell=ELL, j=j, k=k, m_values=(50, 500, 5000), trials=3,
                              sigma=SIGMA, estimators=tuple(names), base_seed=99)
         trace = run_sweep(config).to_json_dict()
@@ -300,14 +288,11 @@ def case_digests() -> list[tuple[str, str]]:
         names = ["healthy", *failures]
         names = [name for pair in zip(names, ["healthy"] * len(names)) for name in pair]
         datas, grams = zip(*(mutated(j, k, name, seed) for seed, name in enumerate(names)))
-        if isinstance(datas[0].exact_rows, tuple):  # a tree with exact rows (A1, B1)
-            exact = [np.stack(x) for x in zip(*(d.exact_rows for d in datas))]
-        else:
-            exact = [np.stack([d.exact_rows for d in datas])]
+        exact = np.stack([d.exact_rows for d in datas])
         r_noisy, r_all = np.stack([d.r_noisy for d in datas]), np.stack([d.r_all for d in datas])
-        stack = ObservedData.stacked(*exact, datas[0].partition, r_noisy, r_all)
+        stack = ObservedData.stacked(exact, datas[0].partition, r_noisy, r_all)
         runs = {name: fn for name, fn in harness.ESTIMATORS.items()
-                if name != "projection" and accepts(name, j, k, N)}
+                if name != "projection" and est.accepts_partition(name, j, k, N)}
         for rule in est.MU_RULES:
             runs[f"projection_{rule}"] = (
                 lambda d, rule=rule: est.projection_estimator(d, mu_rule=rule))
