@@ -510,7 +510,8 @@ def test_threads_reading_both_factors_of_one_instance(monkeypatch):
         r_all = data.r_all
     finally:
         read_all.set()
-        reader.join()
+        reader.join(timeout=30)
+    assert not reader.is_alive()
     assert np.array_equal(r_all, tall_r(np.hstack([a, b])))
     assert np.array_equal(data.r_noisy, one_batch_factors(np.hstack([a, b]), j)[1])
 
