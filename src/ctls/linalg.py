@@ -4,13 +4,13 @@
   through batched QRs and the stacked triangles through one more (one
   level of TSQR), giving a square ``R`` with ``R.T @ R = C.T @ C``.  The
   estimators see their O(m) data only through such factors.
-  ``tall_r_chunks`` runs the first level ``CHUNK_ROWS`` rows at a time
-  over a chunk source, which ``tall_r`` feeds from ``C`` and ``ctls.model``
-  from the column blocks ``(A, B)`` of an instance or from its generators
-  (a chunk of one instance or a group of whole ones), and shares it between
-  the factors of all rows and of the rows below an offset; a sweep's large
-  sampling pass hands each chunk's block QRs to a helper thread
-  (``ctls.parallel.beside``).
+  ``tall_r_chunks`` writes the first level once, ``CHUNK_ROWS`` rows at a
+  time, from a chunk source, which ``tall_r`` feeds from ``C`` and
+  ``ctls.model`` from the column blocks ``(A, B)`` of an instance or from
+  its generators (a chunk of one instance or a group of whole ones); the
+  factors of all rows and of the rows from an offset on are QRs of two
+  slices of it.  A sweep's large sampling pass hands each chunk's block
+  QRs to a helper thread (``ctls.parallel.beside``).
 * ``gram_eigen`` takes the eigenpairs of ``R.T @ R`` from the SVD of ``R``.
   Forming the Gram matrix first would square the condition number and lose
   the relative accuracy of the small eigenvalues that the TLS solutions are
@@ -208,8 +208,9 @@ class TallRPair:
     rows ``j:``; below two full blocks, or with ``BLOCK_ROWS`` or more
     columns, it is ``C`` itself.  ``r_all`` factors ``stack[:end]`` and
     ``r_low`` ``stack[low:]``, two slices of one array that nothing writes
-    after the pass.  With a leading axis on ``stack``, the pair is a stack
-    of first levels and each factor a stack.  Both factors are read-only.
+    after the pass, so threads may read both at once.  With a leading axis
+    on ``stack``, the pair is a stack of first levels and each factor a
+    stack.  Both factors are read-only.
     """
 
     stack: np.ndarray
