@@ -270,13 +270,13 @@ def tall_r_chunks(chunk_of, rows: int, cols: int, j: int, run=_at_once,
     chunk is in cache), awaited once the next chunk's is handed over, so at
     most two chunks are held.  The per-block QRs are independent, so the
     triangles depend neither on the chunking nor on where they ran.  When
-    ``j > 0``, the triangle of the first block's rows ``j:`` is written
-    after the leftover rows, so ``r_low`` stacks the triangles of the other
-    blocks, the leftover and it (TSQR, Demmel, Grigori, Hoemmen & Langou
-    2012) and equals ``tall_r(C[j:])`` up to roundoff and row signs.  The
-    level is written once, during the pass.  Raises ShapeError unless ``j``
-    is in ``[0, min(rows, cols))``, as a partition's ``j < n`` is,
-    NonFiniteError on a NaN or infinite entry.
+    ``j > 0``, the triangle of the first block's rows ``j:`` (``min(cols,
+    BLOCK_ROWS - j)`` rows) is written after the leftover rows, so
+    ``r_low`` stacks the other blocks' triangles, the leftover and it
+    (TSQR, Demmel, Grigori, Hoemmen & Langou 2012), ``tall_r(C[j:])`` up to
+    roundoff and row signs.  The level is written once, during the pass.
+    Raises ShapeError unless ``j`` is in ``[0, min(rows, cols))``, as a
+    partition's ``j < n`` is, NonFiniteError on a NaN or infinite entry.
     """
     if not 0 <= j < min(rows, cols):
         raise ShapeError(f"row offset j={j} is outside [0, {min(rows, cols)})")
@@ -285,7 +285,7 @@ def tall_r_chunks(chunk_of, rows: int, cols: int, j: int, run=_at_once,
     # Held to the end, so allocated before the chunks come and go: placed
     # after the first chunk, it let the heap shrink and refault mid-pass.
     end = first_level_rows(rows, cols)
-    stack = np.empty(lead + (end + (cols if j else 0), cols))
+    stack = np.empty(lead + (end + (min(cols, BLOCK_ROWS - j) if j else 0), cols))
     jobs = []
     for lo, last in chunk_bounds(rows, cols):
         hi = min(last, full * BLOCK_ROWS)

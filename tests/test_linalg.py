@@ -445,6 +445,18 @@ def test_tall_r_chunks_offsets(j):
     assert np.array_equal(low_first.r_all, r_all)
 
 
+@pytest.mark.parametrize("j", [100, 199])
+def test_tall_r_chunks_offsets_with_a_short_head(j):
+    """With BLOCK_ROWS - j < cols, the head triangle has fewer rows than
+    columns and still fits the stack."""
+    c = np.random.default_rng(43).standard_normal((600, 200))
+    pair = chunked_pair(c, j)
+    assert np.array_equal(pair.r_all, tall_r(c))
+    r_low = pair.r_low
+    assert np.array_equal(r_low, np.triu(r_low))
+    assert np.allclose(r_low.T @ r_low, c[j:].T @ c[j:], rtol=1e-12, atol=1e-10)
+
+
 def test_tall_r_chunks_low_factor_does_not_copy_the_stack():
     """Read first, r_low allocates only the QR's own working copy of the
     stack (numpy's qr copies its input), not a stacked copy besides."""

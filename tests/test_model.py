@@ -486,6 +486,24 @@ def test_chunked_factors_match_one_batch(j, m):
     assert np.array_equal(first_noisy.r_all, r_all)
 
 
+@pytest.mark.parametrize("j", [100, 197])
+def test_wide_instance_factors_with_a_short_head(j):
+    """n + ell = 200 at m = 600: the first block's rows j: have fewer rows
+    than columns, and both factors still match the one-batch reference, on
+    the row path and in a sample_stack stack."""
+    p = PartitionSpec(j=j, k=1, n=198, ell=2, m=600)
+    g = np.random.default_rng(j)
+    a, b = g.standard_normal((p.m, p.n)), g.standard_normal((p.m, p.ell))
+    data = ObservedData(a=a, b=b, partition=p)
+    r_all, r_noisy = one_batch_factors(np.hstack([a, b]), j)
+    assert np.array_equal(data.r_all, r_all)
+    assert np.array_equal(data.r_noisy, r_noisy)
+    fused = sample_stack(p, 0.1, [(1, 2)])[1]
+    rows = observe(generate_model(p, 0.1, 1), 2)
+    assert np.array_equal(fused.r_all[0], rows.r_all)
+    assert np.array_equal(fused.r_noisy[0], rows.r_noisy)
+
+
 def test_threads_reading_both_factors_of_one_instance(monkeypatch):
     """A thread reading r_all while another is inside r_noisy's second level
     gets tall_r of all rows: the first level is not written after the pass."""
