@@ -149,7 +149,8 @@ def _cmd_simulate(args) -> int:
         write_matrix(os.path.join(args.out_dir, "A.csv"), data.a)
         write_matrix(os.path.join(args.out_dir, "B.csv"), data.b)
         write_matrix(os.path.join(args.out_dir, "X_true.csv"), model.x_true)
-        # The simulate flags as parsed, in their order.
+        # Every simulate flag but --out-dir describes the instance, so
+        # model.json holds all the others, as parsed and in their order.
         meta = {key: value for key, value in vars(args).items() if key not in ("command", "out_dir")}
         with open(os.path.join(args.out_dir, "model.json"), "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=1)
