@@ -40,7 +40,11 @@ with ones that fail at different stages (the mixed stacks of
 ``tests/test_stacks.py``), run once by every sweep estimator that takes the
 partition, by the projection estimator under each ``mu_rule`` and by
 ``gram_residuals``; each slice's result, or its error type and message, is
-hashed.
+hashed.  The ``stack/batches`` case hashes one ``sample_stack`` call of 100
+instances (n = 3, ell = 1, j = k = 1, m = 10000, with ``all_rows``): its
+``x_true``, exact rows, both factors and Gram matrices, and every such run on
+the stack.  The first levels of its instances hold more rows than one chunk,
+so it covers a stack whose second levels are factored in more than one call.
 
 Each case also hashes every field on its own: ``x_hat``, ``sigma2_hat``,
 ``smallest_eigs``, ``mu``, each ``Diagnostics`` field, each key of
@@ -108,6 +112,9 @@ STACK_FAILURES = {
     (2, 0): ("rankdef-rows", "zero-column"),
 }
 STACK_SIGMA = 0.2
+#: The ``stack/batches`` case: one ``sample_stack`` call of this many
+#: instances (n = 3, ell = 1, j = k = 1) of this many rows.
+BATCH_SEEDS, BATCH_ROWS = 100, 10000
 ESTIMATE_METHODS = (("tls", 0, 0), ("ctls-cols", 0, 2), ("ctls-rows", 2, 0),
                     ("ctls-rowcol", 2, 2), ("projection", 2, 2))
 #: CSV layouts: LF, CRLF, and a blank line after each row with a blank tail
@@ -138,6 +145,7 @@ def case_digests() -> list[tuple[str, str]]:
         PartitionSpec,
         generate_model,
         observe,
+        sample_stack,
     )
 
     def runs_for(p: PartitionSpec) -> dict:
@@ -284,6 +292,23 @@ def case_digests() -> list[tuple[str, str]]:
         trace = run_sweep(config).to_json_dict()
         cases.append((f"sweep/cells/{design}-{noise}", trace_entries(trace)))
 
+    def stack_runs(p: PartitionSpec, grams, sigma: float) -> dict:
+        """Every sweep estimator that takes ``p``, the projection estimator
+        under each ``mu_rule`` and ``gram_residuals``, each run on a stack."""
+        runs = {name: fn for name, fn in harness.ESTIMATORS.items()
+                if name != "projection" and est.accepts_partition(name, p.j, p.k, p.n)}
+        for rule in est.MU_RULES:
+            runs[f"projection_{rule}"] = (
+                lambda d, rule=rule: est.projection_estimator(d, mu_rule=rule))
+        runs["gram_residuals"] = lambda d: gram_residuals(grams, sigma, d)
+        return runs
+
+    def slice_entries(run, stack) -> list:
+        """Each slice's result of ``run(stack)``, or its error type and message."""
+        return [(str(s), {"error": f"{type(out).__name__}: {out}"}
+                 if isinstance(out, CtlsError) else describe(out))
+                for s, out in enumerate(run(stack))]
+
     for (j, k), failures in STACK_FAILURES.items():
         names = ["healthy", *failures]
         names = [name for pair in zip(names, ["healthy"] * len(names)) for name in pair]
@@ -291,17 +316,20 @@ def case_digests() -> list[tuple[str, str]]:
         exact = np.stack([d.exact_rows for d in datas])
         r_noisy, r_all = np.stack([d.r_noisy for d in datas]), np.stack([d.r_all for d in datas])
         stack = ObservedData.stacked(exact, datas[0].partition, r_noisy, r_all)
-        runs = {name: fn for name, fn in harness.ESTIMATORS.items()
-                if name != "projection" and est.accepts_partition(name, j, k, N)}
-        for rule in est.MU_RULES:
-            runs[f"projection_{rule}"] = (
-                lambda d, rule=rule: est.projection_estimator(d, mu_rule=rule))
-        runs["gram_residuals"] = lambda d: gram_residuals(np.stack(grams), STACK_SIGMA, d)
-        for name, run in runs.items():
-            entries = [(str(s), {"error": f"{type(out).__name__}: {out}"}
-                        if isinstance(out, CtlsError) else describe(out))
-                       for s, out in enumerate(run(stack))]
-            cases.append((f"stack/j{j}k{k}/{name}", entries))
+        for name, run in stack_runs(stack.partition, np.stack(grams), STACK_SIGMA).items():
+            cases.append((f"stack/j{j}k{k}/{name}", slice_entries(run, stack)))
+
+    # One sample_stack call of BATCH_SEEDS instances at m = BATCH_ROWS:
+    # more first levels than one chunk's worth of rows.
+    p = PartitionSpec(j=1, k=1, n=3, ell=1, m=BATCH_ROWS)
+    seeds = [(300 + s, 700 + s) for s in range(BATCH_SEEDS)]
+    x_true, stack, grams = sample_stack(p, SIGMA, seeds, all_rows=True)
+    entries = [("sample", {"x_true": encode(x_true), "exact_rows": encode(stack.exact_rows),
+                           "r_noisy": encode(stack.r_noisy), "r_all": encode(stack.r_all),
+                           "grams": encode(grams)})]
+    for name, run in stack_runs(p, grams, SIGMA).items():
+        entries += [(f"{name}/{label}", fields) for label, fields in slice_entries(run, stack)]
+    cases.append(("stack/batches", entries))
 
     # ``ctls estimate`` on CSV files in three layouts, below and above the
     # size at which the reader splits a file into spans.
