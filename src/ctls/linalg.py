@@ -284,7 +284,7 @@ def tall_r_chunks(chunk_of, rows: int, cols: int, j: int, run=_at_once,
         return TallRPair(as_matrix(chunk_of(0, rows), "C", stack=True), j, rows)
     # Held to the end, so allocated before the chunks come and go: placed
     # after the first chunk, it let the heap shrink and refault mid-pass.
-    end = first_level_rows(rows, cols)
+    end = full * cols + rows - full * BLOCK_ROWS
     stack = np.empty(lead + (end + (min(cols, BLOCK_ROWS - j) if j else 0), cols))
     jobs = []
     for lo, last in chunk_bounds(rows, cols):
@@ -299,13 +299,6 @@ def tall_r_chunks(chunk_of, rows: int, cols: int, j: int, run=_at_once,
     stack[..., full * cols : end, :] = chunk[..., hi - lo :, :]
     jobs.pop()()
     return TallRPair(stack, cols if j else 0, end)
-
-
-def first_level_rows(rows: int, cols: int) -> int:
-    """The rows of the first level of :func:`tall_r_chunks` of a ``rows x
-    cols`` matrix: ``rows`` where it is factored flat."""
-    full = _full_blocks(rows, cols)
-    return full * cols + rows - full * BLOCK_ROWS
 
 
 def _block_triangles(rows: np.ndarray, out: np.ndarray) -> None:

@@ -29,12 +29,10 @@ import numpy as np
 from .errors import InvalidPartitionError, ShapeError
 from .linalg import (
     CHUNK_ROWS,
-    TallRPair,
     _flat_r,
     as_matrix,
     chunk_bounds,
     cholesky_lower,
-    first_level_rows,
     matrix_rank,
     solve_linear,
     solve_lower_triangular,
@@ -214,7 +212,7 @@ class ObservedData:
         return np.hstack([x[: self.partition.j] for x in self.rows])
 
     @cached_property
-    def _pair(self) -> TallRPair:
+    def _pair(self):
         (a, b), p = self.rows, self.partition
         return tall_r_chunks(lambda lo, hi: np.hstack([a[lo:hi], b[lo:hi]]), p.m, p.n + p.ell, p.j)
 
@@ -319,9 +317,9 @@ def sample_stack(
 
     A pass of one chunk draws, noises and factors its instances in groups
     of ``CHUNK_ROWS // m`` (at least one) with batched calls over one row
-    buffer, and runs the second TSQR level once per ``CHUNK_ROWS`` rows of
-    first levels.  A pass of several chunks (:func:`~ctls.linalg.chunk_bounds`)
-    runs one instance at a time.  Its chunks' noise draws and block QRs are
+    buffer, and factors each group's second levels after its pass.  A
+    pass of several chunks (:func:`~ctls.linalg.chunk_bounds`) runs one
+    instance at a time.  Its chunks' noise draws and block QRs are
     jobs of ``run``: by default each runs where it is awaited; on the helper
     thread of :func:`ctls.parallel.beside`, beside the next chunk's draws.
     """
@@ -336,11 +334,7 @@ def sample_stack(
     noise_rngs = [np.random.default_rng(seed) for _, seed in seeds] if sigma > 0.0 else None
     grams, exact = np.zeros((count, d, d)), np.empty((count, p.j, d))
     bounds = chunk_bounds(p.m, d)
-    # A group's rows fill one chunk; the first levels of a batch of groups
-    # fill one more, or hold one group.  Where the rows are factored flat,
-    # the first level is the group's rows, and a batch is one group.
-    group = max(1, CHUNK_ROWS // p.m)
-    batch = group * max(1, CHUNK_ROWS // (group * first_level_rows(p.m, d)))
+    group = max(1, CHUNK_ROWS // p.m)  # a group's rows fill one chunk
     # One row buffer for all groups of a pass of one chunk.  Under several
     # chunks the rows of the chunk before may be in use on the helper thread.
     one_chunk = len(bounds) == 1
@@ -376,17 +370,12 @@ def sample_stack(
 
         return chunk_of
 
-    for start in range(0, count, batch):
-        stop = min(start + batch, count)
-        pairs = []
-        for g in range(start, stop, group):
-            index = slice(g, min(g + group, stop))
-            pairs.append(tall_r_chunks(chunks(index), p.m, d, p.j, run, (index.stop - g,)))
-        pair = pairs[0] if len(pairs) == 1 else TallRPair(
-            np.concatenate([q.stack for q in pairs]), pairs[0].low, pairs[0].end)
-        r_noisy[start:stop] = pair.r_low
+    for g in range(0, count, group):
+        index = slice(g, min(g + group, count))
+        pair = tall_r_chunks(chunks(index), p.m, d, p.j, run, (index.stop - g,))
+        r_noisy[index] = pair.r_low
         if all_rows:
-            r_all[start:stop] = pair.r_all
+            r_all[index] = pair.r_all
     _check_exact_rows(exact)
     return x_true, ObservedData.stacked(exact, p, r_noisy, r_all), grams
 
