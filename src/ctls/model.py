@@ -203,7 +203,8 @@ class ObservedData:
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
         """``(a, b)``; ShapeError on an instance built from factors."""
         if self.a is None:
-            raise ShapeError("this call needs a row-built instance, ObservedData(a=, b=, partition=)")
+            raise ShapeError("this call needs a row-built instance, ObservedData(a=, b=, partition=);"
+                             " a stack holds r_all only when sampled with all_rows=True")
         return self.a, self.b
 
     @cached_property

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -860,14 +861,20 @@ def test_stacked_rejects_mis_shaped_inputs():
 def test_row_readers_reject_a_factor_built_instance():
     """build_blocks reads the rows, which a factor-built instance does not
     hold: a ShapeError says so, not a TypeError on None (whiten takes such
-    an instance: test_whiten_takes_a_sampled_stack)."""
+    an instance: test_whiten_takes_a_sampled_stack).  On a stack sampled
+    without all_rows, it also names the flag that keeps r_all."""
     p = PartitionSpec(j=1, k=1, n=3, ell=1, m=50)
     data = sample_stack(p, 0.1, [(1, 2)])[1]
     with pytest.raises(ShapeError, match="needs a row-built instance"):
         estimators.build_blocks(data)
-    stack = sample_stack(p, 0.1, [(1, 2)], all_rows=False)[1]
-    with pytest.raises(ShapeError, match="needs a row-built instance"):
+    stack = sample_stack(p, 0.1, [(1, 2), (3, 4)], all_rows=False)[1]
+    missing = "needs a row-built instance.*r_all only when sampled with all_rows=True"
+    with pytest.raises(ShapeError, match=missing):
         stack.r_all
+    # An estimator that reads r_all names the missing factor on every slice.
+    errors = estimators.tls_from_data(stack)
+    assert len(errors) == 2
+    assert all(isinstance(e, ShapeError) and re.search(missing, str(e)) for e in errors)
 
 
 def test_sample_stack_holds_no_row_array():
