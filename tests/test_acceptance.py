@@ -13,19 +13,21 @@ import pytest
 
 from ctls.errors import LowerBlockSingularError
 from ctls.estimators import (
+    MU_RULES,
     accepts_partition,
     build_blocks,
     ctls_columns,
     ctls_rowcol,
     ctls_rows,
     projection_estimator,
+    tls_from_data,
     tls_solve,
 )
 from ctls.harness import SweepConfig, gram_residuals, naive_ls, run_sweep
-from ctls.model import PartitionSpec, generate_model, observe
+from ctls.model import PartitionSpec, generate_model, observe, sample_stack
 from ctls.oracle import constrained_objective, feasible_sampler, tls_objective
 
-from conftest import make_instance
+from conftest import fingerprint, make_instance
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "fixtures", "tls_1d_grid.json")
 
@@ -423,3 +425,81 @@ def test_c15_global_minimum():
     assert compared >= len(GLOBAL_CASES) // 2, compared
     ok(f"C15 global minimum ({len(GLOBAL_CASES)} instances, {compared} argmins compared, "
        f"{len(singular)} singular)")
+
+
+#: C16's stacks of 8 slices where the projection estimator equals
+#: ``ctls_rowcol``: (n, k, m) with j = 0, ell = 1 and 0 < k < n.
+IDENTITY_CASES = [(n, k, m) for n in (3, 4, 6) for k in (1, 2, 3) if k < n
+                  for m in (30, 300, 2000)]
+#: C16's bound on the difference, in units of eps * kappa * (1 + |x|).
+IDENTITY_UNITS = 32
+
+
+def c16_stack(j, k, n, ell, m, seed, count=8):
+    """A ``sample_stack`` of ``count`` instances (sigma = 0.3) with both factors."""
+    seeds = [(seed + s, seed + 500 + s) for s in range(count)]
+    return sample_stack(PartitionSpec(j=j, k=k, n=n, ell=ell, m=m), 0.3, seeds)[1]
+
+
+def identity_units(stack, x_proj, x_ctls):
+    """Per slice, ``max|x_proj - x_ctls|`` in units of eps * kappa * (1 +
+    |x_ctls|).  kappa is the TLS condition estimate of the noisy columns'
+    problem (Golub & Van Loan 1980), squared as the Gram route squares it:
+    sigma_1(R22)^2 / (sigma_lo^2 - sigma_hi^2), with R22 = r_noisy[k:, k:],
+    sigma_lo the smallest singular value of its first n - k columns and
+    sigma_hi = sigma_{n-k+1}(R22)."""
+    p = stack.partition
+    r22 = stack.r_noisy[:, p.k :, p.k :]
+    sv = np.linalg.svd(r22, compute_uv=False)
+    low = np.linalg.svd(r22[:, :, : p.n_free], compute_uv=False)[:, -1]
+    high = sv[:, p.n_free]
+    kappa = sv[:, 0] ** 2 / ((low - high) * (low + high))
+    scale = np.finfo(float).eps * kappa * (1.0 + np.linalg.norm(x_ctls, axis=(1, 2)))
+    return np.max(np.abs(x_proj - x_ctls), axis=(1, 2)) / scale
+
+
+def x_hats(results):
+    return np.stack([result.x_hat for result in results])
+
+
+def test_c16_estimator_identities():
+    """C16: where the paper's two estimators solve one problem, they agree.
+
+    * j = 0, ell = 1, 0 < k < n: mu is the smallest eigenvalue of the
+      Schur complement, so the shifted Gram matrix is singular and its null
+      vector is the CTLS solution; the projection estimator (every
+      ``mu_rule``) equals ``ctls_rowcol`` within ``IDENTITY_UNITS`` units of
+      :func:`identity_units` (worst reading 3.1 units).  k = 0 is
+      ``test_projection_and_ctls_rowcol_agree_without_exact_columns``.
+    * The converse, j = k = 1: the shift falls on the noisy columns after
+      the exact rows are projected out, and some slice differs by more than
+      the bound (4.3e10 to 4.3e12 units), so a shift applied to the
+      wrong columns, or to none, fails one half or the other.
+    * Bit for bit: ``ctls_rows`` equals ``ctls_rowcol`` at k = 0 < j, and
+      ``tls_from_data`` equals it at j = k = 0, every field, since each pair
+      runs one pipeline on one factor.
+    """
+    worst = 0.0
+    for idx, (n, k, m) in enumerate(IDENTITY_CASES):
+        stack = c16_stack(0, k, n, 1, m, seed=16_000 + 10 * idx)
+        x_ctls = x_hats(ctls_rowcol(stack))
+        for rule in MU_RULES:
+            units = identity_units(stack, x_hats(projection_estimator(stack, mu_rule=rule)), x_ctls)
+            assert units.max() <= IDENTITY_UNITS, (n, k, m, rule, units.max())
+            worst = max(worst, units.max())
+
+    for n in (3, 4):
+        for m in (30, 300, 2000):
+            stack = c16_stack(1, 1, n, 1, m, seed=16_900 + n + m)
+            units = identity_units(stack, x_hats(projection_estimator(stack)),
+                                   x_hats(ctls_rowcol(stack)))
+            assert units.max() > IDENTITY_UNITS, (n, m, units.max())
+
+    for ell in (1, 2):
+        for j in (0, 1, 2, 3):
+            stack = c16_stack(j, 0, 4, ell, 600, seed=17_000 + 100 * ell + 10 * j, count=6)
+            other = ctls_rows(stack) if j else tls_from_data(stack)
+            for s, (a, b) in enumerate(zip(ctls_rowcol(stack), other)):
+                assert fingerprint(lambda r: r, a) == fingerprint(lambda r: r, b), (ell, j, s)
+    ok(f"C16 estimator identities ({len(IDENTITY_CASES)} identity stacks, worst "
+       f"{worst:.1f} of {IDENTITY_UNITS} units; 6 converse stacks; 8 bit-for-bit stacks)")
