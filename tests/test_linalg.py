@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctls.errors import (
@@ -25,6 +25,8 @@ from ctls.errors import (
     WideMatrixError,
 )
 from ctls.linalg import (
+    BLOCK_ROWS,
+    CHUNK_ROWS,
     as_matrix,
     cholesky_lower,
     gram_condition,
@@ -427,34 +429,48 @@ def test_tall_r_rejects_non_matrix(shape):
         tall_r(np.ones(shape))
 
 
-@pytest.mark.parametrize("j", [0, 1, 3])
-def test_tall_r_chunks_offsets(j):
-    c = np.random.default_rng(42).standard_normal((800, 4))
-    pair = chunked_pair(c, j)
-    r_all, r_low = pair.r_all, pair.r_low
-    assert np.array_equal(r_all, tall_r(c))
+@st.composite
+def first_levels(draw):
+    """``(rows, cols, j, size, seed)`` for :func:`tall_r_chunks`: up to 255
+    columns (the blocked path needs fewer than ``BLOCK_ROWS``), j < cols,
+    more rows than columns and a stack of 1 to 3 matrices."""
+    cols = draw(st.integers(1, BLOCK_ROWS - 1))
+    return (draw(st.integers(cols + 1, 1100)), cols, draw(st.integers(0, cols - 1)),
+            draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(first_levels())
+@example((800, 4, 0, 1, 42))
+@example((800, 4, 1, 1, 42))
+@example((800, 4, 2, 1, 42))
+@example((800, 4, 3, 1, 42))
+@example((600, 200, 100, 1, 43))  # BLOCK_ROWS - j < cols: a short head triangle
+@example((600, 200, 199, 1, 43))
+@example((2 * CHUNK_ROWS + 7, 4, 2, 2, 44))  # two chunks, the leftover rows in the second
+def test_tall_r_chunks_offsets(case):
+    """Each slice of a stacked pass is its own pass bit for bit, ``r_all``
+    is ``tall_r(C)`` bit for bit, ``r_low`` factors ``C[j:]`` (and is
+    ``r_all`` exactly when j = 0), and reading the factors in either order
+    gives the same factors and leaves the first level as the pass wrote it."""
+    rows, cols, j, size, seed = case
+    c = np.random.default_rng(seed).standard_normal((size, rows, cols))
+    stacked = tall_r_chunks(lambda lo, hi: c[:, lo:hi], rows, cols, j, lead=(size,))
+    r_all, r_low = stacked.r_all, stacked.r_low
     assert (r_low is r_all) == (j == 0)
-    assert np.array_equal(r_low, np.triu(r_low))
-    assert np.allclose(r_low.T @ r_low, c[j:].T @ c[j:], rtol=1e-12, atol=1e-10)
-    # Read in the other order, the factors are the same and the stack is
-    # left as the pass wrote it.
-    low_first = chunked_pair(c, j)
-    stack = low_first.stack.copy()
+    for s in range(size):
+        alone = chunked_pair(c[s], j)
+        assert np.array_equal(alone.r_all, r_all[s])
+        assert np.array_equal(alone.r_low, r_low[s])
+        assert np.array_equal(r_all[s], tall_r(c[s]))
+        assert np.array_equal(r_low[s], np.triu(r_low[s]))
+        low = c[s, j:]
+        assert np.allclose(r_low[s].T @ r_low[s], low.T @ low, rtol=1e-12, atol=1e-10)
+    low_first = tall_r_chunks(lambda lo, hi: c[:, lo:hi], rows, cols, j, lead=(size,))
+    first_level = low_first.stack.copy()
     assert np.array_equal(low_first.r_low, r_low)
-    assert np.array_equal(low_first.stack, stack)
+    assert np.array_equal(low_first.stack, first_level)
     assert np.array_equal(low_first.r_all, r_all)
-
-
-@pytest.mark.parametrize("j", [100, 199])
-def test_tall_r_chunks_offsets_with_a_short_head(j):
-    """With BLOCK_ROWS - j < cols, the head triangle has fewer rows than
-    columns and still fits the stack."""
-    c = np.random.default_rng(43).standard_normal((600, 200))
-    pair = chunked_pair(c, j)
-    assert np.array_equal(pair.r_all, tall_r(c))
-    r_low = pair.r_low
-    assert np.array_equal(r_low, np.triu(r_low))
-    assert np.allclose(r_low.T @ r_low, c[j:].T @ c[j:], rtol=1e-12, atol=1e-10)
 
 
 def test_tall_r_chunks_low_factor_does_not_copy_the_stack():
