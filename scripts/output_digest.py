@@ -16,7 +16,8 @@ hashed after a successful ``projection`` or ``ctls_rowcol``, the only place
 a sweep calls it, with the ground truth's Gram matrix from whole-column
 products (``RegressionModel.truth_gram``).  Further cases hash instances
 with rank-deficient exact rows and with a zero exact corner, the
-``run_sweep`` traces of five partitions, and the exit code, stdout, stderr
+``k-equals-n/jX`` instances (n = k = 4, m = 300), whose columns are all
+exact, the ``run_sweep`` traces of five partitions, and the exit code, stdout, stderr
 and X file of ``ctls estimate`` for every method on CSV files written with
 LF, with CRLF and with blank lines, both below and above the size at which
 the reader splits a file, and on a B malformed in its second half, a missing
@@ -26,7 +27,10 @@ its records and their medians, whose ground truth a sweep sums by chunks.
 Two noise-free grid-design sweeps gate how a stacked sweep handles each
 slice: in ``sweep/grid-n18-failed`` every ``naive_ls`` record fails with
 NearSingularError, in ``sweep/grid-n16-flagged`` every other record carries
-the ``eig_gap_degenerate`` flag.  The ``sweep/large/<noise>`` cases are
+the ``eig_gap_degenerate`` flag.  In ``sweep/grid-unsampled`` (n = 8,
+ell = 1, j = 7, k = 0) every cell's exact grid rows are numerically rank
+deficient, so ``sample_stack`` raises; where ``run_sweep`` raises, the case
+hashes the error's type name.  The ``sweep/large/<noise>`` cases are
 one-trial sweeps (n = 10, ell = 2, j = 2, k = 3) of ``2 * CHUNK_ROWS + 5``
 rows, whose instances are sampled in two chunks, on two CPUs where the
 affinity mask has them.  The ``sweep/one-pass/<noise>`` cases add one-trial
@@ -253,6 +257,13 @@ def case_digests() -> list[tuple[str, str]]:
         entries = instance_entries(model, lambda: ObservedData(a=a.copy(), b=b.copy(), partition=p))
         cases.append((f"{name}/j{j}k{k}", entries))
 
+    # Every column exact: only the estimators that need free columns fail.
+    for j in (0, 2):
+        p = PartitionSpec(j=j, k=N, n=N, ell=ELL, m=300)
+        model = generate_model(p, SIGMA, 23 + j)
+        entries = instance_entries(model, lambda: observe(model, 24 + j))
+        cases.append((f"k-equals-n/j{j}", entries))
+
     for j, k in SWEEP_PARTITIONS:
         names = [n for n in ("naive_ls", "tls", "ctls_columns", "ctls_rows",
                              "ctls_rowcol", "projection") if est.accepts_partition(n, j, k, N)]
@@ -274,6 +285,15 @@ def case_digests() -> list[tuple[str, str]]:
             warnings.simplefilter("ignore", EstimatorWarning)
             trace = run_sweep(config).to_json_dict()
         cases.append((name, trace_entries(trace)))
+
+    config = SweepConfig(n=8, ell=1, j=7, k=0, m_values=(100, 200), trials=2, sigma=SIGMA,
+                         estimators=("tls", "ctls_rows"), base_seed=7,
+                         design=DesignKind.FIXED_GRID)
+    try:
+        entries = trace_entries(run_sweep(config).to_json_dict())
+    except CtlsError as exc:
+        entries = [("run_sweep", {"error": type(exc).__name__})]
+    cases.append(("sweep/grid-unsampled", entries))
 
     for noise in NoiseKind:
         for name, m_values in (("large", (2 * CHUNK_ROWS + 5,)),
