@@ -4,135 +4,9 @@ The package bundles five estimators (classical total least squares, the
 column-, row-, and row+column-constrained variants, and an orthogonal
 projection estimator), a synthetic-model generator with seeded noise
 injection, a brute-force verification oracle, and a Monte-Carlo harness that
-measures how the estimation error shrinks with the sample size.
+measures how the estimation error shrinks with the sample size.  Import each
+name from its module (``ctls.estimators``, ``ctls.model``, ``ctls.harness``,
+...), as the README's module table lists them.
 """
-
-from .errors import (
-    CtlsError,
-    EstimatorWarning,
-    FullRankError,
-    IncompatibleConfigError,
-    InvalidPartitionError,
-    LapackError,
-    LowerBlockSingularError,
-    MatrixFileError,
-    NearSingularError,
-    NonFiniteError,
-    NonSquareError,
-    NotPositiveDefiniteError,
-    RankDeficientFixedColumnsError,
-    RankDeficientUpperRowsError,
-    ShapeError,
-    WideMatrixError,
-)
-from .linalg import (
-    QrResult,
-    SvdResult,
-    SymEigenResult,
-    null_space_basis,
-    qr_decompose,
-    solve_linear,
-    svd,
-    sym_eigen,
-    tall_r,
-)
-from .model import (
-    DesignKind,
-    NoiseKind,
-    ObservedData,
-    PartitionSpec,
-    RegressionModel,
-    generate_model,
-    observe,
-    sample_stack,
-    unwhiten_estimate,
-    whiten,
-)
-from .estimators import (
-    CBlocks,
-    Diagnostics,
-    EstimateResult,
-    PreconditionRecord,
-    build_blocks,
-    ctls_columns,
-    ctls_rowcol,
-    ctls_rows,
-    precondition_rowcol,
-    projection_estimator,
-    tls_solve,
-)
-from .oracle import (
-    ObjectiveProbe,
-    constrained_objective,
-    feasible_sampler,
-    tls_objective,
-)
-from .harness import (
-    ConvergenceTrace,
-    SweepConfig,
-    TrialRecord,
-    gram_residuals,
-    naive_ls,
-    run_sweep,
-)
-
-__all__ = [
-    "CBlocks",
-    "ConvergenceTrace",
-    "CtlsError",
-    "Diagnostics",
-    "DesignKind",
-    "EstimateResult",
-    "EstimatorWarning",
-    "FullRankError",
-    "IncompatibleConfigError",
-    "InvalidPartitionError",
-    "LapackError",
-    "LowerBlockSingularError",
-    "MatrixFileError",
-    "NearSingularError",
-    "NoiseKind",
-    "NonFiniteError",
-    "NonSquareError",
-    "NotPositiveDefiniteError",
-    "ObjectiveProbe",
-    "ObservedData",
-    "PartitionSpec",
-    "PreconditionRecord",
-    "QrResult",
-    "RankDeficientFixedColumnsError",
-    "RankDeficientUpperRowsError",
-    "RegressionModel",
-    "ShapeError",
-    "SvdResult",
-    "SweepConfig",
-    "SymEigenResult",
-    "TrialRecord",
-    "WideMatrixError",
-    "build_blocks",
-    "constrained_objective",
-    "ctls_columns",
-    "ctls_rowcol",
-    "ctls_rows",
-    "feasible_sampler",
-    "generate_model",
-    "gram_residuals",
-    "naive_ls",
-    "null_space_basis",
-    "observe",
-    "precondition_rowcol",
-    "projection_estimator",
-    "qr_decompose",
-    "run_sweep",
-    "sample_stack",
-    "solve_linear",
-    "svd",
-    "sym_eigen",
-    "tall_r",
-    "tls_objective",
-    "tls_solve",
-    "unwhiten_estimate",
-    "whiten",
-]
 
 __version__ = "0.1.0"

@@ -6,6 +6,10 @@ companion matrix (``np.roots``).  It never touches the LAPACK eigensolver it
 checks.
 """
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -80,10 +84,42 @@ def test_as_matrix_shape_errors_are_ctls_errors(shape):
     assert isinstance(info.value, CtlsError) and isinstance(info.value, ValueError)
 
 
-def test_shape_error_is_exported():
+#: The ``ctls`` modules that a fresh import of each module loads: errors <-
+#: linalg <- model <- estimators <- oracle and harness, and parallel <- fileio
+#: and harness.  ``model`` does not load ``parallel``, nor ``cli`` the oracle.
+LOADS = {
+    "errors": {"errors"},
+    "parallel": {"parallel"},
+    "linalg": {"errors", "linalg"},
+    "model": {"errors", "linalg", "model"},
+    "estimators": {"errors", "linalg", "model", "estimators"},
+    "oracle": {"errors", "linalg", "model", "estimators", "oracle"},
+    "fileio": {"errors", "linalg", "parallel", "fileio"},
+    "harness": {"errors", "linalg", "model", "estimators", "parallel", "harness"},
+    "cli": {"errors", "linalg", "model", "estimators", "parallel", "fileio", "harness", "cli"},
+}
+
+
+def test_each_module_loads_only_what_it_imports():
+    """In one fresh interpreter, each module is imported after every
+    ``ctls`` module is dropped from ``sys.modules``: the package root loads
+    no module of its own."""
     import ctls
 
-    assert ctls.ShapeError is ShapeError and "ShapeError" in ctls.__all__
+    code = "\n".join([
+        "import importlib, json, sys",
+        "loaded = {}",
+        f"for name in {sorted(LOADS)!r}:",
+        "    for key in [key for key in sys.modules if key.split('.')[0] == 'ctls']:",
+        "        del sys.modules[key]",
+        "    importlib.import_module('ctls.' + name)",
+        "    loaded[name] = sorted(key[5:] for key in sys.modules if key.startswith('ctls.'))",
+        "print(json.dumps(loaded))",
+    ])
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(ctls.__path__[0])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert json.loads(out) == {name: sorted(mods) for name, mods in LOADS.items()}
 
 
 # --- sym_eigen ----------------------------------------------------------------
