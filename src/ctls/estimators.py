@@ -331,8 +331,10 @@ def accepts_partition(name: str, j: int, k: int, n: int) -> bool:
     """Whether the estimator ``name`` (a :data:`ctls.harness.ESTIMATORS`
     name) takes ``j`` exact rows and ``k`` exact columns of ``n``:
     ``ctls_columns`` needs ``j = 0`` and ``0 < k < n``, ``ctls_rows``
-    needs ``k = 0`` and ``j > 0``, and the others take any partition."""
-    return {"ctls_columns": j == 0 and 0 < k < n, "ctls_rows": k == 0 and j > 0}.get(name, True)
+    needs ``k = 0`` and ``j > 0``, ``ctls_rowcol`` needs ``k < n``, and the
+    others take any partition."""
+    return {"ctls_columns": j == 0 and 0 < k < n, "ctls_rows": k == 0 and j > 0,
+            "ctls_rowcol": k < n}.get(name, True)
 
 
 @stacked
@@ -527,7 +529,8 @@ def ctls_rowcol(data: ObservedData) -> EstimateResult:
     Raises
     ------
     InvalidPartitionError
-        If ``m <= n + ell``.
+        If ``k = n`` (ordinary least squares, out of scope as in
+        :func:`ctls_columns`) or ``m <= n + ell``.
     RankDeficientUpperRowsError
         If the exact rows are rank deficient; select independent rows first.
     NearSingularError
@@ -540,9 +543,11 @@ def ctls_rowcol(data: ObservedData) -> EstimateResult:
 
 
 def _check_rowcol(data: ObservedData) -> None:
-    """The checks of :func:`ctls_rowcol`: ``m > n + ell`` and exact rows of
-    ``A`` that are independent on their own (``j < n``)."""
+    """The checks of :func:`ctls_rowcol`: ``k < n``, ``m > n + ell`` and exact
+    rows of ``A`` that are independent on their own (``j < n``)."""
     p = data.partition
+    if not accepts_partition("ctls_rowcol", p.j, p.k, p.n):
+        raise InvalidPartitionError(f"ctls_rowcol needs k<n, got k={p.k}, n={p.n}")
     p.require_overdetermined()
     if p.j:
         check_slices(matrix_rank(data.exact_rows[..., : p.n]) != p.j,

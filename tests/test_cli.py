@@ -330,6 +330,21 @@ def test_estimate_rowcol_without_exact_blocks_needs_more_rows_than_columns(
     assert "InvalidPartitionError" in err
 
 
+def test_estimate_rowcol_with_every_column_exact_exits_2(tmp_path, capsys):
+    """k = n is a partition error of ctls-rowcol (exit 2); the methods that
+    take any partition estimate from the same files."""
+    g = np.random.default_rng(11)
+    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_matrix(str(a_path), g.standard_normal((40, 3)))
+    write_matrix(str(b_path), g.standard_normal((40, 1)))
+    base = ["estimate", "--a", str(a_path), "--b", str(b_path), "--j", "1", "--k", "3"]
+    code, _, err = run_cli(capsys, *base, "--method", "ctls-rowcol")
+    assert code == 2
+    assert err == "error: InvalidPartitionError: ctls_rowcol needs k<n, got k=3, n=3\n"
+    for method in ("tls", "projection"):
+        assert run_cli(capsys, *base, "--method", method)[0] == 0
+
+
 def test_unknown_flag_exits_1(capsys):
     code, _, err = run_cli(capsys, "estimate", "--nope")
     assert code == 1

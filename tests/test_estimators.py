@@ -189,6 +189,25 @@ def test_ctls_columns_rejects_all_columns_fixed():
         ctls_columns(full)
 
 
+@pytest.mark.parametrize("j", [0, 2])
+def test_ctls_rowcol_rejects_all_columns_fixed(j):
+    """With k = n no column is free: ctls_rowcol raises before any work, on
+    an instance and on each slice of a stack, while the estimators that take
+    any partition still run."""
+    from ctls.harness import naive_ls
+
+    p = PartitionSpec(j=j, k=3, n=3, ell=1, m=40)
+    _, data = make_instance(j=j, k=3, n=3, ell=1, m=40, sigma=0.1)
+    _, stack, _ = sample_stack(p, 0.1, [(1, 2), (3, 4)])
+    assert not estimators.accepts_partition("ctls_rowcol", j, 3, 3)
+    with pytest.raises(InvalidPartitionError, match="ctls_rowcol needs k<n, got k=3, n=3"):
+        ctls_rowcol(data)
+    assert [type(out) for out in ctls_rowcol(stack)] == [InvalidPartitionError] * 2
+    for fn in (estimators.tls_from_data, projection_estimator, naive_ls):
+        assert np.all(np.isfinite(fn(data).x_hat))
+        assert all(np.all(np.isfinite(out.x_hat)) for out in fn(stack))
+
+
 def test_ctls_columns_rejects_rank_deficient_fixed_columns():
     _, data = make_instance(j=0, k=0, n=3, ell=1, m=30, sigma=0.1)
     a = data.a.copy()

@@ -65,6 +65,9 @@ def test_config_rejects_incompatible_partition():
         small_config(estimators=("ctls_columns",))  # needs j == 0
     with pytest.raises(IncompatibleConfigError):
         small_config(estimators=("ctls_rows",))  # needs k == 0
+    with pytest.raises(IncompatibleConfigError, match="'ctls_rowcol' is incompatible"):
+        small_config(k=3, estimators=("tls", "ctls_rowcol"))  # needs k < n
+    assert small_config(k=3, estimators=("tls", "projection", "naive_ls")).k == 3
 
 
 def test_config_rejects_underdetermined():
