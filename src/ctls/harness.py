@@ -412,7 +412,8 @@ def run_sweep(config: SweepConfig) -> ConvergenceTrace:
     """Run the configured sweep and aggregate per-cell statistics.
 
     Failed trials are recorded with the error name as their status and kept
-    out of the aggregates, never dropped silently.
+    out of the aggregates, never dropped silently; a trial whose sampling
+    raises fails in every estimator's record.
     """
 
     def run_share(share: list, run=partial) -> list[list[TrialRecord]]:
@@ -423,9 +424,17 @@ def run_sweep(config: SweepConfig) -> ConvergenceTrace:
         """The records of each trial of one ``m``, from one stack of its instances."""
         seeds = [(trial_seed(config.base_seed, "model", m, t),
                   trial_seed(config.base_seed, "noise", m, t)) for t in trials]
-        x_true, stack, grams = sample_stack(config.partition_for(m), config.sigma, seeds,
-                                            config.design, config.noise, all_rows,
-                                            run if m in several else partial)
+        try:
+            x_true, stack, grams = sample_stack(config.partition_for(m), config.sigma, seeds,
+                                                config.design, config.noise, all_rows,
+                                                run if m in several else partial)
+        except CtlsError as exc:
+            # A stack raises if one instance does: sample them one at a
+            # time, so each trial's records are the same in any share.
+            if len(trials) > 1:
+                return [recs for trial in trials for recs in run_cell(m, [trial], run)]
+            return [[_record(name, m, trials[0], seeds[0], None, exc, None)
+                     for name in config.estimators]]
         results = {name: _run_estimator(name, stack) for name in config.estimators}
         residuals = [{}] * len(trials)
         if any(not isinstance(out, CtlsError)

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 import ctls.harness as harness
-from ctls.errors import CtlsError, IncompatibleConfigError, LapackError, NearSingularError
+from ctls.errors import (
+    CtlsError,
+    IncompatibleConfigError,
+    InvalidPartitionError,
+    LapackError,
+    NearSingularError,
+)
 from ctls import cli, estimators, linalg, parallel, model as model_mod
 from ctls.harness import (
     CSV_COLUMNS,
@@ -244,6 +250,46 @@ def test_sweep_forked_matches_serial(monkeypatch, tmp_path, capsys, forked, fail
     assert_reaped(forked)
     assert runs[3][2] == (3 if fail else 0)
     assert sum(r.status == "CtlsError" for r in runs[3][0]) == (3 if fail else 0)
+
+
+def test_sweep_records_trials_that_cannot_be_sampled(monkeypatch, tmp_path, capsys, forked):
+    """A trial whose sampling raises fails in every estimator's record, on
+    the pool and on one CPU alike.  In the grid design at n = 8 the seven
+    exact rows are numerically rank deficient at every m: ``ctls sweep``
+    writes its trace and CSV, every record fails and it exits 3.  Where one
+    trial's sampling raises, the other trials of its stack keep their
+    records."""
+    cfg = SweepConfig(n=8, ell=1, j=7, k=0, m_values=(100, 200), trials=2, sigma=0.3,
+                      estimators=("tls", "ctls_rows"), base_seed=7, design="grid")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    bad, real = trial_seed(777, "model", 60, 0), harness.sample_stack
+
+    def sample_stack(partition, sigma, seeds, *args):
+        if any(seed == bad for seed, _ in seeds):
+            raise InvalidPartitionError("synthetic sampling failure")
+        return real(partition, sigma, seeds, *args)
+
+    monkeypatch.setattr(harness, "sample_stack", sample_stack)
+    runs = {}
+    for cpus in (3, 1):
+        set_cpus(monkeypatch, cpus)
+        out = [tmp_path / f"{cpus}.json", tmp_path / f"{cpus}.csv"]
+        code = cli.main(["sweep", "--config", str(cfg_path),
+                         "--out-trace", str(out[0]), "--csv", str(out[1])])
+        mixed = run_sweep(small_config(trials=4))
+        runs[cpus] = (code, [path.read_bytes() for path in out], capsys.readouterr().out,
+                      mixed.records, mixed.aggregates)
+    assert runs[3] == runs[1]
+    assert len(forked) == 2 * 2
+    assert_reaped(forked)
+    code, (trace, _), table, records, _ = runs[1]
+    assert code == 3 and table.splitlines()[1:] == [
+        f"{name} {m}   2/2" for name in ("ctls_rows", "tls") for m in (100, 200)]
+    assert [r["status"] for r in json.loads(trace)["records"]] == ["InvalidPartitionError"] * 8
+    failed = [(r.m, r.trial, r.status, r.err) for r in records if r.status != "ok"]
+    assert failed == [(60, 0, "InvalidPartitionError", None)] * 4
+    assert len(records) == 4 * 2 * 4
 
 
 @pytest.mark.parametrize(
