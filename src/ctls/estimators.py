@@ -529,8 +529,7 @@ def ctls_rowcol(data: ObservedData) -> EstimateResult:
     Raises
     ------
     InvalidPartitionError
-        If ``k = n`` (ordinary least squares, out of scope as in
-        :func:`ctls_columns`) or ``m <= n + ell``.
+        If ``k = n`` (ordinary least squares, out of scope) or ``m <= n + ell``.
     RankDeficientUpperRowsError
         If the exact rows are rank deficient; select independent rows first.
     NearSingularError

@@ -429,8 +429,7 @@ def run_sweep(config: SweepConfig) -> ConvergenceTrace:
                                                 config.design, config.noise, all_rows,
                                                 run if m in several else partial)
         except CtlsError as exc:
-            # A stack raises if one instance does: sample them one at a
-            # time, so each trial's records are the same in any share.
+            # A stack raises if one trial does: retry each alone, as any share may.
             if len(trials) > 1:
                 return [recs for trial in trials for recs in run_cell(m, [trial], run)]
             return [[_record(name, m, trials[0], seeds[0], None, exc, None)
